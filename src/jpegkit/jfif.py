@@ -433,6 +433,8 @@ def parse_jfif(data: bytes):
                 pq, tq = body[i] >> 4, body[i] & 0x0F
                 if pq != 0:
                     raise NotBaseline("16-bit quantization tables are not baseline")
+                if tq > 3:
+                    raise BadMarker(f"DQT table id {tq} is above 3")
                 if i + 65 > len(body):
                     raise TruncatedStream("DQT table truncated")
                 vec = np.frombuffer(body, np.uint8, 64, i + 1).astype(np.int64)
@@ -444,6 +446,8 @@ def parse_jfif(data: bytes):
                 if i + 17 > len(body):
                     raise TruncatedStream("DHT header truncated")
                 cls, tid = body[i] >> 4, body[i] & 0x0F
+                if tid > 3:
+                    raise BadMarker(f"DHT table id {tid} is above 3")
                 counts = tuple(body[i + 1 : i + 17])
                 nsym = sum(counts)
                 if i + 17 + nsym > len(body):
@@ -456,6 +460,8 @@ def parse_jfif(data: bytes):
                 htables[(cls, tid)] = table
                 i += 17 + nsym
         elif marker == DRI:
+            if len(body) < 2:
+                raise TruncatedStream("DRI segment truncated")
             restart_interval = struct.unpack(">H", body[:2])[0]
         elif marker == SOF0:
             if frame is not None:

@@ -150,18 +150,39 @@ def mmse_estimate(model: ToyModel, y) -> np.ndarray:
     return post @ model.signals.astype(np.float64)
 
 
+def _posterior_weights(model: ToyModel, probs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """p(x | y(x)) for every state x: its prior over its observation's mass.
+
+    A state whose observation carries no mass has zero prior itself, so
+    its weight is 0 whatever ``probs[-1]`` is.
+    """
+    return model.prior / probs[index]
+
+
+def _conditional_means(model: ToyModel, weights: np.ndarray, index: np.ndarray, n_obs: int) -> np.ndarray:
+    """E[X | y] for every reachable observation, shape (n_obs, length), from
+    one pass over the states grouped by ``index``."""
+    kept = index >= 0
+    rows, w = index[kept], weights[kept]
+    signals = model.signals[kept].astype(np.float64)
+    return np.stack(
+        [np.bincount(rows, weights=w * signals[:, j], minlength=n_obs) for j in range(model.length)],
+        axis=1,
+    )
+
+
 def mmse_consistency_deviation(model: ToyModel) -> float:
     """max over reachable y of ||transform(E[X|y]) - y||_inf.
 
     At most 0.5 (plus float noise): every consistent state's transform
     lies in the half-step box around y and the box is convex.
+
+    Cost: one O(states * length**2) degradation and one O(states) pass that
+    yields every conditional mean at once.
     """
-    ys, _, _ = observations(model)
-    worst = 0.0
-    for y in ys:
-        dev = np.abs(model.transform(mmse_estimate(model, y)) - y).max()
-        worst = max(worst, float(dev))
-    return worst
+    ys, probs, index = observations(model)
+    means = _conditional_means(model, _posterior_weights(model, probs, index), index, len(ys))
+    return float(np.abs(model.transform(means) - ys).max())
 
 
 @dataclass(frozen=True)
@@ -185,26 +206,48 @@ def _validated_table(model: ToyModel, dist) -> np.ndarray:
 def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
     """Evaluate a sampler (y -> distribution table over states) on the two
     conditions that jointly force it to equal the posterior: zero mass on
-    inconsistent states, and a sample marginal equal to the prior."""
-    ys, probs, _ = observations(model)
-    d_all = model.degrade_all()
+    inconsistent states, and a sample marginal equal to the prior.
+
+    Cost: one O(states * length**2) degradation, then O(states) per
+    observation to read and compare the sampler's table.
+    """
+    ys, probs, index = observations(model)
+    weights = _posterior_weights(model, probs, index)
     marginal = np.zeros(model.n_states)
     inconsistent = 0.0
     max_gap = 0.0
-    for y, py in zip(ys, probs):
+    for row, (y, py) in enumerate(zip(ys, probs)):
         dist = _validated_table(model, sampler(tuple(int(v) for v in y)))
-        consistent_mask = np.all(d_all == y, axis=1)  # prior-independent
+        consistent_mask = index == row  # every state mapping to y, prior-independent
         inconsistent += py * float(dist[~consistent_mask].sum())
         marginal += py * dist
-        gap = float(np.abs(dist - enumerate_posterior(model, y)).max())
+        gap = float(np.abs(dist - np.where(consistent_mask, weights, 0.0)).max())
         max_gap = max(max_gap, gap)
     tv = 0.5 * float(np.abs(marginal - model.prior).sum())
     return SamplerReport(inconsistent, tv, max_gap)
 
 
+def _sampler_from(ys: np.ndarray, weights: np.ndarray, index: np.ndarray):
+    rows = {y: row for row, y in enumerate(map(tuple, ys.tolist()))}
+
+    def sampler(y) -> np.ndarray:
+        y = np.asarray(y, dtype=np.int64)
+        row = rows.get(tuple(y.reshape(-1).tolist()))
+        if row is None:
+            raise UnreachableY(f"no signal maps to {y.tolist()}")
+        return np.where(index == row, weights, 0.0)
+
+    return sampler
+
+
 def posterior_sampler(model: ToyModel):
-    """The exact posterior as a sampler table function."""
-    return lambda y: enumerate_posterior(model, np.asarray(y))
+    """The exact posterior as a sampler table function.
+
+    The states are grouped by observation once, here; each call then costs
+    O(states).
+    """
+    ys, probs, index = observations(model)
+    return _sampler_from(ys, _posterior_weights(model, probs, index), index)
 
 
 def fm_identity_check(model: ToyModel, sampler=None) -> float:
@@ -212,17 +255,21 @@ def fm_identity_check(model: ToyModel, sampler=None) -> float:
 
     Exactly zero (to float noise) for the enumerated posterior: averaging
     samples of the posterior IS the conditional mean.
+
+    Cost: one O(states * length**2) degradation and one O(states) pass for
+    every conditional mean, then O(states) per observation to read the
+    sampler's table.
     """
+    ys, probs, index = observations(model)
+    weights = _posterior_weights(model, probs, index)
     if sampler is None:
-        sampler = posterior_sampler(model)
-    ys, _, _ = observations(model)
-    worst = 0.0
+        sampler = _sampler_from(ys, weights, index)
+    means = _conditional_means(model, weights, index, len(ys))
     signals = model.signals.astype(np.float64)
-    for y in ys:
-        dist = _validated_table(model, sampler(tuple(int(v) for v in y)))
-        dev = np.abs(dist @ signals - mmse_estimate(model, y)).max()
-        worst = max(worst, float(dev))
-    return worst
+    sampled = np.stack(
+        [_validated_table(model, sampler(tuple(int(v) for v in y))) @ signals for y in ys]
+    )
+    return float(np.abs(sampled - means).max())
 
 
 # --- text fixtures ---------------------------------------------------------

@@ -44,6 +44,17 @@ def uniform_image(rng, height=24, width=24, channels=3):
     return PixelImage(rng.integers(0, 256, size=(height, width, channels), dtype=np.uint8))
 
 
+def fine_step_model(seed, length=5, a=4):
+    """Toy model with steps fine enough (0.3-0.45) that nearly every state
+    is its own observation: 4**5 = 1024 states by default."""
+    from jpegkit.toy import ToyModel, alphabet_for_size
+
+    rng = np.random.default_rng(seed)
+    raw = np.exp(rng.normal(0.0, 1.0, a**length))
+    steps = np.exp(rng.uniform(np.log(0.3), np.log(0.45), length))
+    return ToyModel(length, alphabet_for_size(a), raw / raw.sum(), steps)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

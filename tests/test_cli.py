@@ -6,7 +6,7 @@ from jpegkit.codec import compress, compress_with_table, decompress
 from jpegkit.image import images_equal
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.pnm import read_pnm, write_pnm
-from tests.conftest import natural_image
+from tests.conftest import fine_step_model, natural_image
 
 
 @pytest.fixture
@@ -144,6 +144,16 @@ def test_theorem_check_fixture(tmp_path, capsys):
 
     (tmp_path / "model.txt").write_text(save_model(random_model(np.random.default_rng(5))))
     assert main(["theorem-check", "--models", "3", "--fixture", str(tmp_path / "model.txt")]) == 0
+
+
+def test_theorem_check_fine_step_fixture(tmp_path, capsys):
+    from jpegkit.toy import observations, save_model
+
+    m = fine_step_model(11)
+    assert m.n_states == 1024 and len(observations(m)[0]) > 900
+    (tmp_path / "fine.txt").write_text(save_model(m))
+    assert main(["theorem-check", "--models", "2", "--fixture", str(tmp_path / "fine.txt")]) == 0
+    assert "ALL BOUNDS HOLD" in capsys.readouterr().out
 
 
 def test_usage_error_exits_2():

@@ -196,6 +196,30 @@ def test_quality_factor_recovered(rng):
         assert g2.table.quality_factor == qf
 
 
+def test_empty_dri_body_truncated(rng):
+    data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
+    with pytest.raises(TruncatedStream):
+        parse_jfif(data[:2] + b"\xff\xdd\x00\x02" + data[2:])
+
+
+def test_dqt_table_id_above_3_rejected(rng):
+    # an otherwise valid extra table with Tq = 4; T.81 allows ids 0-3 only
+    data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
+    body = bytes((0x04,)) + bytes(range(1, 65))
+    extra = b"\xff\xdb" + struct.pack(">H", 2 + len(body)) + body
+    with pytest.raises(BadMarker, match="DQT table id 4"):
+        parse_jfif(data[:2] + extra + data[2:])
+
+
+def test_dht_table_id_above_3_rejected(rng):
+    # the standard luma DC table again, as class 0 table id 4
+    data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
+    body = bytes((0x04,)) + bytes(DC_LUMA.counts) + bytes(DC_LUMA.symbols)
+    extra = b"\xff\xc4" + struct.pack(">H", 2 + len(body)) + body
+    with pytest.raises(BadMarker, match="DHT table id 4"):
+        parse_jfif(data[:2] + extra + data[2:])
+
+
 @pytest.mark.integration
 def test_external_decoder_agrees(rng):
     # component planes match the external decoder within +-1 (one rounding

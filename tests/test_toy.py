@@ -7,6 +7,8 @@ from jpegkit.errors import MalformedSampler, UnreachableY
 from jpegkit.image import round_half_away_from_zero
 from jpegkit.toy import (
     ToyModel,
+    _conditional_means,
+    _posterior_weights,
     alphabet_for_size,
     enumerate_posterior,
     fm_identity_check,
@@ -20,6 +22,7 @@ from jpegkit.toy import (
     save_model,
     uniform_model,
 )
+from tests.conftest import fine_step_model
 
 
 def brute_force_posterior(model, y):
@@ -198,3 +201,80 @@ def test_model_validation():
         ToyModel(1, alphabet_for_size(2), np.array([0.5, 0.5]), np.array([-1.0]))
     with pytest.raises(ValueError):
         ToyModel(9, alphabet_for_size(2), np.full(2**9, 2.0**-9), np.ones(9))
+
+
+# --- grouped oracle vs per-observation enumeration ---------------------------
+
+EQUIVALENCE_MODELS = [random_model(np.random.default_rng(3000 + i)) for i in range(24)]
+
+
+def _grouped_means(m):
+    ys, probs, index = observations(m)
+    return ys, _conditional_means(m, _posterior_weights(m, probs, index), index, len(ys))
+
+
+@pytest.mark.parametrize("m", EQUIVALENCE_MODELS + [fine_step_model(7)])
+def test_grouped_means_match_mmse_estimate(m):
+    ys, means = _grouped_means(m)
+    assert means.shape == (len(ys), m.length)
+    for y, mean in zip(ys, means):
+        assert np.abs(mean - mmse_estimate(m, y)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", EQUIVALENCE_MODELS)
+def test_posterior_sampler_matches_enumeration_and_bruteforce(m):
+    sampler = posterior_sampler(m)
+    ys, _, _ = observations(m)
+    for y in ys:
+        table = sampler(tuple(int(v) for v in y))
+        assert np.abs(table - enumerate_posterior(m, y)).max() <= 1e-12
+        assert np.abs(table - brute_force_posterior(m, y)).max() <= 1e-12
+
+
+def test_posterior_sampler_matches_enumeration_fine_steps():
+    m = fine_step_model(7)
+    assert m.n_states >= 1024
+    ys, _, _ = observations(m)
+    assert len(ys) > 0.9 * m.n_states
+    sampler = posterior_sampler(m)
+    for k, y in enumerate(ys):
+        table = sampler(tuple(int(v) for v in y))
+        assert np.abs(table - enumerate_posterior(m, y)).max() <= 1e-12
+        if k % 128 == 0:  # the pure-Python enumeration is slow at 1024 states
+            assert np.abs(table - brute_force_posterior(m, y)).max() <= 1e-12
+
+
+def test_posterior_sampler_unreachable_y():
+    m = uniform_model(1, 2, [1.0])
+    sampler = posterior_sampler(m)
+    with pytest.raises(UnreachableY):
+        sampler((999,))
+    with pytest.raises(UnreachableY):
+        enumerate_posterior(m, np.array([999]))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        mmse_consistency_deviation,
+        fm_identity_check,
+        lambda m: posterior_sampler_checks(m, posterior_sampler(m)),
+    ],
+    ids=["mmse_consistency_deviation", "fm_identity_check", "posterior_sampler_checks"],
+)
+def test_checks_degrade_a_constant_number_of_times(monkeypatch, check):
+    calls = []
+    degrade_all = ToyModel.degrade_all
+
+    def counted(self):
+        calls.append(1)
+        return degrade_all(self)
+
+    monkeypatch.setattr(ToyModel, "degrade_all", counted)
+    counts = []
+    for m in (uniform_model(1, 2, [100.0]), uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7)):
+        calls.clear()
+        check(m)
+        counts.append(len(calls))
+    assert len(observations(fine_step_model(7))[0]) > 100  # many observations, same count
+    assert counts[0] == counts[1] == counts[2] <= 2
