@@ -198,29 +198,26 @@ def _cmd_theorem_check(args) -> int:
     models = [random_model(rng) for _ in range(args.models)]
     if args.fixture:
         models.append(load_model(Path(args.fixture).read_text()))
-    worst_bound = 0.0
-    worst_fm = 0.0
-    ok = True
+    worst_bound = worst_fm = worst_mass = worst_tv = worst_gap = 0.0
     for m in models:
         worst_bound = max(worst_bound, mmse_consistency_deviation(m))
         worst_fm = max(worst_fm, fm_identity_check(m))
-    if worst_bound > 0.5 + 1e-12 or worst_fm > 1e-12:
-        ok = False
-    report = posterior_sampler_checks(models[0], posterior_sampler(models[0]))
-    if (
-        report.inconsistent_mass > 1e-12
-        or report.marginal_tv > 1e-12
-        or report.max_posterior_gap > 1e-12
-    ):
-        ok = False
+        report = posterior_sampler_checks(m, posterior_sampler(m))
+        worst_mass = max(worst_mass, report.inconsistent_mass)
+        worst_tv = max(worst_tv, report.marginal_tv)
+        worst_gap = max(worst_gap, report.max_posterior_gap)
+    ok = (
+        worst_bound <= 0.5 + 1e-12
+        and max(worst_fm, worst_mass, worst_tv, worst_gap) <= 1e-12
+    )
     print(f"models checked: {len(models)}")
     print(f"max |transform(mmse) - y|_inf = {worst_bound:.15f} (bound 0.5)")
     print(f"max mean-vs-mmse deviation   = {worst_fm:.3e} (bound 1e-12)")
     print(
-        "posterior sampler: "
-        f"inconsistent_mass={report.inconsistent_mass:.3e} "
-        f"marginal_tv={report.marginal_tv:.3e} "
-        f"max_gap={report.max_posterior_gap:.3e}"
+        "posterior sampler (worst over models): "
+        f"inconsistent_mass={worst_mass:.3e} "
+        f"marginal_tv={worst_tv:.3e} "
+        f"max_gap={worst_gap:.3e}"
     )
     print("ALL BOUNDS HOLD" if ok else "BOUND VIOLATED")
     return 0 if ok else 1

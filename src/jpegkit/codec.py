@@ -1,9 +1,14 @@
 """The full compress/decompress pipeline over quantized coefficient grids.
 
-`compress` runs pixels -> (YCbCr) -> level shift -> 8x8 blocks -> DCT ->
-quantize; `decompress` is the mirror image ending in uint8 pixels. The grid
-is the codec's native currency: every module that needs "the compressed
-input" takes a :class:`CoefficientGrid`, never a .jpg byte string.
+Everything rests on one pair of maps. :func:`analysis` runs pixels ->
+(YCbCr) -> level shift -> edge pad -> 8x8 blocks -> DCT -> divide by the
+quantization table, giving each channel's coefficients in units of its
+step; :func:`synthesis` is its exact inverse. `compress` is rounding after
+analysis and `decompress_float` is synthesis; :mod:`~jpegkit.diffjpeg` and
+:mod:`~jpegkit.projection` put rounding or a cell clamp between the two.
+The grid is the codec's native currency: every module that needs "the
+compressed input" takes a :class:`CoefficientGrid`, never a .jpg byte
+string.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import numpy as np
 
 from . import dct
 from .color import YCbCrImage, rgb_to_ycbcr, ycbcr_to_rgb
-from .errors import QfOutOfRange
 from .image import (
     FloatImage,
     PixelImage,
@@ -23,7 +27,7 @@ from .image import (
     to_float,
     to_pixels,
 )
-from .quant import QuantTable, dequantize, detect_qf, quantize, table_for_qf, zigzag_flatten, zigzag_unflatten
+from .quant import QuantTable, dequantize, detect_qf, table_for_qf, zigzag_flatten, zigzag_unflatten
 
 COLORSPACES = ("ycbcr", "rgb-passthrough")
 LEVEL_SHIFT = 128.0
@@ -31,18 +35,16 @@ LEVEL_SHIFT = 128.0
 
 @dataclass(frozen=True)
 class CodecOptions:
-    """Pipeline switches: color path, optional 8-bit rounding of the
-    converted planes (for the lossless-settings study), pad mode."""
+    """Pipeline switches: color path and optional 8-bit rounding of the
+    converted planes (for the lossless-settings study). Ragged planes are
+    always edge-padded to whole blocks."""
 
     colorspace: str = "ycbcr"
     round_chroma: bool = False
-    pad: str = "edge"
 
     def __post_init__(self):
         if self.colorspace not in COLORSPACES:
             raise ValueError(f"colorspace must be one of {COLORSPACES}")
-        if self.pad != "edge":
-            raise ValueError("only edge padding is supported")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +112,32 @@ def planes_for_compress(img: FloatImage, opts: CodecOptions) -> list[np.ndarray]
     return [img.data[:, :, c] for c in range(img.channels)]
 
 
-def planes_to_image(planes: list[np.ndarray], opts: CodecOptions) -> FloatImage:
-    """Inverse of :func:`planes_for_compress` (minus any plane rounding)."""
-    if len(planes) == 3 and opts.colorspace == "ycbcr":
-        return ycbcr_to_rgb(YCbCrImage(planes[0], planes[1], planes[2]))
+def plane_dct(plane: np.ndarray) -> np.ndarray:
+    """Level-shift, edge-pad and tile a plane, then DCT every block."""
+    return dct.dct2(dct.split_blocks(plane - LEVEL_SHIFT, pad=True))
+
+
+def analysis(
+    img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
+) -> list[np.ndarray]:
+    """Each channel's DCT coefficients in units of its quantization step."""
+    fimg = to_float(img) if isinstance(img, PixelImage) else img
+    planes = planes_for_compress(fimg, opts)
+    kinds = channel_kinds(len(planes), opts.colorspace)
+    return [plane_dct(p) / table.for_channel_kind(k) for p, k in zip(planes, kinds)]
+
+
+def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str) -> FloatImage:
+    """Inverse of :func:`analysis`: scale by the steps, invert the DCT,
+    crop, undo the level shift and the color transform."""
+    kinds = channel_kinds(len(coefs), colorspace)
+    planes = [
+        dct.merge_blocks(dct.idct2(dequantize(c, table.for_channel_kind(k))), width, height)
+        + LEVEL_SHIFT
+        for c, k in zip(coefs, kinds)
+    ]
+    if len(planes) == 3 and colorspace == "ycbcr":
+        return ycbcr_to_rgb(YCbCrImage(*planes))
     return FloatImage(np.stack(planes, axis=-1))
 
 
@@ -126,28 +150,13 @@ def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOp
 def compress_with_table(
     img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
 ) -> CoefficientGrid:
-    fimg = to_float(img) if isinstance(img, PixelImage) else img
-    planes = planes_for_compress(fimg, opts)
-    kinds = channel_kinds(len(planes), opts.colorspace)
-    blocks = []
-    for plane, kind in zip(planes, kinds):
-        b = dct.split_blocks(plane - LEVEL_SHIFT, pad=True)
-        blocks.append(quantize(dct.dct2(b), table.for_channel_kind(kind)))
-    return CoefficientGrid(
-        tuple(blocks), table, fimg.width, fimg.height, opts.colorspace
-    )
+    levels = [round_half_away_from_zero(c).astype(np.int32) for c in analysis(img, table, opts)]
+    return CoefficientGrid(tuple(levels), table, img.width, img.height, opts.colorspace)
 
 
-def decompress_float(grid: CoefficientGrid, round_chroma: bool = False) -> FloatImage:
+def decompress_float(grid: CoefficientGrid) -> FloatImage:
     """Decompress without the terminal 8-bit step."""
-    opts = CodecOptions(colorspace=grid.colorspace, round_chroma=round_chroma)
-    kinds = channel_kinds(grid.n_channels, grid.colorspace)
-    planes = []
-    for ch, kind in zip(grid.channels, kinds):
-        coef = dequantize(ch, grid.table.for_channel_kind(kind))
-        plane = dct.merge_blocks(dct.idct2(coef), grid.width, grid.height)
-        planes.append(plane + LEVEL_SHIFT)
-    return planes_to_image(planes, opts)
+    return synthesis(grid.channels, grid.table, grid.width, grid.height, grid.colorspace)
 
 
 def decompress(grid: CoefficientGrid) -> PixelImage:

@@ -63,3 +63,10 @@ def rgb_to_ycbcr(img: FloatImage) -> YCbCrImage:
 def ycbcr_to_rgb(img: YCbCrImage) -> FloatImage:
     stacked = np.stack([img.y, img.cb, img.cr], axis=-1) - YCBCR_OFFSET
     return FloatImage(np.tensordot(stacked, YCBCR_TO_RGB.T, axes=1))
+
+
+def luma(data: np.ndarray) -> np.ndarray:
+    """Y plane of an (h, w, 3) RGB array, or the plane of a one-channel one."""
+    if data.shape[2] == 3:
+        return np.tensordot(data, RGB_TO_YCBCR[0], axes=([2], [0]))
+    return data[:, :, 0]

@@ -42,6 +42,18 @@ def pad_to_block_multiple(plane: np.ndarray) -> np.ndarray:
     return np.pad(plane, ((0, ph), (0, pw)), mode="edge")
 
 
+def fold_pad(plane: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Adjoint of :func:`pad_to_block_multiple`: crop to (height, width) and
+    add the padded region back onto the edge row/column it was copied from."""
+    out = plane[:height, :].copy()
+    if plane.shape[0] > height:
+        out[height - 1, :] += plane[height:, :].sum(axis=0)
+    out2 = out[:, :width].copy()
+    if out.shape[1] > width:
+        out2[:, width - 1] += out[:, width:].sum(axis=1)
+    return out2
+
+
 def split_blocks(plane: np.ndarray, pad: bool = False) -> np.ndarray:
     """Tile a 2-D plane into (n_by, n_bx, 8, 8) blocks in raster order."""
     plane = np.asarray(plane, dtype=np.float64)

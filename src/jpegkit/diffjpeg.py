@@ -1,31 +1,23 @@
 """Differentiable compression operator with a straight-through rounding
 gradient.
 
-:func:`forward` runs the float pipeline end to end (color transform, level
-shift, edge pad, blockwise DCT, divide / round / multiply by the table,
-inverse) with no terminal 8-bit step, and returns the value together with a
-:class:`Vjp`. :func:`apply_vjp` pulls a cotangent back through the exact
-adjoint of the same pipeline with rounding replaced by the identity; since
-every other stage is linear, the captured state is just the operator
-itself. Do not mistake the result for the true gradient of the rounding
-pipeline, which is zero almost everywhere.
+:func:`forward` is :func:`~jpegkit.codec.synthesis` after rounding after
+:func:`~jpegkit.codec.analysis`, with no terminal 8-bit step, and returns
+the value together with a :class:`Vjp`. Straight-through means the
+gradient is that of the same pipeline with rounding replaced by the
+identity, and that pipeline is itself the identity map: sampling is 1x1,
+the DCT is orthonormal, the color inverse is exact, cropping undoes the
+edge pad, and dividing by the table is undone by multiplying by it. So
+:func:`apply_vjp` returns the cotangent unchanged. Do not mistake the
+result for the true gradient of the rounding pipeline, which is zero
+almost everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .codec import (
-    CodecOptions,
-    LEVEL_SHIFT,
-    channel_kinds,
-    planes_for_compress,
-    planes_to_image,
-)
-from .color import RGB_TO_YCBCR, YCBCR_TO_RGB
-from .dct import BLOCK, dct2, idct2, merge_blocks, split_blocks
+from .codec import CodecOptions, analysis, synthesis
 from .errors import DimMismatch
 from .image import FloatImage, round_half_away_from_zero
 from .quant import QuantTable, table_for_qf
@@ -45,10 +37,6 @@ class DiffJpegOp:
     def for_image(cls, img, qf: int, options: CodecOptions = CodecOptions()) -> "DiffJpegOp":
         return cls(table_for_qf(qf), options, img.width, img.height, img.channels)
 
-    @property
-    def _uses_color(self) -> bool:
-        return self.channels == 3 and self.options.colorspace == "ycbcr"
-
 
 @dataclass(frozen=True)
 class Vjp:
@@ -67,17 +55,10 @@ def _check_dims(op: DiffJpegOp, img: FloatImage):
 
 
 def _run(op: DiffJpegOp, x: FloatImage, rounding: bool) -> FloatImage:
-    planes = planes_for_compress(x, op.options)
-    kinds = channel_kinds(len(planes), op.options.colorspace)
-    out = []
-    for plane, kind in zip(planes, kinds):
-        q = op.table.for_channel_kind(kind)
-        coef = dct2(split_blocks(plane - LEVEL_SHIFT, pad=True)) / q
-        if rounding:
-            coef = round_half_away_from_zero(coef)
-        rec = merge_blocks(idct2(coef * q), op.width, op.height)
-        out.append(rec + LEVEL_SHIFT)
-    return planes_to_image(out, op.options)
+    coefs = analysis(x, op.table, op.options)
+    if rounding:
+        coefs = [round_half_away_from_zero(c) for c in coefs]
+    return synthesis(coefs, op.table, op.width, op.height, op.options.colorspace)
 
 
 def forward(op: DiffJpegOp, x: FloatImage) -> tuple[FloatImage, Vjp]:
@@ -88,49 +69,16 @@ def forward(op: DiffJpegOp, x: FloatImage) -> tuple[FloatImage, Vjp]:
 
 def forward_no_round(op: DiffJpegOp, x: FloatImage) -> FloatImage:
     """The pipeline with rounding replaced by the identity: the map whose
-    exact Jacobian the VJP implements."""
+    Jacobian the VJP implements. It returns x up to float error."""
     _check_dims(op, x)
     return _run(op, x, rounding=False)
 
 
-def _fold_pad(g: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Adjoint of bottom/right edge-replicate padding: fold the padded
-    region's cotangent back onto the edge row/column it was copied from."""
-    out = g[:height, :].copy()
-    if g.shape[0] > height:
-        out[height - 1, :] += g[height:, :].sum(axis=0)
-    out2 = out[:, :width].copy()
-    if out.shape[1] > width:
-        out2[:, width - 1] += out[:, width:].sum(axis=1)
-    return out2
-
-
 def apply_vjp(vjp: Vjp, cotangent: FloatImage) -> FloatImage:
-    """Pull a cotangent back through the pipeline, rounding as identity."""
-    op = vjp.op
-    _check_dims(op, cotangent)
-    u = cotangent.data
+    """Pull a cotangent back through the pipeline, rounding as identity.
 
-    if op._uses_color:
-        # forward output was ycc' @ YCBCR_TO_RGB.T, so the adjoint right-
-        # multiplies by YCBCR_TO_RGB
-        u = np.tensordot(u, YCBCR_TO_RGB, axes=([2], [0]))
-
-    hp = -(-op.height // BLOCK) * BLOCK
-    wp = -(-op.width // BLOCK) * BLOCK
-    kinds = channel_kinds(op.channels, op.options.colorspace)
-    planes = []
-    for c, kind in enumerate(kinds):
-        q = op.table.for_channel_kind(kind)
-        g = np.zeros((hp, wp))
-        g[: op.height, : op.width] = u[:, :, c]  # adjoint of the crop
-        b = dct2(split_blocks(g))  # adjoint of merge, then of idct2
-        b = (b * q) / q  # adjoints of *q, round (identity), /q
-        plane = merge_blocks(idct2(b))  # adjoint of dct2, then of split
-        planes.append(_fold_pad(plane, op.height, op.width))
-    u = np.stack(planes, axis=-1)
-
-    if op._uses_color:
-        # forward input went through rgb @ RGB_TO_YCBCR.T
-        u = np.tensordot(u, RGB_TO_YCBCR, axes=([2], [0]))
-    return FloatImage(u)
+    The no-rounding pipeline is the identity map (see the module
+    docstring), so its adjoint returns the cotangent as it is.
+    """
+    _check_dims(vjp.op, cotangent)
+    return cotangent

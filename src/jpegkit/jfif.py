@@ -448,6 +448,8 @@ def parse_jfif(data: bytes):
                 cls, tid = body[i] >> 4, body[i] & 0x0F
                 if tid > 3:
                     raise BadMarker(f"DHT table id {tid} is above 3")
+                if cls > 1:
+                    raise BadMarker(f"DHT table class {cls} is neither 0 (DC) nor 1 (AC)")
                 counts = tuple(body[i + 1 : i + 17])
                 nsym = sum(counts)
                 if i + 17 + nsym > len(body):

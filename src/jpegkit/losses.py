@@ -13,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .codec import CodecOptions, LEVEL_SHIFT
-from .color import RGB_TO_YCBCR
-from .dct import dct2, idct2, merge_blocks, split_blocks
+from .codec import CodecOptions, plane_dct
+from .color import RGB_TO_YCBCR, luma
+from .dct import fold_pad, idct2, merge_blocks
 from .diffjpeg import DiffJpegOp, forward
 from .errors import (
     DimMismatch,
@@ -122,18 +122,11 @@ BAND_MASKS = (
 )
 
 
-def _luma_plane(data: np.ndarray) -> np.ndarray:
-    if data.shape[2] == 3:
-        return np.tensordot(data, RGB_TO_YCBCR[0], axes=([2], [0]))
-    return data[:, :, 0]
-
-
 def texture_band_features(img: FloatImage | PixelImage) -> np.ndarray:
     """Default extractor: per block, the mean sample level plus the mean
     coefficient magnitude in three AC frequency rings; shape (nby, nbx, 4)."""
     fimg = to_float(img) if isinstance(img, PixelImage) else img
-    plane = _luma_plane(fimg.data)
-    coef = dct2(split_blocks(plane - LEVEL_SHIFT, pad=True))
+    coef = plane_dct(luma(fimg.data))
     feats = [coef[:, :, 0, 0] / 8.0]
     for mask in BAND_MASKS:
         feats.append(np.abs(coef[:, :, mask]).mean(axis=-1))
@@ -143,25 +136,17 @@ def texture_band_features(img: FloatImage | PixelImage) -> np.ndarray:
 def texture_band_pullback(img: FloatImage, cotangent: np.ndarray) -> np.ndarray:
     """VJP of :func:`texture_band_features` at img (abs uses its sign
     subgradient); returns an array shaped like img.data."""
-    plane = _luma_plane(img.data)
-    coef = dct2(split_blocks(plane - LEVEL_SHIFT, pad=True))
+    coef = plane_dct(luma(img.data))
     dcoef = np.zeros_like(coef)
     dcoef[:, :, 0, 0] = cotangent[:, :, 0] / 8.0
     for m, mask in enumerate(BAND_MASKS):
         n = int(mask.sum())
         sign = np.sign(coef[:, :, mask])
         dcoef[:, :, mask] += sign * cotangent[:, :, m + 1][:, :, None] / n
-    dplane_pad = merge_blocks(idct2(dcoef))
-    h, w = plane.shape
-    out = dplane_pad[:h, :].copy()
-    if dplane_pad.shape[0] > h:
-        out[h - 1] += dplane_pad[h:, :].sum(axis=0)
-    out2 = out[:, :w].copy()
-    if out.shape[1] > w:
-        out2[:, w - 1] += out[:, w:].sum(axis=1)
+    dplane = fold_pad(merge_blocks(idct2(dcoef)), img.height, img.width)
     if img.channels == 3:
-        return out2[:, :, None] * RGB_TO_YCBCR[0][None, None, :]
-    return out2[:, :, None]
+        return dplane[:, :, None] * RGB_TO_YCBCR[0][None, None, :]
+    return dplane[:, :, None]
 
 
 def loss_p(batch: SampleBatch, features: FeatureExtractor | None = None) -> float:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecOptions, LEVEL_SHIFT, compress_with_table, decompress
-from .color import RGB_TO_YCBCR
-from .dct import dct2, split_blocks
+from .codec import CodecOptions, compress_with_table, decompress, plane_dct
+from .color import luma
 from .errors import DimMismatch, EmptySet, SingularCovariance, TooFewSamples
 from .image import FloatImage, PixelImage, to_float
 from .losses import SampleBatch
@@ -78,11 +77,7 @@ def dct_statistic_features(img: PixelImage | FloatImage) -> np.ndarray:
     """Per-image feature: mean and log-variance of each of the 64 DCT
     coefficient positions over all luma blocks (128 values)."""
     fimg = to_float(img) if isinstance(img, PixelImage) else img
-    if fimg.channels == 3:
-        plane = np.tensordot(fimg.data, RGB_TO_YCBCR[0], axes=([2], [0]))
-    else:
-        plane = fimg.data[:, :, 0]
-    coef = dct2(split_blocks(plane - LEVEL_SHIFT, pad=True)).reshape(-1, 64)
+    coef = plane_dct(luma(fimg.data)).reshape(-1, 64)
     mean = coef.mean(axis=0)
     logvar = np.log(coef.var(axis=0) + LOGVAR_FLOOR)
     return np.concatenate([mean, logvar])

@@ -1,5 +1,7 @@
 """Consistency projection: clamp a restoration's DCT coefficients into the
-half-step cells of a compressed input.
+half-step cells of a compressed input. :func:`project` is
+:func:`~jpegkit.codec.synthesis` after that clamp after
+:func:`~jpegkit.codec.analysis`.
 
 The clamp half-width is 0.5 minus two guards. A 1e-9 tie guard keeps
 clamped values off the rounding boundary (a coefficient exactly halfway
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import CodecOptions, CoefficientGrid, LEVEL_SHIFT, channel_kinds, planes_for_compress, planes_to_image
-from .dct import DCT_M, dct2, idct2, merge_blocks, split_blocks
+from .codec import CodecOptions, CoefficientGrid, analysis, channel_kinds, synthesis
+from .dct import DCT_M
 from .errors import DimMismatch, OptionsMismatch
 from .image import FloatImage, PixelImage, to_float
 
@@ -70,14 +72,9 @@ def project(
             f"image has {fimg.channels} channels, grid has {y_grid.n_channels}"
         )
 
-    planes = planes_for_compress(fimg, opts)
-    kinds = channel_kinds(len(planes), opts.colorspace)
-    out = []
-    for plane, kind, levels in zip(planes, kinds, y_grid.channels):
-        q = y_grid.table.for_channel_kind(kind)
-        half = _half_width(q, guard)
-        coef = dct2(split_blocks(plane - LEVEL_SHIFT, pad=True)) / q
-        clamped = levels + np.clip(coef - levels, -half, half)
-        rec = merge_blocks(idct2(clamped * q), y_grid.width, y_grid.height)
-        out.append(rec + LEVEL_SHIFT)
-    return planes_to_image(out, opts)
+    kinds = channel_kinds(y_grid.n_channels, opts.colorspace)
+    clamped = []
+    for coef, kind, levels in zip(analysis(fimg, y_grid.table, opts), kinds, y_grid.channels):
+        half = _half_width(y_grid.table.for_channel_kind(kind), guard)
+        clamped.append(levels + np.clip(coef - levels, -half, half))
+    return synthesis(clamped, y_grid.table, y_grid.width, y_grid.height, opts.colorspace)

@@ -3,12 +3,14 @@ recompression consistency while a smoothness prior pushes toward cleaner
 images. Sweeping the consistency weight traces the empirical tradeoff
 between the two forces.
 
-The prior is an isotropic Huber-smoothed total variation; the consistency
-gradient flows through the straight-through operator in
-:mod:`~jpegkit.diffjpeg`. With only those two terms each seed's trajectory
-is independent: it depends on (seed, k) alone, never on how many seeds run
-alongside. The optional moment-matching terms (first/second moment,
-feature) couple the seeds by construction and require the ground truth.
+The prior is an isotropic Huber-smoothed total variation. The consistency
+term recompresses each state with :func:`~jpegkit.diffjpeg.forward`; its
+straight-through gradient is lambda_c * (2 / n_values) * residual, because
+the straight-through adjoint is the identity (see :mod:`~jpegkit.diffjpeg`).
+With only those two terms each seed's trajectory is independent: it
+depends on (seed, k) alone, never on how many seeds run alongside. The
+optional moment-matching terms (first/second moment, feature) couple the
+seeds by construction and require the ground truth.
 
 Two dynamics facts worth knowing. Stability of the consistency pull needs
 step_size * 2 * lambda_c / n_values < 1 (the losses are means, so the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codec import CodecOptions, compress_with_table
-from .diffjpeg import DiffJpegOp, apply_vjp, forward
+from .diffjpeg import DiffJpegOp, forward
 from .errors import (
     MissingGroundTruth,
     MissingReference,
@@ -157,11 +159,11 @@ def restore_with_history(
 
         for k, s in enumerate(states):
             if lam_c > 0:
-                z, vjp = forward(op, FloatImage(s))
+                z, _ = forward(op, FloatImage(s))
                 with np.errstate(over="ignore", invalid="ignore"):
                     r = z.data - y_f.data
                     total += lam_c * float(np.mean(r * r))
-                grads[k] += lam_c * (2.0 / n) * apply_vjp(vjp, FloatImage(r)).data
+                grads[k] += lam_c * (2.0 / n) * r
             if w.lambda_prior > 0:
                 tv, g = tv_huber(s, cfg.huber_eps)
                 total += w.lambda_prior * tv

@@ -156,20 +156,44 @@ def test_theorem_check_fine_step_fixture(tmp_path, capsys):
     assert "ALL BOUNDS HOLD" in capsys.readouterr().out
 
 
+def test_theorem_check_runs_sampler_checks_on_every_model(tmp_path, monkeypatch, capsys):
+    import jpegkit.cli as cli
+    from jpegkit.toy import save_model
+
+    checked = []
+    real = cli.posterior_sampler_checks
+    monkeypatch.setattr(
+        cli, "posterior_sampler_checks", lambda m, s: checked.append(m) or real(m, s)
+    )
+    fixture = fine_step_model(11)
+    (tmp_path / "fine.txt").write_text(save_model(fixture))
+    assert main(["theorem-check", "--models", "2", "--fixture", str(tmp_path / "fine.txt")]) == 0
+    assert len(checked) == 3
+    assert checked[-1].n_states == fixture.n_states
+
+
 def test_usage_error_exits_2():
     assert main(["encode"]) == 2
     assert main([]) == 2
 
 
 def test_subprocess_invocation(workdir):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import jpegkit
+
+    # the child imports the same jpegkit as this process, installed or not
+    src = str(Path(jpegkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     d, x = workdir
     proc = subprocess.run(
         [sys.executable, "-m", "jpegkit", "encode", str(d / "img.ppm"), "-q", "30", "-o", str(d / "sub.jpg")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     grid, _ = parse_jfif((d / "sub.jpg").read_bytes())
@@ -178,6 +202,7 @@ def test_subprocess_invocation(workdir):
         [sys.executable, "-m", "jpegkit", "decode", str(d / "img.ppm"), "-o", str(d / "x.ppm")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 1
     assert "BadMarker" in proc.stderr

@@ -53,12 +53,18 @@ def test_vjp_matches_finite_differences(rng):
 
 
 def test_vjp_passthrough_is_identity(rng):
-    x = to_float(uniform_image(rng, 16, 16))
-    op = DiffJpegOp.for_image(x, 30, PASSTHROUGH)
-    _, vjp = forward(op, x)
-    c = rng.normal(size=x.data.shape)
-    out = apply_vjp(vjp, FloatImage(c)).data
-    assert np.max(np.abs(out - c)) < 1e-12
+    # the no-rounding pipeline is the identity for every supported setting,
+    # so its adjoint is too: both color paths, gray and color, ragged sizes
+    for opts in (CodecOptions(), PASSTHROUGH):
+        for channels in (1, 3):
+            for height, width in ((16, 16), (17, 13)):
+                x = to_float(natural_image(rng, height, width, channels))
+                op = DiffJpegOp.for_image(x, 30, opts)
+                _, vjp = forward(op, x)
+                c = rng.normal(size=x.data.shape)
+                out = apply_vjp(vjp, FloatImage(c)).data
+                assert np.max(np.abs(out - c)) < 1e-12
+                assert np.max(np.abs(forward_no_round(op, x).data - x.data)) < 1e-11
 
 
 def test_vjp_zero_cotangent(rng):

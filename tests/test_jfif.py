@@ -212,12 +212,14 @@ def test_dqt_table_id_above_3_rejected(rng):
 
 
 def test_dht_table_id_above_3_rejected(rng):
-    # the standard luma DC table again, as class 0 table id 4
+    # the standard luma DC table again, as class 0 table id 4, and as
+    # table id 0 of class 2, which T.81 does not define
     data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
-    body = bytes((0x04,)) + bytes(DC_LUMA.counts) + bytes(DC_LUMA.symbols)
-    extra = b"\xff\xc4" + struct.pack(">H", 2 + len(body)) + body
-    with pytest.raises(BadMarker, match="DHT table id 4"):
-        parse_jfif(data[:2] + extra + data[2:])
+    for tc_th, message in ((0x04, "DHT table id 4"), (0x20, "DHT table class 2")):
+        body = bytes((tc_th,)) + bytes(DC_LUMA.counts) + bytes(DC_LUMA.symbols)
+        extra = b"\xff\xc4" + struct.pack(">H", 2 + len(body)) + body
+        with pytest.raises(BadMarker, match=message):
+            parse_jfif(data[:2] + extra + data[2:])
 
 
 @pytest.mark.integration

@@ -194,15 +194,17 @@ def test_loss_p_custom_extractor(rng):
 
 
 def test_band_pullback_matches_finite_differences(rng):
-    x = to_float(natural_image(rng, 16, 16))
-    cot = rng.normal(size=(2, 2, 4))
-    v = rng.normal(size=x.data.shape)
-    h = 1e-5
-    fp = texture_band_features(FloatImage(x.data + h * v))
-    fm = texture_band_features(FloatImage(x.data - h * v))
-    lhs = float(np.sum(cot * (fp - fm) / (2 * h)))
-    rhs = float(np.sum(texture_band_pullback(x, cot) * v))
-    assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
+    # ragged sizes exercise the adjoint of the edge pad
+    for height, width, channels in ((16, 16, 3), (17, 13, 3), (9, 31, 1)):
+        x = to_float(natural_image(rng, height, width, channels))
+        cot = rng.normal(size=texture_band_features(x).shape)
+        v = rng.normal(size=x.data.shape)
+        h = 1e-5
+        fp = texture_band_features(FloatImage(x.data + h * v))
+        fm = texture_band_features(FloatImage(x.data - h * v))
+        lhs = float(np.sum(cot * (fp - fm) / (2 * h)))
+        rhs = float(np.sum(texture_band_pullback(x, cot) * v))
+        assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
 def test_all_losses_nonnegative_on_random_batch(rng):
