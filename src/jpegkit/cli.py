@@ -117,6 +117,19 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A flag value the command cannot run with; reported as a usage error."""
+
+
+def _check_descent_flags(args):
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
+    if not args.step_size > 0:
+        raise UsageError(f"--step-size must be positive, got {args.step_size}")
+
+
 def _restore_config(args, grid) -> RestoreConfig:
     qf = grid_quality(grid)
     weights = LossWeights(lambda_c=args.lambda_c, lambda_prior=args.lambda_prior)
@@ -133,6 +146,7 @@ def _restore_config(args, grid) -> RestoreConfig:
 
 
 def _cmd_restore(args) -> int:
+    _check_descent_flags(args)
     grid, _ = _load_jfif(args.input)
     y = decompress(grid)
     cfg = _restore_config(args, grid)
@@ -150,6 +164,7 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_descent_flags(args)
     pairs = []
     for jpg in sorted(Path(args.directory).glob("*.jpg")):
         ppm = jpg.with_suffix(".ppm")
@@ -194,6 +209,10 @@ def _cmd_numerics_study(args) -> int:
 
 
 def _cmd_theorem_check(args) -> int:
+    if args.models < 0:
+        raise UsageError(f"--models must be at least 0, got {args.models}")
+    if args.models == 0 and not args.fixture:
+        raise UsageError("--models 0 checks nothing without --fixture")
     rng = np.random.default_rng(args.seed)
     models = [random_model(rng) for _ in range(args.models)]
     if args.fixture:
@@ -306,6 +325,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"jpegkit {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except JpegkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -4,11 +4,17 @@ Everything rests on one pair of maps. :func:`analysis` runs pixels ->
 (YCbCr) -> level shift -> edge pad -> 8x8 blocks -> DCT -> divide by the
 quantization table, giving each channel's coefficients in units of its
 step; :func:`synthesis` is its exact inverse. `compress` is rounding after
-analysis and `decompress_float` is synthesis; :mod:`~jpegkit.diffjpeg` and
-:mod:`~jpegkit.projection` put rounding or a cell clamp between the two.
-The grid is the codec's native currency: every module that needs "the
-compressed input" takes a :class:`CoefficientGrid`, never a .jpg byte
-string.
+analysis and `decompress_float` is synthesis. :func:`requantize` is
+synthesis after a per-channel step after analysis, computed one channel at
+a time in one color buffer; :mod:`~jpegkit.diffjpeg` uses it with rounding
+as the step and :mod:`~jpegkit.projection` with a cell clamp.
+
+All three take an image or an (..., H, W, C) stack of float samples, and
+every image of a stack gets exactly the arithmetic it would get alone (the
+color matrix runs as one matmul per image, the DCT as one per block), so a
+batch never changes a result. The grid is the codec's native currency:
+every module that needs "the compressed input" takes a
+:class:`CoefficientGrid`, never a .jpg byte string.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dct
-from .color import YCbCrImage, rgb_to_ycbcr, ycbcr_to_rgb
+from .color import rgb_to_ycbcr_data, ycbcr_to_rgb_data
 from .image import (
     FloatImage,
     PixelImage,
+    check_finite,
+    float_samples,
     round_half_away_from_zero,
-    to_float,
     to_pixels,
 )
 from .quant import QuantTable, dequantize, detect_qf, table_for_qf, zigzag_flatten, zigzag_unflatten
@@ -92,53 +99,123 @@ class CoefficientGrid:
         return len(self.channels)
 
 
+def _color_converted(n_channels: int, colorspace: str) -> bool:
+    return n_channels == 3 and colorspace == "ycbcr"
+
+
 def channel_kinds(n_channels: int, colorspace: str) -> list[str]:
     """Which table each channel uses: chroma only for YCbCr channels 2-3."""
-    if n_channels == 3 and colorspace == "ycbcr":
+    if _color_converted(n_channels, colorspace):
         return ["luma", "chroma", "chroma"]
     return ["luma"] * n_channels
 
 
-def planes_for_compress(img: FloatImage, opts: CodecOptions) -> list[np.ndarray]:
-    """Color-convert (per options) and return the per-channel planes."""
-    if img.channels == 3 and opts.colorspace == "ycbcr":
-        ycc = rgb_to_ycbcr(img)
-        planes = [ycc.y, ycc.cb, ycc.cr]
-        if opts.round_chroma:
-            planes = [
-                np.clip(round_half_away_from_zero(p), 0.0, 255.0) for p in planes
-            ]
-        return planes
-    return [img.data[:, :, c] for c in range(img.channels)]
+def planes_for_compress(data: np.ndarray, opts: CodecOptions, out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., H, W, C) planes the DCT sees. Three-channel YCbCr samples
+    are color-converted into one buffer (``out`` if given), checked finite
+    once and, with ``round_chroma``, rounded in place; other samples pass
+    as they are."""
+    if not _color_converted(data.shape[-1], opts.colorspace):
+        return data
+    planes = rgb_to_ycbcr_data(data, out=out)
+    if not np.all(np.isfinite(planes)):
+        raise ValueError("planes must be finite")
+    if opts.round_chroma:
+        np.clip(round_half_away_from_zero(planes), 0.0, 255.0, out=planes)
+    return planes
 
 
 def plane_dct(plane: np.ndarray) -> np.ndarray:
-    """Level-shift, edge-pad and tile a plane, then DCT every block."""
-    return dct.dct2(dct.split_blocks(plane - LEVEL_SHIFT, pad=True))
+    """Edge-pad, tile and level-shift a (..., h, w) plane, then DCT every
+    block; returns (..., n_by, n_bx, 8, 8)."""
+    blocks = dct.split_blocks(plane, pad=True)
+    blocks -= LEVEL_SHIFT
+    return dct.dct2(blocks, out=blocks)
+
+
+def _plane_coefs(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
+    coef = plane_dct(plane)
+    coef /= q
+    return coef
+
+
+def _write_plane(blocks: np.ndarray, dst: np.ndarray):
+    """Invert the DCT of dequantized blocks (in place), crop to dst and
+    undo the level shift into it."""
+    height, width = dst.shape[-2:]
+    dct.idct2(blocks, out=blocks)
+    np.add(dct.merge_blocks(blocks, width, height), LEVEL_SHIFT, out=dst)
+
+
+def _samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
+    if _color_converted(planes.shape[-1], colorspace):
+        planes = ycbcr_to_rgb_data(planes, out=out)
+    return check_finite(planes)
 
 
 def analysis(
-    img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
+    img: PixelImage | FloatImage | np.ndarray,
+    table: QuantTable,
+    opts: CodecOptions = CodecOptions(),
 ) -> list[np.ndarray]:
-    """Each channel's DCT coefficients in units of its quantization step."""
-    fimg = to_float(img) if isinstance(img, PixelImage) else img
-    planes = planes_for_compress(fimg, opts)
-    kinds = channel_kinds(len(planes), opts.colorspace)
-    return [plane_dct(p) / table.for_channel_kind(k) for p, k in zip(planes, kinds)]
+    """Each channel's DCT coefficients in units of its quantization step.
+
+    ``img`` is an image or a finite float (..., H, W, C) stack of images;
+    channel c comes back as (..., n_by, n_bx, 8, 8), and every image of a
+    stack gets the arithmetic it would get on its own.
+    """
+    planes = planes_for_compress(float_samples(img), opts)
+    kinds = channel_kinds(planes.shape[-1], opts.colorspace)
+    return [_plane_coefs(planes[..., c], table.for_channel_kind(k)) for c, k in enumerate(kinds)]
 
 
-def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str) -> FloatImage:
+def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str) -> np.ndarray:
     """Inverse of :func:`analysis`: scale by the steps, invert the DCT,
-    crop, undo the level shift and the color transform."""
+    crop, undo the level shift into one (..., H, W, C) buffer, and undo the
+    color transform. Raises ValueError if the samples are not finite."""
     kinds = channel_kinds(len(coefs), colorspace)
-    planes = [
-        dct.merge_blocks(dct.idct2(dequantize(c, table.for_channel_kind(k))), width, height)
-        + LEVEL_SHIFT
-        for c, k in zip(coefs, kinds)
-    ]
-    if len(planes) == 3 and colorspace == "ycbcr":
-        return ycbcr_to_rgb(YCbCrImage(*planes))
-    return FloatImage(np.stack(planes, axis=-1))
+    planes = np.empty(np.shape(coefs[0])[:-4] + (height, width, len(coefs)))
+    for c, (coef, kind) in enumerate(zip(coefs, kinds)):
+        _write_plane(dequantize(coef, table.for_channel_kind(kind)), planes[..., c])
+    return _samples_from_planes(planes, colorspace)
+
+
+def _requantize_plane(plane: np.ndarray, dst: np.ndarray, q: np.ndarray, step, c: int):
+    """One channel of :func:`requantize`, in a function of its own so that
+    its temporaries are freed before the next channel makes its own."""
+    coef = _plane_coefs(plane, q)
+    if step is not None:
+        coef = step(coef, c)
+    coef *= q
+    _write_plane(coef, dst)
+
+
+def requantize(
+    img: PixelImage | FloatImage | np.ndarray,
+    table: QuantTable,
+    opts: CodecOptions,
+    step=None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """``synthesis(step(analysis(img)))``, bit for bit, one channel at a time.
+
+    ``step(coef, c)`` maps channel c's coefficients (in quantization steps)
+    to new ones and may work in place; None keeps them. Each plane is taken
+    from the color buffer and written back into it, so a call allocates no
+    second sample-sized array besides the result. ``out`` receives the
+    result and ``work`` holds the color buffer, both shaped like the
+    samples, for callers that run this again and again.
+    """
+    samples = float_samples(img)
+    src = planes_for_compress(samples, opts, out=work)
+    if _color_converted(samples.shape[-1], opts.colorspace):
+        dst = src
+    else:  # the planes are the samples themselves: write to the result
+        dst = np.empty_like(samples) if out is None else out
+    for c, kind in enumerate(channel_kinds(samples.shape[-1], opts.colorspace)):
+        _requantize_plane(src[..., c], dst[..., c], table.for_channel_kind(kind), step, c)
+    return _samples_from_planes(dst, opts.colorspace, out=out)
 
 
 def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOptions()) -> CoefficientGrid:
@@ -156,7 +233,7 @@ def compress_with_table(
 
 def decompress_float(grid: CoefficientGrid) -> FloatImage:
     """Decompress without the terminal 8-bit step."""
-    return synthesis(grid.channels, grid.table, grid.width, grid.height, grid.colorspace)
+    return FloatImage(synthesis(grid.channels, grid.table, grid.width, grid.height, grid.colorspace))
 
 
 def decompress(grid: CoefficientGrid) -> PixelImage:

@@ -53,20 +53,53 @@ class YCbCrImage:
         return self.y.shape[0]
 
 
+def _per_pixel(data: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``data @ matrix`` over the last axis of (..., h, w, 3) data, as one
+    matmul per image: numpy runs the same product for every image of the
+    stack, so an image's result never depends on what shares its call."""
+    h, w = data.shape[-3:-1]
+    flat_out = None if out is None else out.reshape(-1, h * w, 3)
+    result = np.matmul(data.reshape(-1, h * w, 3), matrix, out=flat_out)
+    return result.reshape(data.shape[:-1] + matrix.shape[1:])
+
+
+def _shift_channels(data: np.ndarray, offsets: np.ndarray):
+    """``data += offsets`` over the last axis, one channel at a time: a
+    broadcast over a length-3 axis runs numpy's inner loop three values at
+    a time."""
+    for c, offset in enumerate(offsets):
+        data[..., c] += offset
+
+
+def rgb_to_ycbcr_data(rgb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., h, w, 3) RGB samples to (..., h, w, 3) YCbCr, in ``out`` if
+    given, else in a new array."""
+    out = _per_pixel(rgb, RGB_TO_YCBCR.T, out)
+    _shift_channels(out, YCBCR_OFFSET)
+    return out
+
+
+def ycbcr_to_rgb_data(ycc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`rgb_to_ycbcr_data`; removes the chroma offset from
+    ``ycc`` in place and returns RGB in ``out`` if given, else in a new
+    array."""
+    _shift_channels(ycc, -YCBCR_OFFSET)
+    return _per_pixel(ycc, YCBCR_TO_RGB.T, out)
+
+
 def rgb_to_ycbcr(img: FloatImage) -> YCbCrImage:
     if img.channels != 3:
         raise WrongChannelCount(f"need 3 channels, got {img.channels}")
-    out = np.tensordot(img.data, RGB_TO_YCBCR.T, axes=1) + YCBCR_OFFSET
+    out = rgb_to_ycbcr_data(img.data)
     return YCbCrImage(out[:, :, 0], out[:, :, 1], out[:, :, 2])
 
 
 def ycbcr_to_rgb(img: YCbCrImage) -> FloatImage:
-    stacked = np.stack([img.y, img.cb, img.cr], axis=-1) - YCBCR_OFFSET
-    return FloatImage(np.tensordot(stacked, YCBCR_TO_RGB.T, axes=1))
+    return FloatImage(ycbcr_to_rgb_data(np.stack([img.y, img.cb, img.cr], axis=-1)))
 
 
 def luma(data: np.ndarray) -> np.ndarray:
-    """Y plane of an (h, w, 3) RGB array, or the plane of a one-channel one."""
-    if data.shape[2] == 3:
-        return np.tensordot(data, RGB_TO_YCBCR[0], axes=([2], [0]))
-    return data[:, :, 0]
+    """Y plane of an (..., h, w, 3) RGB array, or the plane of a one-channel one."""
+    if data.shape[-1] == 3:
+        return _per_pixel(data, RGB_TO_YCBCR[0])
+    return data[..., 0]

@@ -1,11 +1,15 @@
 """Differentiable compression operator with a straight-through rounding
 gradient.
 
-:func:`forward` is :func:`~jpegkit.codec.synthesis` after rounding after
-:func:`~jpegkit.codec.analysis`, with no terminal 8-bit step, and returns
-the value together with a :class:`Vjp`. Straight-through means the
-gradient is that of the same pipeline with rounding replaced by the
-identity, and that pipeline is itself the identity map: sampling is 1x1,
+:func:`forward` is :func:`~jpegkit.codec.requantize` with rounding as the
+step (synthesis after rounding after analysis), with no terminal 8-bit
+step, and returns the value together with a :class:`Vjp`. It takes one
+:class:`FloatImage` or an (..., H, W, C) stack of samples; a stack runs as
+one batch, and a single image is the one-image case of the same path.
+
+Straight-through means the gradient is that of the same pipeline with
+rounding replaced by the identity, and that pipeline is itself the
+identity map: sampling is 1x1,
 the DCT is orthonormal, the color inverse is exact, cropping undoes the
 edge pad, and dividing by the table is undone by multiplying by it. So
 :func:`apply_vjp` returns the cotangent unchanged. Do not mistake the
@@ -17,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import CodecOptions, analysis, synthesis
+import numpy as np
+
+from .codec import CodecOptions, requantize
 from .errors import DimMismatch
-from .image import FloatImage, round_half_away_from_zero
+from .image import FloatImage, check_finite, round_half_away_from_zero
 from .quant import QuantTable, table_for_qf
 
 
@@ -46,39 +52,51 @@ class Vjp:
     op: DiffJpegOp
 
 
-def _check_dims(op: DiffJpegOp, img: FloatImage):
-    if (img.width, img.height, img.channels) != (op.width, op.height, op.channels):
+def _check_dims(op: DiffJpegOp, samples: np.ndarray):
+    if samples.shape[-3:] != (op.height, op.width, op.channels):
         raise DimMismatch(
-            f"image {img.width}x{img.height}x{img.channels} does not match operator "
+            f"samples {samples.shape} do not match operator "
             f"{op.width}x{op.height}x{op.channels}"
         )
 
 
-def _run(op: DiffJpegOp, x: FloatImage, rounding: bool) -> FloatImage:
-    coefs = analysis(x, op.table, op.options)
-    if rounding:
-        coefs = [round_half_away_from_zero(c) for c in coefs]
-    return synthesis(coefs, op.table, op.width, op.height, op.options.colorspace)
+def _round_in_place(coef, channel):
+    return round_half_away_from_zero(coef, out=coef)
 
 
-def forward(op: DiffJpegOp, x: FloatImage) -> tuple[FloatImage, Vjp]:
-    """Float-valued compress-decompress of x, plus the adjoint handle."""
-    _check_dims(op, x)
-    return _run(op, x, rounding=True), Vjp(op)
+def _run(op: DiffJpegOp, x, rounding: bool, out=None, work=None):
+    samples = x.data if isinstance(x, FloatImage) else check_finite(np.asarray(x, dtype=np.float64))
+    _check_dims(op, samples)
+    step = _round_in_place if rounding else None
+    result = requantize(samples, op.table, op.options, step, out=out, work=work)
+    return FloatImage(result) if isinstance(x, FloatImage) else result
 
 
-def forward_no_round(op: DiffJpegOp, x: FloatImage) -> FloatImage:
+def forward(op: DiffJpegOp, x, out=None, work=None):
+    """Float-valued compress-decompress of x, plus the adjoint handle.
+
+    ``x`` is a :class:`FloatImage`, which gives a FloatImage back, or a
+    finite (..., H, W, C) stack of samples, which gives a stack back. A
+    stack runs as one batch, and each of its images comes out bit for bit
+    as it would on its own. ``out`` and ``work``, arrays shaped like the
+    stack, receive the result and hold the color planes, so that a caller
+    stepping a stack again and again allocates neither.
+    """
+    return _run(op, x, True, out, work), Vjp(op)
+
+
+def forward_no_round(op: DiffJpegOp, x):
     """The pipeline with rounding replaced by the identity: the map whose
     Jacobian the VJP implements. It returns x up to float error."""
-    _check_dims(op, x)
-    return _run(op, x, rounding=False)
+    return _run(op, x, False)
 
 
-def apply_vjp(vjp: Vjp, cotangent: FloatImage) -> FloatImage:
-    """Pull a cotangent back through the pipeline, rounding as identity.
+def apply_vjp(vjp: Vjp, cotangent):
+    """Pull a cotangent (an image or a stack, as for :func:`forward`) back
+    through the pipeline, rounding as identity.
 
     The no-rounding pipeline is the identity map (see the module
     docstring), so its adjoint returns the cotangent as it is.
     """
-    _check_dims(vjp.op, cotangent)
+    _check_dims(vjp.op, cotangent.data if isinstance(cotangent, FloatImage) else np.asarray(cotangent))
     return cotangent

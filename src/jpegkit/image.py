@@ -7,14 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def round_half_away_from_zero(x):
-    """Round to the nearest integer, ties away from zero.
+def round_half_away_from_zero(x, out=None):
+    """Round to the nearest integer, ties away from zero; ``out`` (which may
+    be x itself) receives the result if given.
 
     This is the single rounding rule of the whole package: pixel
     quantization and coefficient quantization both use it.
     """
     x = np.asarray(x, dtype=np.float64)
-    return np.trunc(x + np.copysign(0.5, x))
+    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
 def _normalize(arr, dtype):
@@ -28,6 +29,14 @@ def _normalize(arr, dtype):
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def check_finite(samples: np.ndarray) -> np.ndarray:
+    """Return ``samples`` if every value is finite; raise ValueError, as
+    :class:`FloatImage` does, if not."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("float image must be finite")
+    return samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +69,7 @@ class FloatImage:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _normalize(self.data, np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("float image must be finite")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", check_finite(_normalize(self.data, np.float64)))
 
     @property
     def width(self) -> int:
@@ -76,6 +82,16 @@ class FloatImage:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
+
+
+def float_samples(img) -> np.ndarray:
+    """The float64 samples of a :class:`PixelImage` or :class:`FloatImage`;
+    an (..., h, w, c) float array, one image or a stack, passes as it is."""
+    if isinstance(img, PixelImage):
+        return img.data.astype(np.float64)
+    if isinstance(img, FloatImage):
+        return img.data
+    return img
 
 
 def to_float(img: PixelImage) -> FloatImage:

@@ -23,7 +23,7 @@ from .errors import (
     MissingReference,
     TooFewSamples,
 )
-from .image import FloatImage, PixelImage, to_float
+from .image import FloatImage, PixelImage, float_samples, to_float
 from .quant import QuantTable
 
 
@@ -75,10 +75,12 @@ def loss_c(batch: SampleBatch, qf: int, opts: CodecOptions = CodecOptions(), tab
         op = DiffJpegOp.for_image(y, qf, opts)
     else:
         op = DiffJpegOp(table, opts, y.width, y.height, y.channels)
+    z, _ = forward(op, batch.stacked())
+    np.subtract(y.data, z, out=z)
+    np.square(z, out=z)
     total = 0.0
-    for s in batch.samples:
-        z, _ = forward(op, s)
-        total += float(np.mean((y.data - z.data) ** 2))
+    for mse in z.mean(axis=(-3, -2, -1)).tolist():
+        total += mse
     return total / len(batch.samples)
 
 
@@ -122,31 +124,34 @@ BAND_MASKS = (
 )
 
 
-def texture_band_features(img: FloatImage | PixelImage) -> np.ndarray:
+def texture_band_features(img) -> np.ndarray:
     """Default extractor: per block, the mean sample level plus the mean
-    coefficient magnitude in three AC frequency rings; shape (nby, nbx, 4)."""
-    fimg = to_float(img) if isinstance(img, PixelImage) else img
-    coef = plane_dct(luma(fimg.data))
-    feats = [coef[:, :, 0, 0] / 8.0]
+    coefficient magnitude in three AC frequency rings; shape (nby, nbx, 4),
+    or (..., nby, nbx, 4) for an (..., h, w, c) stack of samples."""
+    coef = plane_dct(luma(float_samples(img)))
+    feats = [coef[..., 0, 0] / 8.0]
     for mask in BAND_MASKS:
-        feats.append(np.abs(coef[:, :, mask]).mean(axis=-1))
+        feats.append(np.abs(coef[..., mask]).mean(axis=-1))
     return np.stack(feats, axis=-1)
 
 
-def texture_band_pullback(img: FloatImage, cotangent: np.ndarray) -> np.ndarray:
-    """VJP of :func:`texture_band_features` at img (abs uses its sign
-    subgradient); returns an array shaped like img.data."""
-    coef = plane_dct(luma(img.data))
+def texture_band_pullback(img, cotangent: np.ndarray) -> np.ndarray:
+    """VJP of :func:`texture_band_features` at img, an image or a stack of
+    samples (abs uses its sign subgradient); returns an array shaped like
+    its samples."""
+    data = float_samples(img)
+    coef = plane_dct(luma(data))
     dcoef = np.zeros_like(coef)
-    dcoef[:, :, 0, 0] = cotangent[:, :, 0] / 8.0
+    dcoef[..., 0, 0] = cotangent[..., 0] / 8.0
     for m, mask in enumerate(BAND_MASKS):
         n = int(mask.sum())
-        sign = np.sign(coef[:, :, mask])
-        dcoef[:, :, mask] += sign * cotangent[:, :, m + 1][:, :, None] / n
-    dplane = fold_pad(merge_blocks(idct2(dcoef)), img.height, img.width)
-    if img.channels == 3:
-        return dplane[:, :, None] * RGB_TO_YCBCR[0][None, None, :]
-    return dplane[:, :, None]
+        sign = np.sign(coef[..., mask])
+        dcoef[..., mask] += sign * cotangent[..., m + 1][..., None] / n
+    height, width = data.shape[-3:-1]
+    dplane = fold_pad(merge_blocks(idct2(dcoef)), height, width)
+    if data.shape[-1] == 3:
+        return dplane[..., None] * RGB_TO_YCBCR[0]
+    return dplane[..., None]
 
 
 def loss_p(batch: SampleBatch, features: FeatureExtractor | None = None) -> float:

@@ -1,7 +1,7 @@
 """Consistency projection: clamp a restoration's DCT coefficients into the
 half-step cells of a compressed input. :func:`project` is
-:func:`~jpegkit.codec.synthesis` after that clamp after
-:func:`~jpegkit.codec.analysis`.
+:func:`~jpegkit.codec.requantize` with that clamp as the step: synthesis
+after the clamp after analysis.
 
 The clamp half-width is 0.5 minus two guards. A 1e-9 tie guard keeps
 clamped values off the rounding boundary (a coefficient exactly halfway
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import CodecOptions, CoefficientGrid, analysis, channel_kinds, synthesis
+from .codec import CodecOptions, CoefficientGrid, channel_kinds, requantize
 from .dct import DCT_M
 from .errors import DimMismatch, OptionsMismatch
 from .image import FloatImage, PixelImage, to_float
@@ -73,8 +73,10 @@ def project(
         )
 
     kinds = channel_kinds(y_grid.n_channels, opts.colorspace)
-    clamped = []
-    for coef, kind, levels in zip(analysis(fimg, y_grid.table, opts), kinds, y_grid.channels):
-        half = _half_width(y_grid.table.for_channel_kind(kind), guard)
-        clamped.append(levels + np.clip(coef - levels, -half, half))
-    return synthesis(clamped, y_grid.table, y_grid.width, y_grid.height, opts.colorspace)
+    halves = [_half_width(y_grid.table.for_channel_kind(k), guard) for k in kinds]
+
+    def clamp(coef, c):
+        levels = y_grid.channels[c]
+        return levels + np.clip(coef - levels, -halves[c], halves[c])
+
+    return FloatImage(requantize(fimg, y_grid.table, opts, clamp))

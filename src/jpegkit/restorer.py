@@ -1,14 +1,21 @@
-"""Stochastic restorer: per-seed gradient descent on pixels, pulling toward
-recompression consistency while a smoothness prior pushes toward cleaner
-images. Sweeping the consistency weight traces the empirical tradeoff
-between the two forces.
+"""Stochastic restorer: gradient descent on pixels, one trajectory per
+seed, pulling toward recompression consistency while a smoothness prior
+pushes toward cleaner images. Sweeping the consistency weight traces the
+empirical tradeoff between the two forces.
+
+All seeds step together: one (n_seeds, H, W, C) state array and one
+gradient buffer, updated in place, go through
+:func:`~jpegkit.diffjpeg.forward` and :func:`tv_huber` as one batch, and
+the scratch arrays those need are allocated once per run.
 
 The prior is an isotropic Huber-smoothed total variation. The consistency
 term recompresses each state with :func:`~jpegkit.diffjpeg.forward`; its
 straight-through gradient is lambda_c * (2 / n_values) * residual, because
 the straight-through adjoint is the identity (see :mod:`~jpegkit.diffjpeg`).
 With only those two terms each seed's trajectory is independent: it
-depends on (seed, k) alone, never on how many seeds run alongside. The
+depends on (seed, k) alone, never on how many seeds run alongside, because
+every image of a batch gets the arithmetic it would get on its own; the
+per-seed terms of the objective are added seed by seed, in seed order. The
 optional moment-matching terms (first/second moment, feature) couple the
 seeds by construction and require the ground truth.
 
@@ -40,7 +47,7 @@ from .errors import (
     NonFiniteLoss,
     NotACompressedInput,
 )
-from .image import FloatImage, PixelImage, to_float, to_pixels
+from .image import FloatImage, PixelImage, check_finite, to_float, to_pixels
 from .losses import LossWeights, texture_band_features, texture_band_pullback
 from .metrics import consistency_rmse, perceptual_proxy, psnr
 from .projection import project
@@ -78,24 +85,52 @@ class RestoreConfig:
         return self.table if self.table is not None else table_for_qf(self.qf)
 
 
-def tv_huber(x: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
-    """Isotropic Huber-smoothed total variation of an (h, w, c) array,
-    normalized per sample value, with its analytic (sub)gradient."""
-    gx = np.zeros_like(x)
-    gy = np.zeros_like(x)
-    gx[:, :-1, :] = x[:, 1:, :] - x[:, :-1, :]
-    gy[:-1, :, :] = x[1:, :, :] - x[:-1, :, :]
-    mag = np.sqrt(gx**2 + gy**2)
+def tv_huber(x: np.ndarray, eps: float, out: np.ndarray | None = None, work: np.ndarray | None = None):
+    """Isotropic Huber-smoothed total variation of an (h, w, c) array, or of
+    each image of an (..., h, w, c) stack, normalized per sample value, with
+    its analytic (sub)gradient. The loss is a scalar for one image and an
+    array over the leading axes for a stack.
+
+    The gradient is written into ``out``, which also serves as scratch.
+    ``work``, shaped (3,) + x.shape, holds the other temporaries. Both are
+    allocated when None; a caller that calls again and again passes them.
+    """
+    h, w, c = x.shape[-3:]
+    grad = np.empty_like(x) if out is None else out
+    gx, gy, mag = np.empty((3,) + x.shape) if work is None else work
+    # x-direction terms run over each image's flattened samples, one long
+    # run instead of h short ones. A flat run wraps from the last column
+    # into the next row; that column has no right neighbour, so its
+    # difference, and later its flux, is set to exactly zero.
+    flat = x.shape[:-3] + (h * w * c,)
+    np.subtract(x.reshape(flat)[..., c:], x.reshape(flat)[..., :-c], out=gx.reshape(flat)[..., :-c])
+    gx[..., -1, :] = 0.0
+    np.subtract(x[..., 1:, :, :], x[..., :-1, :, :], out=gy[..., :-1, :, :])
+    gy[..., -1, :, :] = 0.0
+    np.square(gx, out=mag)
+    np.square(gy, out=grad)
+    mag += grad
+    np.sqrt(mag, out=mag)
     quad = mag <= eps
-    loss = float(np.where(quad, mag**2 / (2 * eps), mag - eps / 2).mean())
-    w = np.where(quad, 1.0 / eps, 1.0 / np.maximum(mag, 1e-300))
-    px, py = w * gx, w * gy
-    grad = np.zeros_like(x)
-    grad[:, 1:, :] += px[:, :-1, :]
-    grad[:, :-1, :] -= px[:, :-1, :]
-    grad[1:, :, :] += py[:-1, :, :]
-    grad[:-1, :, :] -= py[:-1, :, :]
-    return loss, grad / x.size
+    # per-value loss: mag**2 / (2 eps) inside the quadratic zone, else mag - eps/2
+    np.subtract(mag, eps / 2, out=grad)
+    np.square(mag, out=grad, where=quad)
+    np.divide(grad, 2 * eps, out=grad, where=quad)
+    loss = grad.mean(axis=(-3, -2, -1))
+    # weight: 1 / eps inside the quadratic zone, else 1 / mag
+    np.maximum(mag, 1e-300, out=mag)
+    np.divide(1.0, mag, out=mag)
+    np.copyto(mag, 1.0 / eps, where=quad)
+    gx *= mag
+    gx[..., -1, :] = 0.0
+    gy *= mag
+    grad.fill(0.0)
+    grad.reshape(flat)[..., c:] += gx.reshape(flat)[..., :-c]
+    grad -= gx
+    grad[..., 1:, :, :] += gy[..., :-1, :, :]
+    grad[..., :-1, :, :] -= gy[..., :-1, :, :]
+    grad /= h * w * c
+    return loss, grad
 
 
 def _lambda_c_at(cfg: RestoreConfig, t: int) -> float:
@@ -110,6 +145,18 @@ def _lambda_c_at(cfg: RestoreConfig, t: int) -> float:
 
 def _seed_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+
+
+def _add_consistency(grad, op, states, y, lam_c, work) -> list:
+    """Add the consistency gradient lam_c * (2 / n) * r of every state to
+    grad, r being its recompression residual; return each state's
+    lam_c * mean(r**2). ``work`` holds two state-sized temporaries."""
+    r, _ = forward(op, states, out=work[0], work=work[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r -= y
+        mse = np.square(r, out=work[1]).mean(axis=(-3, -2, -1))
+    grad += np.multiply(lam_c * (2.0 / y.size), r, out=work[1])
+    return [lam_c * v for v in mse.tolist()]
 
 
 @dataclass
@@ -138,69 +185,70 @@ def restore_with_history(
     if w.lambda_sm > 0 and xbar is None:
         raise MissingReference("second-moment term needs the reference estimate")
 
-    y_f = to_float(y)
+    y_f = to_float(y).data
     op = DiffJpegOp(table, cfg.options, y.width, y.height, y.channels)
-    n = y_f.data.size
+    n = y_f.size
+    n_seeds = cfg.n_seeds
 
-    states = []
-    for k in range(cfg.n_seeds):
-        rng = _seed_rng(cfg.seed, k)
-        noise = rng.normal(0.0, cfg.init_noise_std, y_f.data.shape)
-        states.append(y_f.data + noise)
+    states = np.empty((n_seeds,) + y_f.shape)
+    for k in range(n_seeds):
+        states[k] = y_f + _seed_rng(cfg.seed, k).normal(0.0, cfg.init_noise_std, y_f.shape)
+    grad = np.empty_like(states)
+    work = np.empty((3,) + states.shape)  # scratch for the prior and the consistency term
 
     x_f = None if x is None else to_float(x).data
-    fx = None if x is None else (texture_band_features(to_float(x)) if w.lambda_p > 0 else None)
+    fx = None if x is None else (texture_band_features(x_f) if w.lambda_p > 0 else None)
 
     history = np.zeros(cfg.steps)
     for t in range(cfg.steps):
         lam_c = _lambda_c_at(cfg, t)
-        grads = [np.zeros_like(s) for s in states]
-        total = 0.0
+        # The prior goes first, so that tv_huber writes its gradient straight
+        # into grad and uses it as scratch; the consistency gradient is added
+        # after. Adding two terms commutes, so grad is the same as with the
+        # consistency gradient first. The objective adds its per-seed terms
+        # in the per-seed order: consistency, prior, feature.
+        prior = consistency = feature = None
+        if w.lambda_prior > 0:
+            tv, _ = tv_huber(states, cfg.huber_eps, out=grad, work=work)
+            grad *= w.lambda_prior
+            prior = [w.lambda_prior * v for v in tv.tolist()]
+        else:
+            grad.fill(0.0)
+        if lam_c > 0:
+            consistency = _add_consistency(grad, op, states, y_f, lam_c, work)
+        if w.lambda_p > 0:
+            f = texture_band_features(check_finite(states))
+            d = f - fx
+            feature = [w.lambda_p * v for v in np.square(d).mean(axis=(-3, -2, -1)).tolist()]
+            cot = (2.0 / d[0].size) * d
+            grad += w.lambda_p * texture_band_pullback(states, cot)
 
-        for k, s in enumerate(states):
-            if lam_c > 0:
-                z, _ = forward(op, FloatImage(s))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    r = z.data - y_f.data
-                    total += lam_c * float(np.mean(r * r))
-                grads[k] += lam_c * (2.0 / n) * r
-            if w.lambda_prior > 0:
-                tv, g = tv_huber(s, cfg.huber_eps)
-                total += w.lambda_prior * tv
-                grads[k] += w.lambda_prior * g
-            if w.lambda_p > 0:
-                f = texture_band_features(FloatImage(s))
-                d = f - fx
-                total += w.lambda_p * float(np.mean(d * d))
-                cot = (2.0 / d.size) * d
-                grads[k] += w.lambda_p * texture_band_pullback(FloatImage(s), cot)
+        terms = [term for term in (consistency, prior, feature) if term is not None]
+        total = 0.0
+        for k in range(n_seeds):
+            for term in terms:
+                total += term[k]
 
         if coupled and (w.lambda_fm > 0 or w.lambda_sm > 0):
-            stack = np.stack(states)
-            mean = stack.mean(axis=0)
+            mean = states.mean(axis=0)
             if w.lambda_fm > 0:
                 d = x_f - mean
                 total += w.lambda_fm * float(np.mean(d * d))
-                g_shared = w.lambda_fm * (-2.0 / (n * cfg.n_seeds)) * d
-                for k in range(cfg.n_seeds):
-                    grads[k] += g_shared
+                grad += w.lambda_fm * (-2.0 / (n * n_seeds)) * d
             if w.lambda_sm > 0:
-                var = stack.var(axis=0, ddof=0)
+                var = states.var(axis=0, ddof=0)
                 gap = (x_f - xbar.data) ** 2 - var
                 total += w.lambda_sm * float(np.mean(np.abs(gap)))
                 sgn = np.sign(gap)
-                for k in range(cfg.n_seeds):
-                    grads[k] += w.lambda_sm * (-sgn) * (2.0 / cfg.n_seeds) * (
-                        states[k] - mean
-                    ) / n
+                grad += w.lambda_sm * (-sgn) * (2.0 / n_seeds) * (states - mean) / n
 
         if not np.isfinite(total):
             raise NonFiniteLoss(f"objective became {total} at step {t}")
         history[t] = total
-        for k in range(cfg.n_seeds):
-            if not np.all(np.isfinite(grads[k])):
-                raise NonFiniteLoss(f"gradient became non-finite at step {t}")
-            states[k] = states[k] - cfg.step_size * grads[k]
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteLoss(f"gradient became non-finite at step {t}")
+        grad *= cfg.step_size
+        states -= grad
 
     diverged = bool(np.any(np.diff(history) > MONOTONE_TOL))
     if diverged:

@@ -172,6 +172,46 @@ def test_theorem_check_runs_sampler_checks_on_every_model(tmp_path, monkeypatch,
     assert checked[-1].n_states == fixture.n_states
 
 
+def _usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.strip().splitlines()
+
+
+def test_theorem_check_zero_models_without_fixture_is_usage_error(capsys):
+    code, out, err = _usage_error(capsys, ["theorem-check", "--models", "0"])
+    assert code == 2
+    assert "ALL BOUNDS HOLD" not in out
+    assert len(err) == 1 and "--models" in err[0]
+
+
+def test_theorem_check_negative_models_is_usage_error(tmp_path, capsys):
+    from jpegkit.toy import random_model, save_model
+
+    (tmp_path / "model.txt").write_text(save_model(random_model(np.random.default_rng(5))))
+    for extra in ([], ["--fixture", str(tmp_path / "model.txt")]):
+        code, out, err = _usage_error(capsys, ["theorem-check", "--models", "-2", *extra])
+        assert code == 2
+        assert "ALL BOUNDS HOLD" not in out
+        assert len(err) == 1 and "--models" in err[0]
+    # a fixture alone is a model to check
+    assert main(["theorem-check", "--models", "0", "--fixture", str(tmp_path / "model.txt")]) == 0
+
+
+def test_restore_nonpositive_descent_flags_are_usage_errors(workdir, capsys):
+    d, _ = workdir
+    main(["encode", str(d / "img.ppm"), "-q", "5", "-o", str(d / "img.jpg")])
+    for flag, value in (("--seeds", "0"), ("--steps", "0"), ("--step-size", "0"), ("--seeds", "-1")):
+        code, _, err = _usage_error(
+            capsys, ["restore", str(d / "img.jpg"), flag, value, "-o", str(d / "restored")]
+        )
+        assert code == 2
+        assert len(err) == 1 and flag in err[0]
+    assert not (d / "restored").exists()
+    code, _, err = _usage_error(capsys, ["sweep", str(d), "--lambdas", "1,2", "--steps", "0", "-o", str(d / "s.csv")])
+    assert code == 2 and len(err) == 1 and "--steps" in err[0]
+
+
 def test_usage_error_exits_2():
     assert main(["encode"]) == 2
     assert main([]) == 2

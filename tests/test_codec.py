@@ -150,3 +150,36 @@ def test_float_input_accepted(rng):
 
     x = uniform_image(rng, 8, 8)
     assert compress(to_float(x), 50) == compress(x, 50)
+
+
+def test_core_stacks_match_per_image_and_requantize_fuses(rng):
+    # analysis/synthesis on a (K, H, W, C) stack give each image what it
+    # gets alone, and requantize is synthesis(step(analysis(x))) bit for bit
+    from jpegkit.codec import analysis, requantize, synthesis
+    from jpegkit.image import round_half_away_from_zero, to_float
+
+    def rounded(coef, c):
+        return round_half_away_from_zero(coef)
+
+    table = table_for_qf(40)
+    for opts in (CodecOptions(), PASSTHROUGH, CodecOptions(round_chroma=True)):
+        for channels in (1, 3):
+            for height, width in ((16, 16), (17, 13)):
+                stack = np.stack(
+                    [to_float(natural_image(rng, height, width, channels)).data for _ in range(2)]
+                ) + rng.normal(0.0, 2.0, (2, height, width, channels))
+                coefs = analysis(stack, table, opts)
+                back = synthesis(coefs, table, width, height, opts.colorspace)
+                for k in range(2):
+                    one = analysis(stack[k], table, opts)
+                    assert all(np.array_equal(a[k], b) for a, b in zip(coefs, one))
+                    assert np.array_equal(
+                        back[k], synthesis(one, table, width, height, opts.colorspace)
+                    )
+                for step in (None, rounded):
+                    steps = coefs if step is None else [step(c, i) for i, c in enumerate(coefs)]
+                    expected = synthesis(steps, table, width, height, opts.colorspace)
+                    assert np.array_equal(requantize(stack, table, opts, step), expected)
+                    out, work = np.empty_like(stack), np.empty_like(stack)
+                    got = requantize(stack, table, opts, step, out=out, work=work)
+                    assert np.array_equal(got, expected)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jpegkit.color import rgb_to_ycbcr, ycbcr_to_rgb
+from jpegkit.color import luma, rgb_to_ycbcr, rgb_to_ycbcr_data, ycbcr_to_rgb, ycbcr_to_rgb_data
 from jpegkit.errors import WrongChannelCount
 from jpegkit.image import FloatImage, round_half_away_from_zero, to_float, to_pixels
 from tests.conftest import natural_image
@@ -61,3 +61,18 @@ def test_roundtrip_with_8bit_intermediate_is_lossy():
 def test_wrong_channel_count():
     with pytest.raises(WrongChannelCount):
         rgb_to_ycbcr(FloatImage(np.zeros((2, 2, 1))))
+
+
+def test_data_helpers_take_stacks(rng):
+    # one matmul per image: a stack's images convert exactly as they do
+    # alone, one-pixel images included
+    for height, width in ((1, 1), (2, 3), (17, 13)):
+        stack = rng.uniform(0, 255, size=(4, height, width, 3))
+        ycc = rgb_to_ycbcr_data(stack)
+        lum = luma(stack)
+        back = ycbcr_to_rgb_data(ycc.copy())
+        for k in range(4):
+            one = rgb_to_ycbcr(FloatImage(stack[k]))
+            assert np.array_equal(ycc[k], np.stack([one.y, one.cb, one.cr], axis=-1))
+            assert np.array_equal(lum[k], luma(stack[k]))
+            assert np.array_equal(back[k], ycbcr_to_rgb(one).data)

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from jpegkit.dct import (
     DCT_M,
     dct2,
+    fold_pad,
     idct2,
     merge_blocks,
     pad_to_block_multiple,
@@ -104,3 +105,33 @@ def test_blockwise_stack_matches_loop(rng):
     for i in range(3):
         for j in range(2):
             assert np.max(np.abs(stacked[i, j] - dct2(blocks[i, j]))) < 1e-12
+
+
+def test_block_helpers_take_leading_axes(rng):
+    # a (..., h, w) stack gives, plane by plane, exactly what each plane
+    # gives on its own; ragged sizes go through the pad and its adjoint
+    for lead in ((3,), (2, 2)):
+        for h, w in ((16, 16), (13, 10), (9, 31), (8, 8)):
+            stack = rng.normal(size=lead + (h, w))
+            blocks = split_blocks(stack, pad=True)
+            padded = pad_to_block_multiple(stack)
+            merged = merge_blocks(blocks, w, h)
+            assert np.array_equal(merged, stack)
+            for idx in np.ndindex(*lead):
+                assert np.array_equal(blocks[idx], split_blocks(stack[idx], pad=True))
+                assert np.array_equal(padded[idx], pad_to_block_multiple(stack[idx]))
+                assert np.array_equal(merged[idx], merge_blocks(blocks[idx], w, h))
+            planes = rng.normal(size=padded.shape)
+            folded = fold_pad(planes, h, w)
+            assert folded.shape == lead + (h, w)
+            for idx in np.ndindex(*lead):
+                assert np.array_equal(folded[idx], fold_pad(planes[idx], h, w))
+
+
+def test_transform_into_out_matches_new_array(rng):
+    blocks = rng.normal(size=(2, 3, 4, 8, 8))
+    for fn in (dct2, idct2):
+        expected = fn(blocks)
+        work = blocks.copy()
+        assert fn(work, out=work) is work
+        assert np.array_equal(work, expected)

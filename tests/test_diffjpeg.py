@@ -119,3 +119,36 @@ def test_vjp_dataclass_holds_operator(rng):
     op = DiffJpegOp.for_image(x, 50)
     _, vjp = forward(op, x)
     assert isinstance(vjp, Vjp) and vjp.op == op
+
+
+def test_forward_stack_matches_per_image(rng):
+    # a stack runs as one batch, and each image comes out bit for bit as on
+    # its own, with or without caller buffers
+    for opts in (CodecOptions(), PASSTHROUGH):
+        for channels in (1, 3):
+            for height, width in ((16, 16), (17, 13), (9, 31)):
+                stack = np.stack(
+                    [to_float(natural_image(rng, height, width, channels)).data for _ in range(3)]
+                ) + rng.normal(0.0, 3.0, (3, height, width, channels))
+                op = DiffJpegOp.for_image(FloatImage(stack[0]), 50, opts)
+                z, vjp = forward(op, stack)
+                out, work = np.empty_like(stack), np.empty_like(stack)
+                z_buf, _ = forward(op, stack, out=out, work=work)
+                assert np.array_equal(z_buf, z)
+                exact = forward_no_round(op, stack)
+                for k in range(3):
+                    one, _ = forward(op, FloatImage(stack[k]))
+                    assert np.array_equal(z[k], one.data)
+                    assert np.array_equal(exact[k], forward_no_round(op, FloatImage(stack[k])).data)
+                assert apply_vjp(vjp, stack) is stack
+
+
+def test_forward_stack_checks(rng):
+    x = to_float(uniform_image(rng, 8, 8))
+    op = DiffJpegOp.for_image(x, 50)
+    stack = np.stack([x.data, x.data])
+    with pytest.raises(DimMismatch):
+        forward(op, stack[:, :, :4])
+    stack[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError):
+        forward(op, stack)

@@ -229,3 +229,31 @@ def test_batch_validation(rng):
 def test_weights_nonnegative():
     with pytest.raises(ValueError):
         LossWeights(lambda_c=-1.0)
+
+
+def test_loss_c_equals_per_sample_loop(rng):
+    # the stacked forward sums the per-sample means in sample order, so it
+    # is bit-identical to running the samples one at a time
+    from jpegkit.diffjpeg import DiffJpegOp, forward
+
+    x = natural_image(rng)
+    y = jpeg_q(x, 10)
+    samples = (x, *(FloatImage(x.data + rng.normal(0, 6, x.data.shape)) for _ in range(3)))
+    batch = SampleBatch(y, samples)
+    op = DiffJpegOp.for_image(y, 10)
+    total = 0.0
+    for s in samples:
+        z, _ = forward(op, _f(s))
+        total += float(np.mean((to_float(y).data - z.data) ** 2))
+    assert loss_c(batch, 10) == total / len(samples)
+
+
+def test_band_features_and_pullback_take_stacks(rng):
+    for height, width, channels in ((16, 16, 3), (17, 13, 3), (9, 31, 1)):
+        stack = np.stack([to_float(natural_image(rng, height, width, channels)).data for _ in range(3)])
+        feats = texture_band_features(stack)
+        cot = rng.normal(size=feats.shape)
+        pulled = texture_band_pullback(stack, cot)
+        for k in range(3):
+            assert np.array_equal(feats[k], texture_band_features(FloatImage(stack[k])))
+            assert np.array_equal(pulled[k], texture_band_pullback(FloatImage(stack[k]), cot[k]))

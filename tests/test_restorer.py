@@ -233,6 +233,34 @@ def test_tv_huber_gradient_matches_fd(rng):
     lm, _ = tv_huber(x - h * v, 0.1)
     fd = (lp - lm) / (2 * h)
     assert abs(fd - float(np.sum(grad * v))) < 1e-6 * max(1.0, abs(fd))
+    # a stack: each image's loss against its own gradient
+    xs = rng.normal(0, 10, size=(3, 6, 5, 3))
+    _, grads = tv_huber(xs, 0.1)
+    vs = rng.normal(size=xs.shape)
+    lps, _ = tv_huber(xs + h * vs, 0.1)
+    lms, _ = tv_huber(xs - h * vs, 0.1)
+    for k in range(3):
+        fd = (lps[k] - lms[k]) / (2 * h)
+        assert abs(fd - float(np.sum(grads[k] * vs[k]))) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_tv_huber_stack_matches_per_image(rng):
+    # per image, a stack gives the single-image loss and gradient bit for
+    # bit, with or without caller buffers; a small eps puts some values in
+    # the quadratic zone
+    for shape in ((4, 6, 5, 3), (3, 17, 13, 1), (2, 2, 8, 8, 3)):
+        x = rng.normal(0, 10, size=shape)
+        x[..., :2, :, :] = 7.0  # flat rows: zero gradients, quadratic zone
+        loss, grad = tv_huber(x, 0.5)
+        out, work = np.empty_like(x), np.empty((3,) + x.shape)
+        loss_buf, grad_buf = tv_huber(x, 0.5, out=out, work=work)
+        assert grad_buf is out
+        assert np.array_equal(loss_buf, loss) and np.array_equal(grad_buf, grad)
+        assert loss.shape == shape[:-3]
+        for idx in np.ndindex(*shape[:-3]):
+            one_loss, one_grad = tv_huber(x[idx], 0.5)
+            assert loss[idx] == one_loss
+            assert np.array_equal(grad[idx], one_grad)
 
 
 def test_sweep_identical_lambdas_identical_rows(pair):
