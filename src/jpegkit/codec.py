@@ -19,7 +19,6 @@ every module that needs "the compressed input" takes a
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .image import (
     round_half_away_from_zero,
     to_pixels,
 )
-from .quant import QuantTable, dequantize, detect_qf, table_for_qf, zigzag_flatten, zigzag_unflatten
+from .quant import QuantTable, dequantize, detect_qf, table_for_qf
 
 COLORSPACES = ("ycbcr", "rgb-passthrough")
 LEVEL_SHIFT = 128.0
@@ -244,70 +243,6 @@ def decompress(grid: CoefficientGrid) -> PixelImage:
 def jpeg_q(img: PixelImage, qf: int, opts: CodecOptions = CodecOptions()) -> PixelImage:
     """Full compress-decompress round trip; output dims equal input dims."""
     return decompress(compress(img, qf, opts))
-
-
-# --- binary sidecar --------------------------------------------------------
-#
-# magic "CGRD", version 1, colorspace byte, channel count, width/height u32le,
-# quality i16le (-1 = custom), both tables as 64 zigzag bytes, then per
-# channel the blocks in raster order, each as 64 zigzag int16le.
-
-_MAGIC = b"CGRD"
-_VERSION = 1
-
-
-def write_sidecar(grid: CoefficientGrid) -> bytes:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack(
-        "<BBBII h",
-        _VERSION,
-        COLORSPACES.index(grid.colorspace),
-        grid.n_channels,
-        grid.width,
-        grid.height,
-        grid.table.quality_factor if isinstance(grid.table.quality_factor, int) else -1,
-    )
-    out += bytes(int(v) for v in zigzag_flatten(grid.table.luma))
-    out += bytes(int(v) for v in zigzag_flatten(grid.table.chroma))
-    for ch in grid.channels:
-        flat = ch.reshape(-1, 8, 8)
-        for block in flat:
-            out += zigzag_flatten(block).astype("<i2").tobytes()
-    return bytes(out)
-
-
-def read_sidecar(data: bytes) -> CoefficientGrid:
-    header = struct.calcsize("<BBBII h")
-    if data[:4] != _MAGIC:
-        raise ValueError("not a coefficient sidecar")
-    if len(data) < 4 + header + 128:
-        raise ValueError("sidecar truncated before the tables")
-    version, cs_idx, n_ch, width, height, qf = struct.unpack_from("<BBBII h", data, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported sidecar version {version}")
-    if cs_idx >= len(COLORSPACES) or n_ch not in (1, 3) or width < 1 or height < 1:
-        raise ValueError("sidecar header fields out of range")
-    nby = -(-height // dct.BLOCK)
-    nbx = -(-width // dct.BLOCK)
-    expected = 4 + header + 128 + n_ch * nby * nbx * 128
-    if len(data) < expected:
-        raise ValueError(f"sidecar has {len(data)} of {expected} bytes")
-    pos = 4 + header
-    luma = zigzag_unflatten(np.frombuffer(data, np.uint8, 64, pos).astype(np.int64))
-    pos += 64
-    chroma = zigzag_unflatten(np.frombuffer(data, np.uint8, 64, pos).astype(np.int64))
-    pos += 64
-    table = QuantTable(luma, chroma, qf if qf >= 0 else "custom")
-    chans = []
-    for _ in range(n_ch):
-        blocks = np.empty((nby * nbx, 8, 8), dtype=np.int32)
-        for i in range(nby * nbx):
-            vec = np.frombuffer(data, "<i2", 64, pos)
-            pos += 128
-            blocks[i] = zigzag_unflatten(vec)
-        chans.append(blocks.reshape(nby, nbx, 8, 8))
-    return CoefficientGrid(tuple(chans), table, width, height, COLORSPACES[cs_idx])
 
 
 def grid_quality(grid: CoefficientGrid) -> int | str:

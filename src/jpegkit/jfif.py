@@ -3,9 +3,20 @@
 Scope is deliberately narrow: 8-bit samples, three components, 1x1
 sampling, Huffman coding. The encoder always emits the standard "typical"
 Huffman tables and never emits restart markers; the parser additionally
-skips APPn/COM segments and honors restart markers (with the required DC
-prediction reset). Coefficients travel as :class:`~jpegkit.codec.CoefficientGrid`,
-so parse(write(g)) is integer-exact including the quantization tables.
+skips APPn/COM segments and honors restart markers (numbered RST0..RST7 in
+turn, at most one segment per restart interval, with the required DC
+prediction reset). Coefficients travel as
+:class:`~jpegkit.codec.CoefficientGrid`, so parse(write(g)) is
+integer-exact including the quantization tables.
+
+Entropy-coded data is handled as a string of "0"/"1" characters, in the
+T.81 Annex F.1.2 layout: a canonical Huffman code, then the size-bit
+amplitude field, MSB first. Each :class:`HuffmanTable` carries its
+symbol -> code map and the inverse. The writer joins codes and fields and
+packs the scan with one ``int(bits, 2)``; the parser unpacks each restart
+segment with ``int.from_bytes`` and reads it by slicing. Byte stuffing is
+one ``bytes.replace`` each way. Before it allocates the coefficients, the
+parser checks that the scan holds the 2 bits every block needs at least.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .errors import (
     TruncatedStream,
     UnsupportedSampling,
 )
-from .quant import QuantTable, detect_qf, zigzag_flatten, zigzag_unflatten
+from .quant import ZIGZAG, QuantTable, detect_qf, zigzag_flatten, zigzag_unflatten
 
 SOI, EOI, SOS, DQT, DHT, DRI, COM = 0xD8, 0xD9, 0xDA, 0xDB, 0xC4, 0xDD, 0xFE
 SOF0 = 0xC0
@@ -86,7 +97,11 @@ AC_CHROMA_VALS = (
 
 @dataclass(frozen=True)
 class HuffmanTable:
-    """One DC or AC table: 16 code-length counts plus symbols in code order."""
+    """One DC or AC table: 16 code-length counts plus symbols in code order.
+
+    `code_of` maps each symbol to its canonical code as a bit string and
+    `symbol_of` maps the code back; both are built once, here.
+    """
 
     table_class: str  # "dc" | "ac"
     table_id: int
@@ -100,26 +115,18 @@ class HuffmanTable:
             raise ValueError("counts must have 16 entries")
         if sum(self.counts) != len(self.symbols) or len(self.symbols) > 256:
             raise ValueError("symbol count disagrees with code-length counts")
-        self.codes()  # validates canonical assignment fits
-
-    def codes(self) -> dict:
-        """symbol -> (code, length), canonical assignment."""
-        out = {}
-        code = 0
-        k = 0
-        for length in range(1, 17):
-            for _ in range(self.counts[length - 1]):
-                if code >= (1 << length):
-                    raise ValueError("code-length counts overflow the code space")
-                out[self.symbols[k]] = (code, length)
+        code_of = {}
+        code = k = 0
+        for length, n in enumerate(self.counts, 1):
+            if code + n > 1 << length:
+                raise ValueError("code-length counts overflow the code space")
+            for sym in self.symbols[k : k + n]:
+                code_of[sym] = format(code, f"0{length}b")
                 code += 1
-                k += 1
+            k += n
             code <<= 1
-        return out
-
-    def decode_map(self) -> dict:
-        """(length, code) -> symbol, for bitwise decoding."""
-        return {(ln, code): sym for sym, (code, ln) in self.codes().items()}
+        object.__setattr__(self, "code_of", code_of)
+        object.__setattr__(self, "symbol_of", {bits: sym for sym, bits in code_of.items()})
 
 
 DC_LUMA = HuffmanTable("dc", 0, DC_LUMA_BITS, DC_LUMA_VALS)
@@ -142,74 +149,6 @@ class JfifStructure:
     restart_interval: int = 0
 
 
-# --- bit plumbing ----------------------------------------------------------
-
-
-class _BitWriter:
-    """MSB-first bit accumulator with 0xFF byte stuffing."""
-
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, nbits: int):
-        if nbits == 0:
-            return
-        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
-        self.nbits += nbits
-        while self.nbits >= 8:
-            byte = (self.acc >> (self.nbits - 8)) & 0xFF
-            self.nbits -= 8
-            self.acc &= (1 << self.nbits) - 1
-            self.out.append(byte)
-            if byte == 0xFF:
-                self.out.append(0x00)
-
-    def finish(self) -> bytes:
-        if self.nbits:
-            pad = 8 - self.nbits
-            self.write((1 << pad) - 1, pad)  # pad with 1-bits
-        return bytes(self.out)
-
-
-class _BitReader:
-    """Reads MSB-first bits from already unstuffed entropy bytes."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.bit = 0
-
-    def read_bit(self) -> int:
-        if self.pos >= len(self.data):
-            raise TruncatedStream("entropy-coded data exhausted")
-        b = (self.data[self.pos] >> (7 - self.bit)) & 1
-        self.bit += 1
-        if self.bit == 8:
-            self.bit = 0
-            self.pos += 1
-        return b
-
-    def read_bits(self, n: int) -> int:
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | self.read_bit()
-        return v
-
-
-def _extend(value: int, size: int) -> int:
-    if size == 0:
-        return 0
-    if value < (1 << (size - 1)):
-        return value - (1 << size) + 1
-    return value
-
-
-def _category(value: int) -> int:
-    return int(abs(int(value))).bit_length()
-
-
 # --- encoder ---------------------------------------------------------------
 
 
@@ -218,37 +157,28 @@ def _segment(out: bytearray, marker: int, payload: bytes):
     out += struct.pack(">H", 2 + len(payload)) + payload
 
 
-def _encode_block(writer: _BitWriter, block: np.ndarray, pred: int, dc_codes: dict, ac_codes: dict) -> int:
-    zz = zigzag_flatten(block)
-    dc = int(zz[0])
-    diff = dc - pred
-    s = _category(diff)
-    code, ln = dc_codes[s]
-    writer.write(code, ln)
-    if s:
-        amp = diff if diff >= 0 else diff + (1 << s) - 1
-        writer.write(amp, s)
+def _amplitude(v: int) -> tuple[int, str]:
+    """Size category of a coefficient and its amplitude field (F.1.2.1)."""
+    s = abs(v).bit_length()
+    return s, (format(v if v > 0 else v + (1 << s) - 1, f"0{s}b") if s else "")
 
+
+def _encode_block(out: list, zz: list, dc_code: dict, ac_code: dict):
+    """Append one block's codes and fields; zz is the DC difference, then
+    the 63 AC levels in zigzag order."""
+    s, amp = _amplitude(zz[0])
+    out += (dc_code[s], amp)
     run = 0
-    for k in range(1, 64):
-        v = int(zz[k])
+    for v in zz[1:]:
         if v == 0:
             run += 1
             continue
-        while run > 15:
-            code, ln = ac_codes[0xF0]  # ZRL: sixteen zeros
-            writer.write(code, ln)
-            run -= 16
-        s = _category(v)
-        code, ln = ac_codes[(run << 4) | s]
-        writer.write(code, ln)
-        amp = v if v >= 0 else v + (1 << s) - 1
-        writer.write(amp, s)
+        s, amp = _amplitude(v)
+        # one ZRL (0xF0) per sixteen zeros, then run/size
+        out += (ac_code[0xF0] * (run >> 4), ac_code[(run & 15) << 4 | s], amp)
         run = 0
     if run:
-        code, ln = ac_codes[0x00]  # EOB
-        writer.write(code, ln)
-    return dc
+        out.append(ac_code[0x00])  # EOB
 
 
 def write_jfif(grid: CoefficientGrid) -> bytes:
@@ -283,21 +213,22 @@ def write_jfif(grid: CoefficientGrid) -> bytes:
     _segment(out, DHT, dht)
     _segment(out, SOS, bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]))
 
-    writer = _BitWriter()
-    codes = [
-        (DC_LUMA.codes(), AC_LUMA.codes()),
-        (DC_CHROMA.codes(), AC_CHROMA.codes()),
-        (DC_CHROMA.codes(), AC_CHROMA.codes()),
-    ]
-    preds = [0, 0, 0]
+    # every block's zigzag vector at once, MCU-major, DC as differences
     nby, nbx = grid.channels[0].shape[:2]
-    for by in range(nby):
-        for bx in range(nbx):
-            for c in range(3):
-                preds[c] = _encode_block(
-                    writer, grid.channels[c][by, bx], preds[c], *codes[c]
-                )
-    out += writer.finish()
+    zz = np.empty((nby * nbx, 3, 64), dtype=np.int32)
+    for c, ch in enumerate(grid.channels):
+        zz[:, c] = ch.reshape(-1, 64)[:, ZIGZAG]
+    zz[:, :, 0] = np.diff(zz[:, :, 0], axis=0, prepend=0)
+    codes = [(DC_LUMA.code_of, AC_LUMA.code_of)] + [(DC_CHROMA.code_of, AC_CHROMA.code_of)] * 2
+    rows = []
+    for row in zz.reshape(nby, nbx * 3, 64):
+        pieces = []
+        for j, block in enumerate(row.tolist()):
+            _encode_block(pieces, block, *codes[j % 3])
+        rows.append("".join(pieces))
+    bits = "".join(rows)
+    bits += "1" * (-len(bits) % 8)  # pad with 1-bits
+    out += int(bits, 2).to_bytes(len(bits) // 8, "big").replace(b"\xff", b"\xff\x00")
     out += b"\xff" + bytes([EOI])
     return bytes(out)
 
@@ -315,56 +246,64 @@ def _split_scan(data: bytes, pos: int):
     """Unstuff entropy data, splitting on restart markers.
 
     Returns (segments, end_pos) with end_pos at the 0xFF of the first
-    non-restart marker after the scan.
+    non-restart marker after the scan. Restart markers must count RST0,
+    RST1, ... RST7, RST0, ... in turn.
     """
     segments = []
-    cur = bytearray()
-    n = len(data)
+    start = pos
     while True:
-        if pos >= n:
+        pos = data.find(b"\xff", pos)
+        if pos < 0:
             raise TruncatedStream("scan data ended without a terminating marker")
-        b = data[pos]
-        if b != 0xFF:
-            cur.append(b)
-            pos += 1
-            continue
-        if pos + 1 >= n:
+        if pos + 1 >= len(data):
             raise TruncatedStream("dangling 0xFF at end of scan")
         m = data[pos + 1]
         if m == 0x00:
-            cur.append(0xFF)
             pos += 2
-        elif 0xD0 <= m <= 0xD7:
-            segments.append(bytes(cur))
-            cur = bytearray()
-            pos += 2
-        else:
-            segments.append(bytes(cur))
+            continue
+        segments.append(data[start:pos].replace(b"\xff\x00", b"\xff"))
+        if not 0xD0 <= m <= 0xD7:
             return segments, pos
+        due = 0xD0 + (len(segments) - 1) % 8
+        if m != due:
+            raise BadMarker(f"{_MARKER_NAMES[m]} where {_MARKER_NAMES[due]} was due")
+        start = pos = pos + 2
 
 
-def _decode_block(reader: _BitReader, dc_map: dict, ac_map: dict, pred: int):
-    def read_symbol(table_map):
-        code = 0
-        for length in range(1, 17):
-            code = (code << 1) | reader.read_bit()
-            sym = table_map.get((length, code))
-            if sym is not None:
-                return sym
-        raise HuffmanDecodeError("no code matched within 16 bits")
+def _read_symbol(bits: str, pos: int, symbol_of: dict) -> tuple[int, int]:
+    for end in range(pos + 1, pos + 17):
+        if end > len(bits):
+            raise TruncatedStream("entropy-coded data exhausted")
+        sym = symbol_of.get(bits[pos:end])
+        if sym is not None:
+            return sym, end
+    raise HuffmanDecodeError("no code matched within 16 bits")
 
-    zz = np.zeros(64, dtype=np.int32)
-    s = read_symbol(dc_map)
+
+def _read_amplitude(bits: str, pos: int, s: int) -> tuple[int, int]:
+    """The signed value of the s-bit amplitude field at pos (F.2.2.1)."""
+    if s == 0:
+        return 0, pos
+    end = pos + s
+    if end > len(bits):
+        raise TruncatedStream("entropy-coded data exhausted")
+    v = int(bits[pos:end], 2)
+    return (v if bits[pos] == "1" else v + 1 - (1 << s)), end
+
+
+def _decode_block(bits: str, pos: int, zz: np.ndarray, dc_map: dict, ac_map: dict, pred: int):
+    """Decode one block at bit pos into zz (zigzag order); returns (pos, pred)."""
+    s, pos = _read_symbol(bits, pos, dc_map)
     if s > 11:  # 8-bit baseline: DC categories 0..11
         raise HuffmanDecodeError(f"DC category {s} out of range")
-    diff = _extend(reader.read_bits(s), s)
+    diff, pos = _read_amplitude(bits, pos, s)
     pred += diff
     if not -2048 <= pred <= 2047:  # 8-bit baseline coefficient range
         raise HuffmanDecodeError(f"DC value {pred} out of range")
     zz[0] = pred
     k = 1
     while k < 64:
-        rs = read_symbol(ac_map)
+        rs, pos = _read_symbol(bits, pos, ac_map)
         r, s = rs >> 4, rs & 0x0F
         if s == 0:
             if rs == 0x00:  # EOB
@@ -378,9 +317,9 @@ def _decode_block(reader: _BitReader, dc_map: dict, ac_map: dict, pred: int):
         k += r
         if k > 63:
             raise HuffmanDecodeError("AC run overflows the block")
-        zz[k] = _extend(reader.read_bits(s), s)
+        zz[k], pos = _read_amplitude(bits, pos, s)
         k += 1
-    return zigzag_unflatten(zz), pred
+    return pos, pred
 
 
 def parse_jfif(data: bytes):
@@ -526,23 +465,27 @@ def parse_jfif(data: bytes):
     n_mcu = nby * nbx
 
     comp_tables, segments = scan
-    maps = [(d.decode_map(), a.decode_map()) for d, a in comp_tables]
-    blocks = [np.zeros((n_mcu, 8, 8), dtype=np.int32) for _ in comps]
-    preds = [0] * len(comps)
+    most = -(-n_mcu // restart_interval) if restart_interval else 1
+    if len(segments) > most:
+        raise BadMarker(f"scan has {len(segments)} restart segments, {n_mcu} MCUs fill at most {most}")
+    # every block codes at least one DC and one AC symbol of 1 bit or more
+    if 8 * sum(map(len, segments)) < 2 * n_mcu * len(comps):
+        raise TruncatedStream(f"scan is too short for {n_mcu} MCUs")
+    maps = [(d.symbol_of, a.symbol_of) for d, a in comp_tables]
+    zz = np.zeros((n_mcu, len(comps), 64), dtype=np.int32)
     mcu = 0
-    for seg_idx, seg in enumerate(segments):
-        reader = _BitReader(seg)
+    for seg in segments:
+        bits = format(int.from_bytes(seg, "big"), f"0{8 * len(seg)}b") if seg else ""
+        pos = 0
         preds = [0] * len(comps)  # DC prediction resets at restart boundaries
-        count = restart_interval if restart_interval else n_mcu - mcu
-        count = min(count, n_mcu - mcu)
-        if count == 0 and seg_idx < len(segments):
-            break
-        for _ in range(count):
+        for _ in range(min(restart_interval or n_mcu, n_mcu - mcu)):
             for c in range(len(comps)):
-                blocks[c][mcu], preds[c] = _decode_block(reader, *maps[c], preds[c])
+                pos, preds[c] = _decode_block(bits, pos, zz[mcu, c], *maps[c], preds[c])
             mcu += 1
     if mcu != n_mcu:
         raise TruncatedStream(f"decoded {mcu} of {n_mcu} MCUs")
+    coefs = np.empty((len(comps), n_mcu, 64), dtype=np.int32)  # contiguous per channel
+    coefs[..., ZIGZAG] = zz.swapaxes(0, 1)
 
     tq_y = comps[0][1]
     tq_c = comps[1][1] if len(comps) > 1 else tq_y
@@ -557,7 +500,7 @@ def parse_jfif(data: bytes):
         raise BadMarker(f"invalid quantization table: {exc}") from exc
 
     grid = CoefficientGrid(
-        tuple(b.reshape(nby, nbx, 8, 8) for b in blocks),
+        tuple(c.reshape(nby, nbx, 8, 8) for c in coefs),
         table,
         width,
         height,

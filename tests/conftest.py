@@ -44,6 +44,32 @@ def uniform_image(rng, height=24, width=24, channels=3):
     return PixelImage(rng.integers(0, 256, size=(height, width, channels), dtype=np.uint8))
 
 
+def restart_stream(grid, rst=None):
+    """A DRI=1 stream of a one-block-high grid, built with `write_jfif` only.
+
+    Each MCU is written as its own 8x8 stream, so its DC prediction starts
+    at 0 as a restart requires; the scans are joined with RSTn markers,
+    numbered from `rst` (default RST0, RST1, ... modulo 8).
+    """
+    from jpegkit.codec import CoefficientGrid
+    from jpegkit.jfif import write_jfif
+
+    n_mcu = grid.channels[0].shape[1]
+    rst = [i % 8 for i in range(n_mcu - 1)] if rst is None else rst
+    scans = []
+    for i in range(n_mcu):
+        one = CoefficientGrid(tuple(ch[:, i : i + 1] for ch in grid.channels), grid.table, 8, 8)
+        data = write_jfif(one)
+        sos_at = data.find(b"\xff\xda")
+        scans.append(data[sos_at + 2 + 12 : -2])  # SOS marker and 12-byte segment
+    base = write_jfif(grid)
+    sos_at = base.find(b"\xff\xda")
+    out = base[:sos_at] + b"\xff\xdd\x00\x04\x00\x01" + base[sos_at : sos_at + 2 + 12]
+    for i, scan in enumerate(scans):
+        out += scan + (bytes((0xFF, 0xD0 + rst[i])) if i < len(rst) else b"")
+    return out + b"\xff\xd9"
+
+
 def fine_step_model(seed, length=5, a=4):
     """Toy model with steps fine enough (0.3-0.45) that nearly every state
     is its own observation: 4**5 = 1024 states by default."""

@@ -9,8 +9,6 @@ from jpegkit.codec import (
     decompress,
     decompress_float,
     jpeg_q,
-    read_sidecar,
-    write_sidecar,
 )
 from jpegkit.errors import QfOutOfRange
 from jpegkit.image import PixelImage, images_equal
@@ -127,16 +125,6 @@ def test_gray_single_channel_roundtrip(rng):
     y = decompress(g)
     assert y.channels == 1
     assert compress_with_table(decompress_float(g), g.table) == g
-
-
-def test_sidecar_roundtrip(rng):
-    for opts in (CodecOptions(), PASSTHROUGH):
-        g = compress(PixelImage(rng.integers(0, 256, (11, 19, 3), dtype=np.uint8)), 35, opts)
-        assert read_sidecar(write_sidecar(g)) == g
-
-
-def test_sidecar_magic():
-    assert write_sidecar(compress(PixelImage(np.zeros((8, 8, 1), np.uint8)), 50))[:4] == b"CGRD"
 
 
 def test_grid_validates_block_shape():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,10 @@ from jpegkit.jfif import (
     DC_CHROMA,
     DC_LUMA,
     HuffmanTable,
-    _BitWriter,
-    _encode_block,
     parse_jfif,
     write_jfif,
 )
-from tests.conftest import natural_image, uniform_image
+from tests.conftest import natural_image, restart_stream, uniform_image
 
 
 def test_roundtrip_random_images(rng):
@@ -128,46 +127,55 @@ def test_parser_skips_appn_and_com(rng):
 
 
 def test_restart_markers_with_dc_reset(rng):
-    # hand-build a stream with DRI=1 and restart markers between MCUs,
-    # resetting the DC prediction per segment as the format requires
-    x = uniform_image(rng, 8, 32)  # 4 MCUs in a row
-    g = compress(x, 50)
-    base = write_jfif(g)
-    sos_at = base.find(b"\xff\xda")
-    header = base[:sos_at]
-    dri = b"\xff\xdd" + struct.pack(">HH", 4, 1)
-    sos = base[sos_at : sos_at + 2 + 12]  # marker + (length-prefixed) 12-byte segment
-
-    codes = [
-        (DC_LUMA.codes(), AC_LUMA.codes()),
-        (DC_CHROMA.codes(), AC_CHROMA.codes()),
-        (DC_CHROMA.codes(), AC_CHROMA.codes()),
-    ]
-    chunks = []
-    for mcu in range(4):
-        w = _BitWriter()
-        preds = [0, 0, 0]
-        for c in range(3):
-            preds[c] = _encode_block(w, g.channels[c][0, mcu], preds[c], *codes[c])
-        chunks.append(w.finish())
-    scan = b""
-    for i, chunk in enumerate(chunks):
-        scan += chunk
-        if i < 3:
-            scan += bytes([0xFF, 0xD0 + (i % 8)])
-    data = header + dri + sos + scan + b"\xff\xd9"
-    g2, structure = parse_jfif(data)
+    # a stream with DRI=1 and restart markers between MCUs, resetting the
+    # DC prediction per segment as the format requires
+    g = compress(uniform_image(rng, 8, 32), 50)  # 4 MCUs in a row
+    g2, structure = parse_jfif(restart_stream(g))
     assert structure.restart_interval == 1
     assert g2 == g
 
 
+def test_restart_markers_out_of_order_rejected(rng):
+    g = compress(uniform_image(rng, 8, 32), 50)
+    with pytest.raises(BadMarker, match="RST5"):
+        parse_jfif(restart_stream(g, rst=(5, 2, 7)))
+
+
+def test_surplus_restart_segment_rejected(rng):
+    # 4 MCUs at DRI=1 make 4 segments; a 5th, correctly numbered, is one
+    # too many. Without DRI, a scan is a single segment.
+    g = compress(uniform_image(rng, 8, 32), 50)
+    data = restart_stream(g)
+    with pytest.raises(BadMarker, match="segments"):
+        parse_jfif(data[:-2] + b"\xff\xd3\x12\x34\x56" + data[-2:])
+    data = write_jfif(g)
+    with pytest.raises(BadMarker, match="segments"):
+        parse_jfif(data[:-2] + b"\xff\xd0" + data[-2:])
+
+
+def test_forged_dimensions_fail_before_allocating(rng):
+    # an 8x8 stream whose SOF0 claims 4096x4096: 262144 MCUs cannot fit in
+    # the few hundred bits of its scan, so the parser must refuse it before
+    # it allocates their coefficients (192 MiB at int32)
+    data = bytearray(write_jfif(compress(uniform_image(rng, 8, 8), 50)))
+    i = data.find(b"\xff\xc0")
+    data[i + 5 : i + 9] = struct.pack(">HH", 4096, 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedStream):
+            parse_jfif(bytes(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_huffman_tables_prefix_free():
     for t in (DC_LUMA, AC_LUMA, DC_CHROMA, AC_CHROMA):
-        codes = t.codes()
-        assert len(codes) == len(t.symbols)
+        assert len(t.code_of) == len(t.symbols)
+        assert all(t.symbol_of[bits] == sym for sym, bits in t.code_of.items())
         seen = set()
-        for sym, (code, ln) in codes.items():
-            bits = format(code, f"0{ln}b")
+        for bits in t.code_of.values():
             for p in range(1, len(bits)):
                 assert bits[:p] not in seen
             seen.add(bits)

@@ -1,10 +1,17 @@
-"""Pinned sha256 digests of restorer and diffjpeg outputs.
+"""Pinned sha256 digests of restorer, diffjpeg and JFIF outputs.
 
-The digests were taken from the per-seed, per-image implementation that
-the batched one replaced; any change to the arithmetic, its order or the
-random draws shows up here as a different digest. They were taken with
-numpy 2.4 on OpenBLAS 0.3.31 (Haswell kernels); a BLAS that rounds its
-small matrix products differently gives other digests.
+The restorer and diffjpeg digests were taken from the per-seed, per-image
+implementation that the batched one replaced; any change to the
+arithmetic, its order or the random draws shows up here as a different
+digest. They were taken with numpy 2.4 on OpenBLAS 0.3.31 (Haswell
+kernels); a BLAS that rounds its small matrix products differently gives
+other digests.
+
+The JFIF digests are conformance vectors for the entropy coder, taken from
+the bit-at-a-time coder that the bit-string one replaced: the bytes
+`write_jfif` emits over ragged sizes and qualities from 1 to 100, and the
+grid `parse_jfif` reads from a hand-built stream with a restart marker
+after every MCU (RST0 to RST7, then RST0 again).
 """
 
 import hashlib
@@ -13,12 +20,13 @@ import warnings
 import numpy as np
 import pytest
 
-from jpegkit.codec import CodecOptions, jpeg_q
+from jpegkit.codec import CodecOptions, compress, jpeg_q
 from jpegkit.diffjpeg import DiffJpegOp, forward
 from jpegkit.image import FloatImage, to_float
+from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.losses import LossWeights
 from jpegkit.restorer import RestoreConfig, restore_with_history
-from tests.conftest import natural_image
+from tests.conftest import natural_image, restart_stream
 
 RESTORE_DIGESTS = {
     (32, 1.0, 1): "954caf4a0ea593c3f3fa892100149f709e68c7e011738d39c46165bed74bdf17",
@@ -45,6 +53,31 @@ FORWARD_DIGESTS = {
     (9, 31, 3, "ycbcr"): "7018a5a2b0f63460528d6c161cb1f56986cf0a82af726129461c85596b1a9256",
     (9, 31, 3, "rgb-passthrough"): "c53839adf82235070931a510bfc454b59749c4c40671a1a6c92a890e6f017e18",
 }
+
+WRITE_JFIF_DIGESTS = {
+    (16, 16, 1): "5319fbb2705efe854dc1a8ab9b807973153d623a1f3d003f19a8376e9dc0dd1b",
+    (16, 16, 5): "d82571c02abaee0c59d28d0d4225b5f1b9d1c621b22f3017a0d9b8db8c9161a1",
+    (16, 16, 50): "ac5327f1f2c82a48b3b06dccb7bbf3ee111ae505a80819b695f7c269f6fd4bda",
+    (16, 16, 95): "74c32d91af15ce04e7bac1a405dbad4abee1e5bfc9b6b0d280aa77f0ac0c9d1f",
+    (16, 16, 100): "a9fb0d6764b0140c486f3b9b9f610e748243d5fd7002cdbe717859bc6a330c49",
+    (17, 13, 1): "bb454f972ffdfd7a349479f24240f3a1b09c0db541c41c1ee0ec59378b182359",
+    (17, 13, 5): "28d360e2555e0133db0f4b59a744af9aa7462887883b1d48a1b64bc3d0e8a251",
+    (17, 13, 50): "7c3bb72e289803db882701668c4e1c98026c4abde35fea15549fb8a7af17ac8e",
+    (17, 13, 95): "f0f5a7d2f7393666022fc0c53f1dce52a8896b828e268fd2edea061664269473",
+    (17, 13, 100): "902d270ca2295bdc47273d634b4af5ca44e7f35e6d1e155737b4a817ae3d3422",
+    (8, 25, 1): "6701c2eefe48336a08ba259c54aac84708f5074a5dde81709c0a5d60cb19537c",
+    (8, 25, 5): "8597fbd59ba47180b40f64cacfcc5328649eef3575a1cca1527e606920034a1a",
+    (8, 25, 50): "51f187cc0879595e1100efa2241a4d35b9a8d5c5fb60b4e5b2f96ca7d8153811",
+    (8, 25, 95): "4faf80fdb7cf7da98c6fa1f7b574d5ff6cc0b0aadf954bfcd0e2a5ed9f22a5ac",
+    (8, 25, 100): "6f8ef8f2f532b38c574aaf75d6091e834af7ef1283f9df818e4fc8ab441eb072",
+    (9, 31, 1): "abe1c8458d4d77cb2649ba9ea37ce9c3b432fc57ac6ffaeae238da44319e85b1",
+    (9, 31, 5): "2b71a2817c42d4302351ad712529719eb0a44faf42d2fa03a827fcaf4ce50fb7",
+    (9, 31, 50): "6965484aa98b6ddad3a07f40fbc6aaebffea709e71141b112b5bba211e1f03d1",
+    (9, 31, 95): "4ddd7bb72fbe4762ed9a51d5484e92e3efe9522e9a1e5ab9d8cb857f288e6be4",
+    (9, 31, 100): "5154f6610dc1b5d6272aefa8fbcb0c46cca1a364d6a2d5ba956ea76f7f0c1095",
+}
+
+RESTART_GRID_DIGEST = "a9277ffbc0432d9ad5e60a291ceff947d56997abd10d751ac9b782982657cec5"
 
 
 def restore_digest(size, lam_c, n_seeds):
@@ -84,3 +117,23 @@ def test_restore_with_history_digest(case):
 @pytest.mark.parametrize("case", sorted(FORWARD_DIGESTS))
 def test_forward_digest(case):
     assert forward_digest(*case) == FORWARD_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_JFIF_DIGESTS))
+def test_write_jfif_digest(case):
+    height, width, qf = case
+    x = natural_image(np.random.default_rng(height * 100 + width), height, width)
+    data = write_jfif(compress(x, qf))
+    assert hashlib.sha256(data).hexdigest() == WRITE_JFIF_DIGESTS[case]
+
+
+def test_restart_stream_grid_digest():
+    # 11 MCUs in one row at DRI=1, so the markers wrap from RST7 to RST0
+    g = compress(natural_image(np.random.default_rng(7), 8, 88), 50)
+    g2, structure = parse_jfif(restart_stream(g))
+    assert structure.restart_interval == 1
+    assert g2 == g
+    h = hashlib.sha256()
+    for ch in g2.channels:
+        h.update(ch.tobytes())
+    assert h.hexdigest() == RESTART_GRID_DIGEST
