@@ -92,7 +92,9 @@ class MissingReference(JpegkitError):
 
 
 class SingularCovariance(UserWarning):
-    """Covariance needed ridge regularization; reported, not raised."""
+    """Not emitted by anything in jpegkit: the Fréchet proxy is exact for
+    singular covariances (see `metrics.frechet_distance`). Kept importable
+    for code that filters or counts it."""
 
 
 # --- finite-space oracle --------------------------------------------------

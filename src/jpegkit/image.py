@@ -103,11 +103,3 @@ def to_pixels(img: FloatImage) -> PixelImage:
     """Round half-away-from-zero, clamp to [0, 255], narrow to uint8."""
     r = round_half_away_from_zero(img.data)
     return PixelImage(np.clip(r, 0.0, 255.0).astype(np.uint8))
-
-
-def images_equal(a, b) -> bool:
-    return (
-        a.data.shape == b.data.shape
-        and a.data.dtype == b.data.dtype
-        and bool(np.array_equal(a.data, b.data))
-    )

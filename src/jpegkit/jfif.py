@@ -447,10 +447,24 @@ def parse_jfif(data: bytes):
             ss, se, a = body[1 + 2 * ns : 4 + 2 * ns]
             if ss != 0 or se != 63 or a != 0:
                 raise NotBaseline("spectral selection / successive approximation present")
+            # DRI and DQT apply to the scans that follow them (T.81 B.2.4),
+            # so the scan takes the interval and the tables defined so far
+            comps = frame[2]
+            tq_y = comps[0][1]
+            tq_c = comps[1][1] if len(comps) > 1 else tq_y
+            if len(comps) == 3 and comps[2][1] != tq_c:
+                raise BadMarker("chroma components use different quantization tables")
+            if tq_y not in qtables or tq_c not in qtables:
+                raise BadMarker("scan references undefined quantization table")
+            luma, chroma = qtables[tq_y], qtables[tq_c]
+            try:
+                table = QuantTable(luma, chroma, detect_qf(luma, chroma))
+            except ValueError as exc:
+                raise BadMarker(f"invalid quantization table: {exc}") from exc
             scan_start = pos
             segments, pos = _split_scan(data, pos)
             scan_span = (scan_start, pos)
-            scan = (comp_tables, segments)
+            scan = (comp_tables, segments, table, restart_interval)
         else:
             raise BadMarker(f"unexpected marker {name}")
 
@@ -464,7 +478,7 @@ def parse_jfif(data: bytes):
     nbx = -(-width // dct.BLOCK)
     n_mcu = nby * nbx
 
-    comp_tables, segments = scan
+    comp_tables, segments, table, restart_interval = scan
     most = -(-n_mcu // restart_interval) if restart_interval else 1
     if len(segments) > most:
         raise BadMarker(f"scan has {len(segments)} restart segments, {n_mcu} MCUs fill at most {most}")
@@ -486,18 +500,6 @@ def parse_jfif(data: bytes):
         raise TruncatedStream(f"decoded {mcu} of {n_mcu} MCUs")
     coefs = np.empty((len(comps), n_mcu, 64), dtype=np.int32)  # contiguous per channel
     coefs[..., ZIGZAG] = zz.swapaxes(0, 1)
-
-    tq_y = comps[0][1]
-    tq_c = comps[1][1] if len(comps) > 1 else tq_y
-    if len(comps) == 3 and comps[2][1] != tq_c:
-        raise BadMarker("chroma components use different quantization tables")
-    if tq_y not in qtables or tq_c not in qtables:
-        raise BadMarker("scan references undefined quantization table")
-    luma, chroma = qtables[tq_y], qtables[tq_c]
-    try:
-        table = QuantTable(luma, chroma, detect_qf(luma, chroma))
-    except ValueError as exc:
-        raise BadMarker(f"invalid quantization table: {exc}") from exc
 
     grid = CoefficientGrid(
         tuple(c.reshape(nby, nbx, 8, 8) for c in coefs),

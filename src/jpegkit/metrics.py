@@ -2,7 +2,12 @@
 a Fréchet distance over DCT patch statistics standing in for a learned
 perceptual index, and per-pixel spread maps for sample sets.
 
-The Fréchet proxy is deterministic and desk-scale. Its absolute values are
+The Fréchet proxy is computed in sample space, as the nuclear norm of an
+n_a x n_b matrix (see `frechet_distance`): the sets hold fewer images than
+feature dimensions, and that form is exact for their singular covariances,
+with no ridge.
+
+The proxy is deterministic and desk-scale. Its absolute values are
 not comparable to scores computed with pretrained feature networks; only
 orderings and trends are meaningful.
 """
@@ -10,19 +15,17 @@ orderings and trends are meaningful.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import CodecOptions, compress_with_table, decompress, plane_dct
 from .color import luma
-from .errors import DimMismatch, EmptySet, SingularCovariance, TooFewSamples
+from .errors import DimMismatch, EmptySet, TooFewSamples
 from .image import FloatImage, PixelImage, to_float
 from .losses import SampleBatch
 from .quant import QuantTable, table_for_qf
 
-COV_RIDGE = 1e-6
 LOGVAR_FLOOR = 1e-8
 
 
@@ -83,48 +86,22 @@ def dct_statistic_features(img: PixelImage | FloatImage) -> np.ndarray:
     return np.concatenate([mean, logvar])
 
 
-def _fit_gaussian(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = feats.mean(axis=0)
-    if feats.shape[0] < 2:
-        sigma = np.zeros((feats.shape[1], feats.shape[1]))
-    else:
-        sigma = np.cov(feats, rowvar=False)
-    return mu, sigma
+def frechet_distance(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
+    """Fréchet distance between Gaussians fitted to two (n, d) feature sets,
+    ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2)), computed in
+    sample space.
 
-
-def _trace_sqrt_product(sigma1: np.ndarray, sigma2: np.ndarray) -> float:
-    """tr((S1 S2)^(1/2)) through the symmetric form S2^(1/2) S1 S2^(1/2);
-    eigendecomposition keeps the result real, symmetric in its arguments,
-    and stable on the rank-deficient covariances small sets produce."""
-    w2, v2 = np.linalg.eigh((sigma2 + sigma2.T) / 2)
-    root2 = (v2 * np.sqrt(np.clip(w2, 0.0, None))) @ v2.T
-    m = root2 @ sigma1 @ root2
-    w = np.linalg.eigvalsh((m + m.T) / 2)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-
-
-def frechet_gaussian_distance(mu1, sigma1, mu2, sigma2) -> float:
-    """||mu1-mu2||^2 + tr(S1 + S2 - 2 (S1 S2)^(1/2)); singular covariances
-    get a reported +1e-6*I ridge on both sides."""
-    diff = float(np.sum((mu1 - mu2) ** 2))
-    min_eig = min(
-        float(np.linalg.eigvalsh((sigma1 + sigma1.T) / 2).min()),
-        float(np.linalg.eigvalsh((sigma2 + sigma2.T) / 2).min()),
-    )
-    if min_eig < 1e-10:
-        warnings.warn(
-            f"singular covariance (min eigenvalue {min_eig:.2e}); adding {COV_RIDGE}*I",
-            SingularCovariance,
-        )
-        eye = np.eye(sigma1.shape[0])
-        sigma1 = sigma1 + COV_RIDGE * eye
-        sigma2 = sigma2 + COV_RIDGE * eye
-    # averaging both orders makes the value exactly symmetric despite the
-    # ill-conditioning of small-sample covariances
-    covmean_trace = 0.5 * (
-        _trace_sqrt_product(sigma1, sigma2) + _trace_sqrt_product(sigma2, sigma1)
-    )
-    return diff + float(np.trace(sigma1) + np.trace(sigma2)) - 2.0 * covmean_trace
+    A and B are the centred rows scaled by 1/sqrt(n - 1) (zeros for a single
+    row), so S_a = AᵀA and S_b = BᵀB are the unbiased covariances, and
+    tr((S_a S_b)^(1/2)) is exactly the nuclear norm of the n_a x n_b matrix
+    ABᵀ (Dowson & Landau 1982). Sets smaller than d give singular
+    covariances; this form is exact for them and needs no ridge.
+    """
+    mu_a, mu_b = feats_a.mean(axis=0), feats_b.mean(axis=0)
+    a = (feats_a - mu_a) / math.sqrt(max(len(feats_a) - 1, 1))
+    b = (feats_b - mu_b) / math.sqrt(max(len(feats_b) - 1, 1))
+    nuclear = float(np.linalg.svd(a @ b.T, compute_uv=False).sum())
+    return float(np.sum((mu_a - mu_b) ** 2) + np.sum(a * a) + np.sum(b * b)) - 2.0 * nuclear
 
 
 def perceptual_proxy(set_a, set_b) -> float:
@@ -135,7 +112,7 @@ def perceptual_proxy(set_a, set_b) -> float:
         raise EmptySet("both sets must be nonempty")
     fa = np.stack([dct_statistic_features(i) for i in set_a])
     fb = np.stack([dct_statistic_features(i) for i in set_b])
-    return max(0.0, frechet_gaussian_distance(*_fit_gaussian(fa), *_fit_gaussian(fb)))
+    return max(0.0, frechet_distance(fa, fb))
 
 
 def std_map(batch: SampleBatch, fourth_root: bool = False) -> FloatImage:
@@ -147,7 +124,3 @@ def std_map(batch: SampleBatch, fourth_root: bool = False) -> FloatImage:
         std = std**0.25
     return FloatImage(std)
 
-
-def mean_std_fraction(batch: SampleBatch) -> float:
-    """Scalar per-pixel spread, normalized to [0, 1] by the sample range."""
-    return float(np.mean(std_map(batch).data)) / 255.0

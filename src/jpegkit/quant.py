@@ -140,10 +140,3 @@ def dequantize(levels: np.ndarray, table: np.ndarray) -> np.ndarray:
 def table_to_text(table: np.ndarray) -> str:
     """One line of 64 integers in zigzag order (CLI interchange format)."""
     return " ".join(str(int(v)) for v in zigzag_flatten(table))
-
-
-def table_from_text(line: str) -> np.ndarray:
-    vals = [int(tok) for tok in line.split()]
-    if len(vals) != 64:
-        raise ValueError(f"expected 64 integers, got {len(vals)}")
-    return zigzag_unflatten(np.array(vals, dtype=np.int64))

@@ -23,6 +23,25 @@ def decoded_ycbcr_planes(grid):
     return np.stack(planes, axis=-1).astype(int)
 
 
+def images_equal(a, b) -> bool:
+    """Same shape, dtype and values."""
+    return (
+        a.data.shape == b.data.shape
+        and a.data.dtype == b.data.dtype
+        and bool(np.array_equal(a.data, b.data))
+    )
+
+
+def table_from_text(line: str) -> np.ndarray:
+    """Parse one `--dump-tables` line: 64 integers in zigzag order."""
+    from jpegkit.quant import zigzag_unflatten
+
+    vals = [int(tok) for tok in line.split()]
+    if len(vals) != 64:
+        raise ValueError(f"expected 64 integers, got {len(vals)}")
+    return zigzag_unflatten(np.array(vals, dtype=np.int64))
+
+
 def natural_image(rng, height=24, width=24, channels=3, lo=16, hi=239):
     """Deterministic pseudo-natural fixture: smooth gradients, a few blobs,
     mild grain, kept away from saturation."""

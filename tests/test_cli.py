@@ -3,10 +3,9 @@ import pytest
 
 from jpegkit.cli import main
 from jpegkit.codec import compress, compress_with_table, decompress
-from jpegkit.image import images_equal
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.pnm import read_pnm, write_pnm
-from tests.conftest import fine_step_model, natural_image
+from tests.conftest import fine_step_model, images_equal, natural_image, table_from_text
 
 
 @pytest.fixture
@@ -26,7 +25,7 @@ def test_encode_decode_matches_library(workdir):
 
 
 def test_decode_dump_tables(workdir, capsys):
-    from jpegkit.quant import table_for_qf, table_from_text
+    from jpegkit.quant import table_for_qf
     import numpy as np
 
     d, _ = workdir
@@ -217,7 +216,7 @@ def test_usage_error_exits_2():
     assert main([]) == 2
 
 
-def test_subprocess_invocation(workdir):
+def _run_jpegkit(*args):
     import os
     import subprocess
     import sys
@@ -228,24 +227,34 @@ def test_subprocess_invocation(workdir):
     # the child imports the same jpegkit as this process, installed or not
     src = str(Path(jpegkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    d, x = workdir
-    proc = subprocess.run(
-        [sys.executable, "-m", "jpegkit", "encode", str(d / "img.ppm"), "-q", "30", "-o", str(d / "sub.jpg")],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "jpegkit", *map(str, args)], capture_output=True, text=True, env=env
     )
+
+
+def test_subprocess_invocation(workdir):
+    d, x = workdir
+    proc = _run_jpegkit("encode", d / "img.ppm", "-q", "30", "-o", d / "sub.jpg")
     assert proc.returncode == 0, proc.stderr
     grid, _ = parse_jfif((d / "sub.jpg").read_bytes())
     assert grid == compress(x, 30)
-    proc = subprocess.run(
-        [sys.executable, "-m", "jpegkit", "decode", str(d / "img.ppm"), "-o", str(d / "x.ppm")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _run_jpegkit("decode", d / "img.ppm", "-o", d / "x.ppm")
     assert proc.returncode == 1
     assert "BadMarker" in proc.stderr
+
+
+def test_metric_commands_write_nothing_to_stderr(workdir):
+    # one-image sets have singular covariances; the proxy must not warn
+    d, _ = workdir
+    proc = _run_jpegkit("encode", d / "img.ppm", "-q", "25", "-o", d / "img.jpg")
+    assert proc.returncode == 0, proc.stderr
+    for args in (
+        ("roundtrip", d / "img.ppm", "-q", "10"),
+        ("metrics", d / "img.ppm", d / "img.ppm", d / "img.jpg"),
+    ):
+        proc = _run_jpegkit(*args)
+        assert proc.returncode == 0 and proc.stdout.startswith("name,qf,")
+        assert proc.stderr == ""
 
 
 def test_domain_error_exits_1(workdir, capsys):

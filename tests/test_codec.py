@@ -11,9 +11,9 @@ from jpegkit.codec import (
     jpeg_q,
 )
 from jpegkit.errors import QfOutOfRange
-from jpegkit.image import PixelImage, images_equal
+from jpegkit.image import PixelImage
 from jpegkit.quant import table_for_qf
-from tests.conftest import natural_image, uniform_image
+from tests.conftest import images_equal, natural_image, uniform_image
 
 PASSTHROUGH = CodecOptions(colorspace="rgb-passthrough")
 

@@ -6,11 +6,11 @@ from hypothesis.extra.numpy import arrays
 from jpegkit.image import (
     FloatImage,
     PixelImage,
-    images_equal,
     round_half_away_from_zero,
     to_float,
     to_pixels,
 )
+from tests.conftest import images_equal
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,26 @@ def test_surplus_restart_segment_rejected(rng):
         parse_jfif(data[:-2] + b"\xff\xd0" + data[-2:])
 
 
+def test_dri_after_the_scan_does_not_apply_to_it(rng):
+    # DRI scopes the scans that follow it; moved behind the scan, it leaves
+    # that scan with Ri = 0, so its four restart segments are an error
+    g = compress(uniform_image(rng, 8, 32), 50)
+    data = restart_stream(g)
+    dri = b"\xff\xdd\x00\x04\x00\x01"
+    moved = data.replace(dri, b"")[:-2] + dri + data[-2:]
+    with pytest.raises(BadMarker, match="segments"):
+        parse_jfif(moved)
+
+
+def test_dqt_after_the_scan_does_not_apply_to_it(rng):
+    g = compress(natural_image(rng, 16, 16), 50)
+    data = write_jfif(g)
+    ones = b"\xff\xdb\x00\x43\x00" + bytes([1] * 64)  # table 0, every step 1
+    g2, _ = parse_jfif(data[:-2] + ones + data[-2:])
+    assert g2 == g
+    assert g2.table == g.table
+
+
 def test_forged_dimensions_fail_before_allocating(rng):
     # an 8x8 stream whose SOF0 claims 4096x4096: 262144 MCUs cannot fit in
     # the few hundred bits of its scan, so the parser must refuse it before

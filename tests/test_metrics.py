@@ -11,8 +11,7 @@ from jpegkit.metrics import (
     MetricReport,
     consistency_rmse,
     dct_statistic_features,
-    frechet_gaussian_distance,
-    mean_std_fraction,
+    frechet_distance,
     perceptual_proxy,
     psnr,
     std_map,
@@ -114,20 +113,48 @@ def test_proxy_empty_set(natural_set):
         perceptual_proxy([], natural_set)
 
 
+def test_proxy_samples_against_one_reference_closed_form(rng):
+    # the benchmark's shape: restored samples against one ground truth. The
+    # singleton has zero covariance, so the distance is the squared mean gap
+    # plus the trace of the samples' covariance.
+    samples = [natural_image(rng, 128, 128) for _ in range(4)]
+    ref = natural_image(rng, 128, 128)
+    fa = np.stack([dct_statistic_features(s) for s in samples])
+    fb = dct_statistic_features(ref)
+    expected = float(np.sum((fa.mean(axis=0) - fb) ** 2) + np.trace(np.cov(fa, rowvar=False)))
+    assert abs(perceptual_proxy(samples, [ref]) - expected) <= 1e-9 * expected
+
+
+def _frechet_covariance_form(fa, fb):
+    """Reference: ||mu1-mu2||^2 + tr(S1 + S2 - 2 (S1 S2)^(1/2)) on the
+    d x d covariances, through the symmetric S2^(1/2) S1 S2^(1/2), no ridge."""
+    mu1, mu2 = fa.mean(axis=0), fb.mean(axis=0)
+    s1, s2 = np.cov(fa, rowvar=False), np.cov(fb, rowvar=False)
+    w2, v2 = np.linalg.eigh(s2)
+    root2 = (v2 * np.sqrt(np.clip(w2, 0.0, None))) @ v2.T
+    w = np.linalg.eigvalsh(root2 @ s1 @ root2)
+    covmean = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    return float(np.sum((mu1 - mu2) ** 2) + np.trace(s1) + np.trace(s2)) - 2.0 * covmean
+
+
+def test_frechet_matches_covariance_form_full_rank(rng):
+    for n1, n2, d in ((40, 30, 5), (12, 9, 3), (20, 50, 6)):
+        fa = rng.normal(size=(n1, d)) @ rng.normal(size=(d, d))
+        fb = rng.normal(1.0, 2.0, size=(n2, d))
+        ref = _frechet_covariance_form(fa, fb)
+        assert abs(frechet_distance(fa, fb) - ref) <= 1e-12 * abs(ref)
+
+
+def test_frechet_matches_covariance_form_on_small_sets(natural_set):
+    feats = np.stack([dct_statistic_features(i) for i in natural_set])
+    for fa, fb in ((feats[:6], feats[6:]), (feats[:3], feats[3:6])):
+        ref = _frechet_covariance_form(fa, fb)
+        assert abs(frechet_distance(fa, fb) - ref) <= 1e-6 * abs(ref)
+
+
 def test_frechet_equal_gaussians_zero(rng):
-    mu = rng.normal(size=5)
-    a = rng.normal(size=(5, 5))
-    sigma = a @ a.T
-    assert abs(frechet_gaussian_distance(mu, sigma, mu, sigma)) < 1e-8
-
-
-def test_singular_covariance_is_reported(natural_set):
-    from jpegkit.errors import SingularCovariance
-
-    # rank-deficient covariances (fewer images than feature dims) get the
-    # ridge, and the regularization is reported rather than fatal
-    with pytest.warns(SingularCovariance):
-        perceptual_proxy(natural_set[:3], natural_set[3:6])
+    feats = rng.normal(size=(5, 5)) @ rng.normal(size=(5, 5))
+    assert abs(frechet_distance(feats, feats.copy())) < 1e-8
 
 
 def test_std_map_identical_samples_zero(rng):
@@ -161,13 +188,6 @@ def test_std_map_needs_two_samples(rng):
     y = uniform_image(rng, 2, 2)
     with pytest.raises(TooFewSamples):
         std_map(SampleBatch(y, (FloatImage(y.data.astype(float)),)))
-
-
-def test_mean_std_fraction_unit_range(rng):
-    y = uniform_image(rng)
-    samples = tuple(FloatImage(y.data + rng.normal(0, 3, y.data.shape)) for _ in range(4))
-    frac = mean_std_fraction(SampleBatch(y, samples))
-    assert 0.0 < frac < 1.0
 
 
 def test_metric_report_csv():

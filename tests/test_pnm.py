@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jpegkit.errors import MaxvalNot255, TruncatedPayload, UnsupportedMagic
-from jpegkit.image import PixelImage, images_equal
+from jpegkit.image import PixelImage
 from jpegkit.pnm import read_pnm, write_pnm
+from tests.conftest import images_equal
 
 
 def test_read_small_p6():

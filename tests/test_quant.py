@@ -12,11 +12,11 @@ from jpegkit.quant import (
     detect_qf,
     quantize,
     table_for_qf,
-    table_from_text,
     table_to_text,
     zigzag_flatten,
     zigzag_unflatten,
 )
+from tests.conftest import table_from_text
 
 
 def test_qf50_is_base_tables():

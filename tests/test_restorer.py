@@ -8,7 +8,7 @@ from jpegkit.errors import (
     NonFiniteLoss,
     NotACompressedInput,
 )
-from jpegkit.image import FloatImage, images_equal, to_float, to_pixels
+from jpegkit.image import FloatImage, to_float, to_pixels
 from jpegkit.losses import LossWeights, SampleBatch
 from jpegkit.metrics import consistency_rmse, std_map
 from jpegkit.restorer import (
@@ -22,7 +22,7 @@ from jpegkit.restorer import (
     sweep_lambda_c,
     tv_huber,
 )
-from tests.conftest import natural_image
+from tests.conftest import images_equal, natural_image
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,10 @@ def test_consistency_force_reduces_inconsistency(pair):
         seed=1,
     )
     drifted = restore(y, drift)[0]
-    pulled = restore(y, pull)[0]
+    # at this large step the objective of this deterministic run rises at
+    # some step, which restore reports
+    with pytest.warns(UserWarning, match="objective increased"):
+        pulled = restore(y, pull)[0]
     c_drift = consistency_rmse(drifted, y, 5)
     c_pull = consistency_rmse(pulled, y, 5)
     assert c_drift > 1.0
