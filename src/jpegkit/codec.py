@@ -10,16 +10,22 @@ a time in one color buffer; :mod:`~jpegkit.diffjpeg` uses it with rounding
 as the step and :mod:`~jpegkit.projection` with a cell clamp.
 
 All three take an image or an (..., H, W, C) stack of float samples, and
-every image of a stack gets exactly the arithmetic it would get alone (the
-color matrix runs as one matmul per image, the DCT as one per block), so a
-batch never changes a result. The grid is the codec's native currency:
-every module that needs "the compressed input" takes a
-:class:`CoefficientGrid`, never a .jpg byte string.
+every image of a stack gets exactly the arithmetic it would get alone, so a
+batch never changes a result: the color matrix runs as one matmul per
+image, and the 8x8 DCT runs on whole planes as strided GEMMs (one per row
+of blocks, then one over every 8-sample run of the stack), in which each
+output sums over its own block alone. The coefficients stay in that plane
+layout; callers see (..., n_by, n_bx, 8, 8) block views of them.
+
+The grid is the codec's native currency: every module that needs "the
+compressed input" takes a :class:`CoefficientGrid`, never a .jpg byte
+string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,10 +39,14 @@ from .image import (
     round_half_away_from_zero,
     to_pixels,
 )
-from .quant import QuantTable, dequantize, detect_qf, table_for_qf
+from .quant import QuantTable, detect_qf, table_for_qf
 
 COLORSPACES = ("ycbcr", "rgb-passthrough")
 LEVEL_SHIFT = 128.0
+# DCT_M.T as a contiguous copy (the right factor of the forward transform,
+# the left one of the inverse): BLAS multiplies by a transposed view more
+# slowly
+_DCT_MT = np.ascontiguousarray(dct.DCT_M.T)
 
 
 @dataclass(frozen=True)
@@ -124,26 +134,89 @@ def planes_for_compress(data: np.ndarray, opts: CodecOptions, out: np.ndarray | 
     return planes
 
 
-def plane_dct(plane: np.ndarray) -> np.ndarray:
-    """Edge-pad, tile and level-shift a (..., h, w) plane, then DCT every
-    block; returns (..., n_by, n_bx, 8, 8)."""
-    blocks = dct.split_blocks(plane, pad=True)
-    blocks -= LEVEL_SHIFT
-    return dct.dct2(blocks, out=blocks)
+def _block_view(coef: np.ndarray) -> np.ndarray:
+    """(..., H', W') coefficients in plane layout as their
+    (..., n_by, n_bx, 8, 8) blocks; a view, not a copy."""
+    height, width = coef.shape[-2:]
+    tiles = coef.reshape(coef.shape[:-2] + (height // dct.BLOCK, dct.BLOCK, width // dct.BLOCK, dct.BLOCK))
+    return tiles.swapaxes(-3, -2)
 
 
-def _plane_coefs(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
-    coef = plane_dct(plane)
-    coef /= q
+def _block_rows(plane: np.ndarray) -> np.ndarray:
+    """A C-contiguous (..., H', W') plane as its (..., n_by, 8, W') rows of
+    blocks; a view."""
+    height, width = plane.shape[-2:]
+    return plane.reshape(plane.shape[:-2] + (height // dct.BLOCK, dct.BLOCK, width))
+
+
+def _transform(plane: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """``left @ block @ right`` for every 8x8 block of a C-contiguous
+    (..., H', W') plane, in place: one product per row of blocks, then one
+    GEMM over every 8-sample run of the plane."""
+    rows = np.matmul(left, _block_rows(plane))
+    np.matmul(rows.reshape(-1, dct.BLOCK), right, out=plane.reshape(-1, dct.BLOCK))
+
+
+@lru_cache(maxsize=32)
+def _tiled_steps(steps: bytes, width: int) -> np.ndarray:
+    """An 8x8 int64 table (as bytes) tiled across a row of blocks W' wide,
+    as read-only float64 (8, W')."""
+    tiled = np.tile(np.frombuffer(steps, dtype=np.int64).reshape(8, 8).astype(np.float64), (1, width // dct.BLOCK))
+    tiled.setflags(write=False)
+    return tiled
+
+
+def _scale(plane: np.ndarray, q: np.ndarray, op):
+    """``op(block, q, out=block)`` for every block of a C-contiguous
+    (..., H', W') plane, as one broadcast over its rows of blocks."""
+    rows = _block_rows(plane)
+    op(rows, _tiled_steps(q.tobytes(), plane.shape[-1]), out=rows)
+
+
+def _dct_plane(plane: np.ndarray) -> np.ndarray:
+    """Level-shift and edge-pad a (..., h, w) plane into a new C-contiguous
+    (..., H', W') array, and DCT every 8x8 block of it in place."""
+    height, width = plane.shape[-2:]
+    coef = np.empty(plane.shape[:-2] + (height + (-height) % dct.BLOCK, width + (-width) % dct.BLOCK))
+    np.subtract(plane, LEVEL_SHIFT, out=coef[..., :height, :width])
+    coef[..., height:, :width] = coef[..., height - 1 : height, :width]
+    coef[..., width:] = coef[..., width - 1 : width]
+    _transform(coef, dct.DCT_M, _DCT_MT)
     return coef
 
 
-def _write_plane(blocks: np.ndarray, dst: np.ndarray):
-    """Invert the DCT of dequantized blocks (in place), crop to dst and
-    undo the level shift into it."""
+def plane_dct(plane: np.ndarray) -> np.ndarray:
+    """Edge-pad and level-shift a (..., h, w) plane and DCT every block;
+    returns (..., n_by, n_bx, 8, 8), a block view of the coefficients in
+    plane layout."""
+    return _block_view(_dct_plane(plane))
+
+
+def _plane_coefs(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
+    coef = _dct_plane(plane)
+    _scale(coef, q, np.divide)
+    return _block_view(coef)
+
+
+def _write_plane(plane: np.ndarray, q: np.ndarray, dst: np.ndarray):
+    """Scale a C-contiguous (..., H', W') float plane of coefficients by
+    the steps q and invert the DCT of every block, both in place; then crop
+    to dst and undo the level shift into it."""
     height, width = dst.shape[-2:]
-    dct.idct2(blocks, out=blocks)
-    np.add(dct.merge_blocks(blocks, width, height), LEVEL_SHIFT, out=dst)
+    _scale(plane, q, np.multiply)
+    _transform(plane, _DCT_MT, dct.DCT_M)
+    np.add(plane[..., :height, :width], LEVEL_SHIFT, out=dst)
+
+
+def _plane_layout(coef, copy: bool) -> np.ndarray:
+    """(..., n_by, n_bx, 8, 8) blocks as a C-contiguous float64
+    (..., H', W') plane: always a new array with ``copy``, else a view of
+    the blocks when they are already in plane layout, as :func:`analysis`
+    and in-place steps leave them."""
+    coef = np.asarray(coef)
+    nby, nbx = coef.shape[-4:-2]
+    plane = np.array(coef.swapaxes(-3, -2), dtype=np.float64, order="C", copy=copy or None)
+    return plane.reshape(coef.shape[:-4] + (nby * dct.BLOCK, nbx * dct.BLOCK))
 
 
 def _samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -175,7 +248,7 @@ def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str
     kinds = channel_kinds(len(coefs), colorspace)
     planes = np.empty(np.shape(coefs[0])[:-4] + (height, width, len(coefs)))
     for c, (coef, kind) in enumerate(zip(coefs, kinds)):
-        _write_plane(dequantize(coef, table.for_channel_kind(kind)), planes[..., c])
+        _write_plane(_plane_layout(coef, copy=True), table.for_channel_kind(kind), planes[..., c])
     return _samples_from_planes(planes, colorspace)
 
 
@@ -185,8 +258,7 @@ def _requantize_plane(plane: np.ndarray, dst: np.ndarray, q: np.ndarray, step, c
     coef = _plane_coefs(plane, q)
     if step is not None:
         coef = step(coef, c)
-    coef *= q
-    _write_plane(coef, dst)
+    _write_plane(_plane_layout(coef, copy=False), q, dst)
 
 
 def requantize(

@@ -25,6 +25,10 @@ RGB_TO_YCBCR = np.array(
 )
 YCBCR_OFFSET = np.array([0.0, 128.0, 128.0])
 YCBCR_TO_RGB = np.linalg.inv(RGB_TO_YCBCR)
+# the right factors of the per-pixel products, as contiguous copies (see
+# _per_pixel)
+_RGB_TO_YCBCR_T = np.ascontiguousarray(RGB_TO_YCBCR.T)
+_YCBCR_TO_RGB_T = np.ascontiguousarray(YCBCR_TO_RGB.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +60,9 @@ class YCbCrImage:
 def _per_pixel(data: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``data @ matrix`` over the last axis of (..., h, w, 3) data, as one
     matmul per image: numpy runs the same product for every image of the
-    stack, so an image's result never depends on what shares its call."""
+    stack, so an image's result never depends on what shares its call.
+    ``matrix`` should be C-contiguous; BLAS multiplies by a transposed view
+    several times more slowly."""
     h, w = data.shape[-3:-1]
     flat_out = None if out is None else out.reshape(-1, h * w, 3)
     result = np.matmul(data.reshape(-1, h * w, 3), matrix, out=flat_out)
@@ -74,7 +80,7 @@ def _shift_channels(data: np.ndarray, offsets: np.ndarray):
 def rgb_to_ycbcr_data(rgb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(..., h, w, 3) RGB samples to (..., h, w, 3) YCbCr, in ``out`` if
     given, else in a new array."""
-    out = _per_pixel(rgb, RGB_TO_YCBCR.T, out)
+    out = _per_pixel(rgb, _RGB_TO_YCBCR_T, out)
     _shift_channels(out, YCBCR_OFFSET)
     return out
 
@@ -84,7 +90,7 @@ def ycbcr_to_rgb_data(ycc: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     ``ycc`` in place and returns RGB in ``out`` if given, else in a new
     array."""
     _shift_channels(ycc, -YCBCR_OFFSET)
-    return _per_pixel(ycc, YCBCR_TO_RGB.T, out)
+    return _per_pixel(ycc, _YCBCR_TO_RGB_T, out)
 
 
 def rgb_to_ycbcr(img: FloatImage) -> YCbCrImage:

@@ -440,6 +440,8 @@ def parse_jfif(data: bytes):
             comp_tables = []
             for c in range(ns):
                 cs, tt = body[1 + 2 * c], body[2 + 2 * c]
+                if cs != frame[2][c][0]:
+                    raise BadMarker(f"scan component {c} selects id {cs}, frame has {frame[2][c][0]}")
                 td, ta = tt >> 4, tt & 0x0F
                 if (0, td) not in htables or (1, ta) not in htables:
                     raise BadMarker(f"scan references undefined Huffman table {td}/{ta}")

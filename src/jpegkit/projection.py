@@ -77,6 +77,9 @@ def project(
 
     def clamp(coef, c):
         levels = y_grid.channels[c]
-        return levels + np.clip(coef - levels, -halves[c], halves[c])
+        coef -= levels
+        np.clip(coef, -halves[c], halves[c], out=coef)
+        coef += levels
+        return coef
 
     return FloatImage(requantize(fimg, y_grid.table, opts, clamp))

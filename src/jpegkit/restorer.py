@@ -80,6 +80,8 @@ class RestoreConfig:
             raise ValueError("step_size must be positive")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
+        if self.huber_eps <= 0:
+            raise ValueError("huber_eps must be positive")
 
     def quant_table(self) -> QuantTable:
         return self.table if self.table is not None else table_for_qf(self.qf)
@@ -118,15 +120,15 @@ def tv_huber(x: np.ndarray, eps: float, out: np.ndarray | None = None, work: np.
     np.divide(grad, 2 * eps, out=grad, where=quad)
     loss = grad.mean(axis=(-3, -2, -1))
     # weight: 1 / eps inside the quadratic zone, else 1 / mag
-    np.maximum(mag, 1e-300, out=mag)
+    np.maximum(mag, eps, out=mag)
     np.divide(1.0, mag, out=mag)
-    np.copyto(mag, 1.0 / eps, where=quad)
     gx *= mag
     gx[..., -1, :] = 0.0
     gy *= mag
-    grad.fill(0.0)
-    grad.reshape(flat)[..., c:] += gx.reshape(flat)[..., :-c]
-    grad -= gx
+    # x-divergence: each value's left flux minus its own; the first value
+    # of each image has no left flux
+    np.subtract(gx.reshape(flat)[..., :-c], gx.reshape(flat)[..., c:], out=grad.reshape(flat)[..., c:])
+    np.subtract(0.0, gx.reshape(flat)[..., :c], out=grad.reshape(flat)[..., :c])
     grad[..., 1:, :, :] += gy[..., :-1, :, :]
     grad[..., :-1, :, :] -= gy[..., :-1, :, :]
     grad /= h * w * c

@@ -171,3 +171,56 @@ def test_core_stacks_match_per_image_and_requantize_fuses(rng):
                     out, work = np.empty_like(stack), np.empty_like(stack)
                     got = requantize(stack, table, opts, step, out=out, work=work)
                     assert np.array_equal(got, expected)
+
+
+def test_plane_dct_matches_block_helpers(rng):
+    # the plane-layout transform gives, bit for bit, the block helpers'
+    # split -> level shift -> DCT, single planes and stacks alike
+    from jpegkit.codec import LEVEL_SHIFT, plane_dct
+    from jpegkit.dct import dct2, split_blocks
+
+    for height, width in ((8, 8), (16, 24), (17, 13), (9, 31)):
+        for lead in ((), (4,)):
+            plane = rng.uniform(0.0, 255.0, lead + (height, width))
+            expected = dct2(split_blocks(plane, pad=True) - LEVEL_SHIFT)
+            got = plane_dct(plane)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
+def test_requantize_stack_matches_each_image(rng):
+    # a 4-image stack requantizes each image exactly as it does alone: with
+    # no step, the in-place rounding of diffjpeg, the in-place cell clamp of
+    # the projection, and a clamp that returns a new array
+    from jpegkit.codec import requantize
+    from jpegkit.image import round_half_away_from_zero, to_float
+
+    table = table_for_qf(30)
+
+    def rounded(coef, c):
+        return round_half_away_from_zero(coef, out=coef)
+
+    for opts in (CodecOptions(), PASSTHROUGH):
+        for height, width in ((16, 16), (17, 13), (9, 31)):
+            x = natural_image(rng, height, width)
+            grid = compress(x, 30, opts)
+            stack = to_float(x).data + rng.normal(0.0, 3.0, (4, height, width, 3))
+
+            def clamp_in_place(coef, c):
+                levels = grid.channels[c]
+                coef -= levels
+                np.clip(coef, -0.3, 0.3, out=coef)
+                coef += levels
+                return coef
+
+            def clamp_new(coef, c):
+                levels = grid.channels[c]
+                return levels + np.clip(coef - levels, -0.3, 0.3)
+
+            for step in (None, rounded, clamp_in_place, clamp_new):
+                got = requantize(stack, table, opts, step)
+                for k in range(4):
+                    assert np.array_equal(got[k], requantize(stack[k], table, opts, step))
+            assert np.array_equal(
+                requantize(stack, table, opts, clamp_in_place), requantize(stack, table, opts, clamp_new)
+            )

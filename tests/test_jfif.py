@@ -173,6 +173,18 @@ def test_dqt_after_the_scan_does_not_apply_to_it(rng):
     assert g2.table == g.table
 
 
+def test_scan_selectors_must_match_frame_ids(rng):
+    # T.81 B.2.3: each scan component selector Cs names a frame component,
+    # in frame order; selectors no frame component has are an error
+    data = bytearray(write_jfif(compress(natural_image(rng, 16, 16), 50)))
+    i = data.find(b"\xff\xda")
+    # SOS: marker(2) len(2) Ns(1), then (Cs, Td/Ta) per component
+    assert data[i + 4] == 3 and bytes(data[i + 5 : i + 11 : 2]) == bytes((1, 2, 3))
+    data[i + 5 : i + 11 : 2] = bytes((69, 71, 73))
+    with pytest.raises(BadMarker, match="selects id 69"):
+        parse_jfif(bytes(data))
+
+
 def test_forged_dimensions_fail_before_allocating(rng):
     # an 8x8 stream whose SOF0 claims 4096x4096: 262144 MCUs cannot fit in
     # the few hundred bits of its scan, so the parser must refuse it before

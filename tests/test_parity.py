@@ -4,8 +4,9 @@ The restorer and diffjpeg digests were taken from the per-seed, per-image
 implementation that the batched one replaced; any change to the
 arithmetic, its order or the random draws shows up here as a different
 digest. They were taken with numpy 2.4 on OpenBLAS 0.3.31 (Haswell
-kernels); a BLAS that rounds its small matrix products differently gives
-other digests.
+kernels), when the DCT still ran as two 8x8 products per block; it now
+runs as strided GEMMs over whole planes and gives the same digests. A BLAS
+that rounds its matrix products differently gives other digests.
 
 The JFIF digests are conformance vectors for the entropy coder, taken from
 the bit-at-a-time coder that the bit-string one replaced: the bytes

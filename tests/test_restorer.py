@@ -288,3 +288,11 @@ def test_config_validation():
         RestoreConfig(qf=5, step_size=0.0)
     with pytest.raises(ValueError):
         RestoreConfig(qf=5, n_seeds=0)
+
+
+def test_huber_eps_must_be_positive():
+    # zero used to escape as ZeroDivisionError from the first step, and a
+    # negative width ran silently
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            RestoreConfig(qf=5, huber_eps=eps)
