@@ -8,6 +8,7 @@ reproduce bitwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .numerics import run_numerics_study, study_to_csv
 from .pnm import read_pnm, write_pnm
 from .quant import table_to_text
 from .projection import project
-from .restorer import RestoreConfig, restore, sweep_lambda_c
+from .restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
 from .toy import (
     fm_identity_check,
     load_model,
@@ -121,18 +122,28 @@ class UsageError(Exception):
     """A flag value the command cannot run with; reported as a usage error."""
 
 
+def _nonnegative(flag: str, value: float) -> float:
+    if not 0 <= value < math.inf:
+        raise UsageError(f"{flag} must be finite and nonnegative, got {value}")
+    return value
+
+
 def _check_descent_flags(args):
     if args.seeds < 1:
         raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
-    if not args.step_size > 0:
-        raise UsageError(f"--step-size must be positive, got {args.step_size}")
+    if not 0 < args.step_size < math.inf:
+        raise UsageError(f"--step-size must be finite and positive, got {args.step_size}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
+    _nonnegative("--noise-std", args.noise_std)
+    _nonnegative("--lambda-prior", args.lambda_prior)
 
 
 def _restore_config(args, grid) -> RestoreConfig:
     qf = grid_quality(grid)
-    weights = LossWeights(lambda_c=args.lambda_c, lambda_prior=args.lambda_prior)
+    weights = LossWeights(lambda_c=getattr(args, "lambda_c", 0.0), lambda_prior=args.lambda_prior)
     return RestoreConfig(
         qf=qf if isinstance(qf, int) else 50,
         table=grid.table,
@@ -147,24 +158,33 @@ def _restore_config(args, grid) -> RestoreConfig:
 
 def _cmd_restore(args) -> int:
     _check_descent_flags(args)
+    _nonnegative("--lambda-c", args.lambda_c)
     grid, _ = _load_jfif(args.input)
     y = decompress(grid)
     cfg = _restore_config(args, grid)
-    outs = restore(y, cfg)
+    outs = restore_project(y, cfg, grid) if args.project else restore(y, cfg)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for k, img in enumerate(outs):
-        target = img
-        if args.project:
-            target = to_pixels(project(img, grid))
-        (outdir / f"restored_{k:02d}.ppm").write_bytes(write_pnm(target))
-        rmse = consistency_rmse(target, y, cfg.qf, cfg.options, table=grid.table)
+        (outdir / f"restored_{k:02d}.ppm").write_bytes(write_pnm(img))
+        rmse = consistency_rmse(img, y, cfg.qf, cfg.options, table=grid.table)
         print(f"seed {k}: consistency_rmse={rmse:.4f}")
     return 0
 
 
+def _sweep_lambdas(text: str) -> list:
+    try:
+        lambdas = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--lambdas must be comma-separated numbers, got {text!r}") from None
+    if len(lambdas) < 2:
+        raise UsageError(f"--lambdas needs at least two weights, got {text!r}")
+    return [_nonnegative("--lambdas", v) for v in lambdas]
+
+
 def _cmd_sweep(args) -> int:
     _check_descent_flags(args)
+    lambdas = _sweep_lambdas(args.lambdas)
     pairs = []
     for jpg in sorted(Path(args.directory).glob("*.jpg")):
         ppm = jpg.with_suffix(".ppm")
@@ -177,19 +197,7 @@ def _cmd_sweep(args) -> int:
         raise JpegkitError("sweep inputs must share one quantization table")
     y_set = [decompress(g) for g in grids]
     x_set = [read_pnm(p.read_bytes()) for _, p in pairs]
-    qf = grid_quality(grids[0])
-    cfg = RestoreConfig(
-        qf=qf if isinstance(qf, int) else 50,
-        table=grids[0].table,
-        weights=LossWeights(lambda_prior=args.lambda_prior),
-        steps=args.steps,
-        step_size=args.step_size,
-        n_seeds=args.seeds,
-        seed=args.seed,
-        init_noise_std=args.noise_std,
-    )
-    lambdas = [float(tok) for tok in args.lambdas.split(",")]
-    result = sweep_lambda_c(y_set, x_set, lambdas, cfg)
+    result = sweep_lambda_c(y_set, x_set, lambdas, _restore_config(args, grids[0]))
     Path(args.output).write_text(result.to_csv())
     print(result.to_csv(), end="")
     return 0
@@ -213,10 +221,12 @@ def _cmd_theorem_check(args) -> int:
         raise UsageError(f"--models must be at least 0, got {args.models}")
     if args.models == 0 and not args.fixture:
         raise UsageError("--models 0 checks nothing without --fixture")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     models = [random_model(rng) for _ in range(args.models)]
     if args.fixture:
-        models.append(load_model(Path(args.fixture).read_text()))
+        models.append(load_model(Path(args.fixture).read_text(errors="replace")))
     worst_bound = worst_fm = worst_mass = worst_tv = worst_gap = 0.0
     for m in models:
         worst_bound = max(worst_bound, mmse_consistency_deviation(m))
@@ -278,28 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("compressed")
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("restore", help="stochastic restoration of a .jpg")
+    descent = argparse.ArgumentParser(add_help=False)
+    descent.add_argument("--lambda-prior", type=float, default=20.0)
+    descent.add_argument("--steps", type=int, default=200)
+    descent.add_argument("--step-size", type=float, default=0.1)
+    descent.add_argument("--seeds", type=int, default=1)
+    descent.add_argument("--seed", type=int, default=0)
+    descent.add_argument("--noise-std", type=float, default=4.0)
+
+    p = sub.add_parser("restore", parents=[descent], help="stochastic restoration of a .jpg")
     p.add_argument("input")
     p.add_argument("--lambda-c", type=float, default=10.0)
-    p.add_argument("--lambda-prior", type=float, default=20.0)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--step-size", type=float, default=0.1)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-std", type=float, default=4.0)
     p.add_argument("--project", action="store_true", help="project outputs onto the input's cells")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=_cmd_restore)
 
-    p = sub.add_parser("sweep", help="trace the tradeoff across consistency weights")
+    p = sub.add_parser("sweep", parents=[descent], help="trace the tradeoff across consistency weights")
     p.add_argument("directory", help="directory of stem.jpg/stem.ppm pairs")
     p.add_argument("--lambdas", required=True, help="comma-separated weights")
-    p.add_argument("--lambda-prior", type=float, default=20.0)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--step-size", type=float, default=0.1)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-std", type=float, default=4.0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 

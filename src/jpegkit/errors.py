@@ -103,6 +103,10 @@ class UnreachableY(JpegkitError):
     """No signal in the model maps to the requested observation."""
 
 
+class MalformedModel(JpegkitError):
+    """A toy model fixture that does not parse, or describes no valid model."""
+
+
 class MalformedSampler(JpegkitError):
     """Sampler did not return a probability table."""
 

@@ -1,5 +1,8 @@
-"""Loss functionals over sample batches: consistency, first/second moment,
-and a feature-space term with a pluggable extractor.
+"""The paper's loss terms: consistency, first and second moment, and a
+texture-band feature distance. Each ``*_term`` function takes a (K, H, W, C)
+stack and returns the term's value and the array its gradient is built
+from; the restorer descends them, and ``loss_*`` are their values over a
+:class:`SampleBatch`.
 
 Every loss is normalized per sample value (mean, not sum) so weights mean
 the same thing at any resolution. Absolute weight values are therefore not
@@ -9,7 +12,6 @@ comparable across differently normalized implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import (
     MissingReference,
     TooFewSamples,
 )
-from .image import FloatImage, PixelImage, float_samples, to_float
+from .image import FloatImage, PixelImage, check_finite, float_samples, to_float
 from .quant import QuantTable
 
 
@@ -51,7 +53,8 @@ class SampleBatch:
             raise DimMismatch("reference dims differ from y")
 
     def stacked(self) -> np.ndarray:
-        return np.stack([s.data for s in self.samples])
+        """The samples as one float64 (K, H, W, C) stack."""
+        return np.stack([s.data for s in self.samples]).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,50 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_c", "lambda_fm", "lambda_p", "lambda_sm", "lambda_prior"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN included
                 raise ValueError(f"{name} must be nonnegative")
+
+
+def consistency_term(op: DiffJpegOp, states: np.ndarray, y: np.ndarray, out=None, work=None):
+    """Per-sample mean squared recompression residual against y, and the
+    residual forward(states) - y, written into ``out`` (``work`` is
+    scratch; both allocated when None). Gradient: (2 / y.size) * residual,
+    as the straight-through adjoint is the identity."""
+    r, _ = forward(op, states, out=out, work=work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r -= y
+        mse = np.square(r, out=work).mean(axis=(-3, -2, -1))
+    return mse, r
+
+
+def first_moment_term(states: np.ndarray, x: np.ndarray):
+    """Mean squared gap x - (sample mean), and the gap. Gradient per
+    sample: -2 / (x.size * K) * gap."""
+    gap = x - states.mean(axis=0)
+    return float(np.mean(gap * gap)), gap
+
+
+def second_moment_term(states: np.ndarray, x: np.ndarray, xbar: np.ndarray):
+    """Mean absolute gap (x - xbar)**2 - (population variance), and the
+    gap's sign times each sample's deviation from the mean. Gradient:
+    -(2 / K) * that / x.size (a subgradient at the kinks)."""
+    gap = (x - xbar) ** 2 - states.var(axis=0)
+    return float(np.mean(np.abs(gap))), np.sign(gap) * (states - states.mean(axis=0))
+
+
+def feature_term(states: np.ndarray, fx: np.ndarray):
+    """Per-sample mean squared texture-band feature gap to fx, and the gap.
+    Gradient: :func:`texture_band_pullback` of (2 / gap[0].size) * gap."""
+    gap = texture_band_features(check_finite(states)) - fx
+    return np.square(gap).mean(axis=(-3, -2, -1)), gap
+
+
+def _sample_mean(values: np.ndarray) -> float:
+    # summed in sample order, as the restorer sums its per-seed terms
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total / len(values)
 
 
 def loss_c(batch: SampleBatch, qf: int, opts: CodecOptions = CodecOptions(), table: QuantTable | None = None) -> float:
@@ -75,13 +120,7 @@ def loss_c(batch: SampleBatch, qf: int, opts: CodecOptions = CodecOptions(), tab
         op = DiffJpegOp.for_image(y, qf, opts)
     else:
         op = DiffJpegOp(table, opts, y.width, y.height, y.channels)
-    z, _ = forward(op, batch.stacked())
-    np.subtract(y.data, z, out=z)
-    np.square(z, out=z)
-    total = 0.0
-    for mse in z.mean(axis=(-3, -2, -1)).tolist():
-        total += mse
-    return total / len(batch.samples)
+    return _sample_mean(consistency_term(op, batch.stacked(), y.data)[0])
 
 
 def loss_fm(batch: SampleBatch) -> float:
@@ -93,11 +132,10 @@ def loss_fm(batch: SampleBatch) -> float:
     """
     if batch.x is None:
         raise MissingGroundTruth("first-moment loss needs x")
-    mean = batch.stacked().mean(axis=0)
-    return float(np.mean((batch.x.data.astype(np.float64) - mean) ** 2))
+    return first_moment_term(batch.stacked(), to_float(batch.x).data)[0]
 
 
-def loss_sm(batch: SampleBatch, unbiased: bool = False) -> float:
+def loss_sm(batch: SampleBatch) -> float:
     """Mean absolute gap between the per-pixel sample variance and the
     squared deviation of x from the reference estimate."""
     if batch.x is None:
@@ -106,12 +144,8 @@ def loss_sm(batch: SampleBatch, unbiased: bool = False) -> float:
         raise MissingReference("second-moment loss needs the reference estimate")
     if len(batch.samples) < 2:
         raise TooFewSamples("second-moment loss needs at least 2 samples")
-    var = batch.stacked().var(axis=0, ddof=1 if unbiased else 0)
-    target = (batch.x.data.astype(np.float64) - batch.xbar.data) ** 2
-    return float(np.mean(np.abs(target - var)))
+    return second_moment_term(batch.stacked(), to_float(batch.x).data, batch.xbar.data)[0]
 
-
-FeatureExtractor = Callable[[FloatImage], np.ndarray]
 
 # radial bands over the 8x8 coefficient positions: DC alone, then rings of
 # AC positions grouped by i+j
@@ -125,9 +159,9 @@ BAND_MASKS = (
 
 
 def texture_band_features(img) -> np.ndarray:
-    """Default extractor: per block, the mean sample level plus the mean
-    coefficient magnitude in three AC frequency rings; shape (nby, nbx, 4),
-    or (..., nby, nbx, 4) for an (..., h, w, c) stack of samples."""
+    """Features of the feature term: per block, the mean sample level plus
+    the mean coefficient magnitude in three AC frequency rings; shape
+    (nby, nbx, 4), or (..., nby, nbx, 4) for an (..., h, w, c) stack."""
     coef = plane_dct(luma(float_samples(img)))
     feats = [coef[..., 0, 0] / 8.0]
     for mask in BAND_MASKS:
@@ -154,13 +188,9 @@ def texture_band_pullback(img, cotangent: np.ndarray) -> np.ndarray:
     return dplane[..., None]
 
 
-def loss_p(batch: SampleBatch, features: FeatureExtractor | None = None) -> float:
-    """Mean squared feature-space distance to the ground truth."""
+def loss_p(batch: SampleBatch) -> float:
+    """Mean squared texture-band feature distance to the ground truth."""
     if batch.x is None:
         raise MissingGroundTruth("feature loss needs x")
-    phi = features if features is not None else texture_band_features
-    fx = phi(to_float(batch.x))
-    total = 0.0
-    for s in batch.samples:
-        total += float(np.mean((fx - phi(s)) ** 2))
-    return total / len(batch.samples)
+    fx = texture_band_features(to_float(batch.x))
+    return _sample_mean(feature_term(batch.stacked(), fx)[0])

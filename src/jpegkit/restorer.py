@@ -1,23 +1,21 @@
 """Stochastic restorer: gradient descent on pixels, one trajectory per
-seed, pulling toward recompression consistency while a smoothness prior
-pushes toward cleaner images. Sweeping the consistency weight traces the
-empirical tradeoff between the two forces.
+seed, on the weighted loss terms of :mod:`~jpegkit.losses` plus a
+smoothness prior. Sweeping the consistency weight traces the empirical
+tradeoff between the pull toward recompression consistency and the prior.
 
 All seeds step together: one (n_seeds, H, W, C) state array and one
-gradient buffer, updated in place, go through
-:func:`~jpegkit.diffjpeg.forward` and :func:`tv_huber` as one batch, and
-the scratch arrays those need are allocated once per run.
+gradient buffer, updated in place, go through the terms as one batch, and
+the scratch arrays the prior and the consistency term need are allocated
+once per run. Each loss term is the ``*_term`` function that ``loss_c`` /
+``loss_fm`` / ``loss_sm`` / ``loss_p`` report; the restorer only weights
+and adds their values and gradients. The prior is an isotropic
+Huber-smoothed total variation, :func:`tv_huber`.
 
-The prior is an isotropic Huber-smoothed total variation. The consistency
-term recompresses each state with :func:`~jpegkit.diffjpeg.forward`; its
-straight-through gradient is lambda_c * (2 / n_values) * residual, because
-the straight-through adjoint is the identity (see :mod:`~jpegkit.diffjpeg`).
-With only those two terms each seed's trajectory is independent: it
-depends on (seed, k) alone, never on how many seeds run alongside, because
-every image of a batch gets the arithmetic it would get on its own; the
-per-seed terms of the objective are added seed by seed, in seed order. The
-optional moment-matching terms (first/second moment, feature) couple the
-seeds by construction and require the ground truth.
+Without the moment terms each seed's trajectory depends on (seed, k) alone,
+never on how many seeds run alongside: every image of a batch gets the
+arithmetic it would get on its own, and the per-seed terms of the
+objective are added seed by seed. The moment terms couple the seeds by
+construction; they and the feature term need the ground truth.
 
 Two dynamics facts worth knowing. Stability of the consistency pull needs
 step_size * 2 * lambda_c / n_values < 1 (the losses are means, so the
@@ -40,15 +38,23 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codec import CodecOptions, compress_with_table
-from .diffjpeg import DiffJpegOp, forward
+from .diffjpeg import DiffJpegOp
 from .errors import (
     MissingGroundTruth,
     MissingReference,
     NonFiniteLoss,
     NotACompressedInput,
 )
-from .image import FloatImage, PixelImage, check_finite, to_float, to_pixels
-from .losses import LossWeights, texture_band_features, texture_band_pullback
+from .image import FloatImage, PixelImage, to_float, to_pixels
+from .losses import (
+    LossWeights,
+    consistency_term,
+    feature_term,
+    first_moment_term,
+    second_moment_term,
+    texture_band_features,
+    texture_band_pullback,
+)
 from .metrics import consistency_rmse, perceptual_proxy, psnr
 from .projection import project
 from .quant import QuantTable, table_for_qf
@@ -70,18 +76,19 @@ class RestoreConfig:
     seed: int = 0
     init_noise_std: float = 4.0
     huber_eps: float = 0.1
-    lambda_c_anneal: tuple | None = None  # (start, end), cosine schedule
     table: QuantTable | None = None  # overrides qf when set
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be finite and positive")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         if self.huber_eps <= 0:
             raise ValueError("huber_eps must be positive")
+        if not 0 <= self.init_noise_std < np.inf:
+            raise ValueError("init_noise_std must be finite and nonnegative")
 
     def quant_table(self) -> QuantTable:
         return self.table if self.table is not None else table_for_qf(self.qf)
@@ -135,30 +142,8 @@ def tv_huber(x: np.ndarray, eps: float, out: np.ndarray | None = None, work: np.
     return loss, grad
 
 
-def _lambda_c_at(cfg: RestoreConfig, t: int) -> float:
-    if cfg.lambda_c_anneal is None:
-        return cfg.weights.lambda_c
-    start, end = cfg.lambda_c_anneal
-    if cfg.steps == 1:
-        return float(end)
-    frac = t / (cfg.steps - 1)
-    return float(end + (start - end) * 0.5 * (1.0 + np.cos(np.pi * frac)))
-
-
 def _seed_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-
-
-def _add_consistency(grad, op, states, y, lam_c, work) -> list:
-    """Add the consistency gradient lam_c * (2 / n) * r of every state to
-    grad, r being its recompression residual; return each state's
-    lam_c * mean(r**2). ``work`` holds two state-sized temporaries."""
-    r, _ = forward(op, states, out=work[0], work=work[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        r -= y
-        mse = np.square(r, out=work[1]).mean(axis=(-3, -2, -1))
-    grad += np.multiply(lam_c * (2.0 / y.size), r, out=work[1])
-    return [lam_c * v for v in mse.tolist()]
 
 
 @dataclass
@@ -199,16 +184,15 @@ def restore_with_history(
     work = np.empty((3,) + states.shape)  # scratch for the prior and the consistency term
 
     x_f = None if x is None else to_float(x).data
-    fx = None if x is None else (texture_band_features(x_f) if w.lambda_p > 0 else None)
+    fx = texture_band_features(x_f) if w.lambda_p > 0 else None
 
     history = np.zeros(cfg.steps)
     for t in range(cfg.steps):
-        lam_c = _lambda_c_at(cfg, t)
         # The prior goes first, so that tv_huber writes its gradient straight
-        # into grad and uses it as scratch; the consistency gradient is added
-        # after. Adding two terms commutes, so grad is the same as with the
-        # consistency gradient first. The objective adds its per-seed terms
-        # in the per-seed order: consistency, prior, feature.
+        # into grad and uses it as scratch; the other gradients are added to
+        # it in a fixed order. The objective adds its per-seed terms seed by
+        # seed, in the order consistency, prior, feature; then the moment
+        # terms.
         prior = consistency = feature = None
         if w.lambda_prior > 0:
             tv, _ = tv_huber(states, cfg.huber_eps, out=grad, work=work)
@@ -216,14 +200,14 @@ def restore_with_history(
             prior = [w.lambda_prior * v for v in tv.tolist()]
         else:
             grad.fill(0.0)
-        if lam_c > 0:
-            consistency = _add_consistency(grad, op, states, y_f, lam_c, work)
+        if w.lambda_c > 0:
+            mse, r = consistency_term(op, states, y_f, out=work[0], work=work[1])
+            grad += np.multiply(w.lambda_c * (2.0 / n), r, out=work[1])
+            consistency = [w.lambda_c * v for v in mse.tolist()]
         if w.lambda_p > 0:
-            f = texture_band_features(check_finite(states))
-            d = f - fx
-            feature = [w.lambda_p * v for v in np.square(d).mean(axis=(-3, -2, -1)).tolist()]
-            cot = (2.0 / d[0].size) * d
-            grad += w.lambda_p * texture_band_pullback(states, cot)
+            values, gap = feature_term(states, fx)
+            grad += w.lambda_p * texture_band_pullback(states, (2.0 / gap[0].size) * gap)
+            feature = [w.lambda_p * v for v in values.tolist()]
 
         terms = [term for term in (consistency, prior, feature) if term is not None]
         total = 0.0
@@ -231,18 +215,14 @@ def restore_with_history(
             for term in terms:
                 total += term[k]
 
-        if coupled and (w.lambda_fm > 0 or w.lambda_sm > 0):
-            mean = states.mean(axis=0)
-            if w.lambda_fm > 0:
-                d = x_f - mean
-                total += w.lambda_fm * float(np.mean(d * d))
-                grad += w.lambda_fm * (-2.0 / (n * n_seeds)) * d
-            if w.lambda_sm > 0:
-                var = states.var(axis=0, ddof=0)
-                gap = (x_f - xbar.data) ** 2 - var
-                total += w.lambda_sm * float(np.mean(np.abs(gap)))
-                sgn = np.sign(gap)
-                grad += w.lambda_sm * (-sgn) * (2.0 / n_seeds) * (states - mean) / n
+        if w.lambda_fm > 0:
+            value, gap = first_moment_term(states, x_f)
+            total += w.lambda_fm * value
+            grad += w.lambda_fm * (-2.0 / (n * n_seeds)) * gap
+        if w.lambda_sm > 0:
+            value, pull = second_moment_term(states, x_f, xbar.data)
+            total += w.lambda_sm * value
+            grad -= w.lambda_sm * (2.0 / n_seeds) * pull / n
 
         if not np.isfinite(total):
             raise NonFiniteLoss(f"objective became {total} at step {t}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dct import dct_matrix
-from .errors import MalformedSampler, UnreachableY
+from .errors import MalformedModel, MalformedSampler, UnreachableY
 from .image import round_half_away_from_zero
 
 ATOL = 1e-12
@@ -49,14 +49,14 @@ class ToyModel:
         if not 2 <= alphabet.size <= 8:
             raise ValueError("alphabet size must be in [2, 8]")
         steps = np.asarray(self.steps, dtype=np.float64)
-        if steps.shape != (self.length,) or np.any(steps <= 0):
-            raise ValueError("steps must be positive, one per coefficient")
+        if steps.shape != (self.length,) or not np.all(np.isfinite(steps)) or np.any(steps <= 0):
+            raise ValueError("steps must be finite and positive, one per coefficient")
         prior = np.asarray(self.prior, dtype=np.float64)
         n_states = alphabet.size**self.length
         if prior.shape != (n_states,):
             raise ValueError(f"prior must have {n_states} entries")
-        if prior.min() < 0 or abs(prior.sum() - 1.0) > ATOL:
-            raise ValueError("prior must be a probability table")
+        if not np.all(np.isfinite(prior)) or prior.min() < 0 or abs(prior.sum() - 1.0) > ATOL:
+            raise ValueError("prior must be a finite probability table")
         for name, val in (("alphabet", alphabet), ("prior", prior), ("steps", steps)):
             val = np.ascontiguousarray(val)
             val.setflags(write=False)
@@ -286,8 +286,17 @@ def save_model(model: ToyModel) -> str:
 
 
 def load_model(text: str) -> ToyModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    length, a = (int(tok) for tok in lines[0].split())
-    steps = np.array([float(tok) for tok in lines[1].split()])
-    prior = np.array([float(tok) for tok in lines[2].split()])
-    return ToyModel(length, alphabet_for_size(a), prior, steps)
+    """Parse a :func:`save_model` fixture; malformed text, or a model
+    :class:`ToyModel` rejects, raises :class:`MalformedModel`."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    try:
+        if len(lines) != 3 or len(lines[0]) != 2:
+            raise ValueError("want a 'length alphabet-size' line, a steps line and a prior line")
+        length, a = (int(tok) for tok in lines[0])
+        if not 2 <= a <= 8:  # before alphabet_for_size allocates a entries
+            raise ValueError("alphabet size must be in [2, 8]")
+        steps = np.array([float(tok) for tok in lines[1]])
+        prior = np.array([float(tok) for tok in lines[2]])
+        return ToyModel(length, alphabet_for_size(a), prior, steps)
+    except ValueError as exc:
+        raise MalformedModel(f"bad model fixture: {exc}") from exc

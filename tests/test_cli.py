@@ -155,6 +155,24 @@ def test_theorem_check_fine_step_fixture(tmp_path, capsys):
     assert "ALL BOUNDS HOLD" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2\nnan\n0.5 0.5\n",  # NaN step
+        "2 2\n1.0 1.0\nnan 0.5 0.25 0.25\n",  # NaN prior entry
+        "garbage",
+        "",
+        "\xff\xfe\x00",
+    ],
+)
+def test_theorem_check_bad_fixture_is_domain_error(tmp_path, capsys, text):
+    (tmp_path / "bad.txt").write_bytes(text.encode("latin-1"))
+    assert main(["theorem-check", "--models", "1", "--fixture", str(tmp_path / "bad.txt")]) == 1
+    captured = capsys.readouterr()
+    assert "ALL BOUNDS HOLD" not in captured.out
+    assert captured.err.startswith("MalformedModel: ")
+
+
 def test_theorem_check_runs_sampler_checks_on_every_model(tmp_path, monkeypatch, capsys):
     import jpegkit.cli as cli
     from jpegkit.toy import save_model
@@ -209,6 +227,39 @@ def test_restore_nonpositive_descent_flags_are_usage_errors(workdir, capsys):
     assert not (d / "restored").exists()
     code, _, err = _usage_error(capsys, ["sweep", str(d), "--lambdas", "1,2", "--steps", "0", "-o", str(d / "s.csv")])
     assert code == 2 and len(err) == 1 and "--steps" in err[0]
+
+
+def test_bad_descent_flag_values_are_usage_errors(tmp_path, capsys):
+    # each is refused before any file is read: the input does not exist
+    missing = str(tmp_path / "missing.jpg")
+    cases = [
+        ("restore", "--noise-std", "-1"),
+        ("restore", "--noise-std", "nan"),
+        ("restore", "--lambda-c", "-1"),
+        ("restore", "--lambda-prior", "-1"),
+        ("restore", "--lambda-c", "inf"),
+        ("restore", "--seed", "-1"),
+        ("restore", "--step-size", "inf"),
+        ("sweep", "--noise-std", "-1"),
+        ("sweep", "--lambda-prior", "nan"),
+        ("sweep", "--lambdas", "1,abc"),
+        ("sweep", "--lambdas", "1"),
+        ("sweep", "--lambdas", "1,-2"),
+        ("sweep", "--lambdas", ""),
+    ]
+    for command, flag, value in cases:
+        argv = [command, missing if command == "restore" else str(tmp_path), f"{flag}={value}"]
+        if flag != "--lambdas":
+            argv += ["--lambdas", "1,2"] if command == "sweep" else []
+        code, _, err = _usage_error(capsys, [*argv, "-o", str(tmp_path / "out")])
+        assert code == 2, (command, flag, value)
+        assert len(err) == 1 and flag in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_theorem_check_negative_seed_is_usage_error(capsys):
+    code, _, err = _usage_error(capsys, ["theorem-check", "--models", "1", "--seed", "-1"])
+    assert code == 2 and len(err) == 1 and "--seed" in err[0]
 
 
 def test_usage_error_exits_2():

@@ -126,15 +126,6 @@ def test_loss_sm_hand_case():
     assert abs(loss_sm(batch) - 3.0) < 1e-12  # |4 - 1| = 3
 
 
-def test_loss_sm_unbiased_flag():
-    y = PixelImage(np.zeros((1, 1, 1), dtype=np.uint8))
-    x = PixelImage(np.array([[[4]]], dtype=np.uint8))
-    xbar = FloatImage(np.array([[[2.0]]]))
-    a, b = FloatImage(np.array([[[5.0]]])), FloatImage(np.array([[[7.0]]]))
-    batch = SampleBatch(y, (a, b), x=x, xbar=xbar)
-    assert abs(loss_sm(batch, unbiased=True) - 2.0) < 1e-12  # |4 - 2|
-
-
 def test_loss_sm_permutation_invariant(rng):
     x = natural_image(rng)
     y = jpeg_q(x, 10)
@@ -187,12 +178,6 @@ def test_loss_p_blur_increases(rng):
     assert loss_p(soft) > loss_p(sharp)
 
 
-def test_loss_p_custom_extractor(rng):
-    x = natural_image(rng)
-    batch = SampleBatch(jpeg_q(x, 10), (FloatImage(x.data + 1.0),), x=x)
-    assert abs(loss_p(batch, features=lambda img: np.mean(img.data, keepdims=True)) - 1.0) < 1e-12
-
-
 def test_band_pullback_matches_finite_differences(rng):
     # ragged sizes exercise the adjoint of the edge pad
     for height, width, channels in ((16, 16, 3), (17, 13, 3), (9, 31, 1)):
@@ -229,6 +214,8 @@ def test_batch_validation(rng):
 def test_weights_nonnegative():
     with pytest.raises(ValueError):
         LossWeights(lambda_c=-1.0)
+    with pytest.raises(ValueError):
+        LossWeights(lambda_sm=float("nan"))
 
 
 def test_loss_c_equals_per_sample_loop(rng):

@@ -8,6 +8,13 @@ kernels), when the DCT still ran as two 8x8 products per block; it now
 runs as strided GEMMs over whole planes and gives the same digests. A BLAS
 that rounds its matrix products differently gives other digests.
 
+The coupled-term restorer digests pin the seed-coupling terms (first and
+second moment, feature), alone and all three, with and without the
+consistency term and the prior, for one and three seeds, together with
+`loss_c`, `loss_fm`, `loss_sm` (three seeds) and `loss_p` of the outputs.
+They were taken before the restorer and the loss functions came to share
+one implementation of each term.
+
 The JFIF digests are conformance vectors for the entropy coder, taken from
 the bit-at-a-time coder that the bit-string one replaced: the bytes
 `write_jfif` emits over ragged sizes and qualities from 1 to 100, and the
@@ -25,7 +32,7 @@ from jpegkit.codec import CodecOptions, compress, jpeg_q
 from jpegkit.diffjpeg import DiffJpegOp, forward
 from jpegkit.image import FloatImage, to_float
 from jpegkit.jfif import parse_jfif, write_jfif
-from jpegkit.losses import LossWeights
+from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
 from jpegkit.restorer import RestoreConfig, restore_with_history
 from tests.conftest import natural_image, restart_stream
 
@@ -38,6 +45,33 @@ RESTORE_DIGESTS = {
     (128, 1.0, 4): "1c78961c3147d10c9cc632c79a4ef1fe4ac199acfe6430fefde0683c73a2d961",
     (128, 100.0, 1): "4c18de2d5ad9fda3bb6ca174462f38e85705ff2db559f4a4b984ff65ff3c30bd",
     (128, 100.0, 4): "fa48f9d419689cf844e9c003b295aab2cb079851f42108263e4f452ce6794105",
+}
+
+COUPLED_TERMS = {
+    "fm": dict(lambda_fm=500.0),
+    "sm": dict(lambda_sm=500.0),
+    "p": dict(lambda_p=300.0),
+    "fm+sm+p": dict(lambda_fm=500.0, lambda_sm=500.0, lambda_p=300.0),
+}
+
+# (terms, n_seeds, with lambda_c and the prior)
+COUPLED_DIGESTS = {
+    ("fm", 1, False): "9317bb3dbfb3fc722550c6a4332318f56e8d703fc945f7c48a80dd2dd9c6f421",
+    ("fm", 1, True): "58645df3fef5483d5d430091b8815f3573945b1f6717aa9aae682703c6cb9627",
+    ("fm", 3, False): "10353c0e3aaa616ba4198d0a35f5b70275b840e9c443639355fe1bd6492968aa",
+    ("fm", 3, True): "24e49b05274d05a70c1f288c150c910135d5e3c25baff567ee5761e9a51b748c",
+    ("sm", 1, False): "fa7a82069a68691639ac919d2791d41b30d809fa6c9f3b03090f0b7188c8aa6d",
+    ("sm", 1, True): "96a9a2dd3f5bdf9f8993efb132a9f525f54d5d0c6a0417403ae245b74c838a5c",
+    ("sm", 3, False): "6b3f1bf741104405518160da56c59e62048c917e1d6f80cccf7923a7cb941b13",
+    ("sm", 3, True): "dc87ed5eb1c5c693e368c12e869c3801810d45142f3edf9a65067e7c55ffde22",
+    ("p", 1, False): "3e88b2bfbd1ee1fb674da2d464c6c3136158c0e0977c17594c1ef271987678f1",
+    ("p", 1, True): "148253c37cf744bcd977c0cbd3353f2da08c37dcb26c0e4abc273074cdf42564",
+    ("p", 3, False): "361e33b2b9e76de7aaab5f9e73d7a223ea821661c66d961a59598ead80cf3c09",
+    ("p", 3, True): "e243898468cfa6afe4b24a32b701efc9d7b67661441430b17d86b512cfbe82c3",
+    ("fm+sm+p", 1, False): "f69eb8b1bbc99e35fa8d93ef413ba4146b07dace000773b7f3be897139f12b90",
+    ("fm+sm+p", 1, True): "b4643314d8a2dbb73b46ea4a5b95f2a7c1d900ae6da5eb7593ecf19900a180df",
+    ("fm+sm+p", 3, False): "f3579aa9e10f65d1a08e9cb117cc5c6942dbda9537a77e4ee424b61ebfbfe2c1",
+    ("fm+sm+p", 3, True): "ca9928cee26915d670f5a3bf2dcb8a6b2869ab910ab3b9b232a2020ad384211c",
 }
 
 FORWARD_DIGESTS = {
@@ -101,6 +135,34 @@ def restore_digest(size, lam_c, n_seeds):
     return h.hexdigest()
 
 
+def coupled_digest(terms, n_seeds, with_base):
+    x = natural_image(np.random.default_rng(11), 32, 32)
+    y = jpeg_q(x, 10)
+    xbar = to_float(y)
+    base = dict(lambda_c=1.0, lambda_prior=120.0) if with_base else {}
+    cfg = RestoreConfig(
+        qf=10,
+        weights=LossWeights(**COUPLED_TERMS[terms], **base),
+        steps=10,
+        step_size=2.0,
+        n_seeds=n_seeds,
+        seed=5,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = restore_with_history(y, cfg, x=x, xbar=xbar)
+    batch = SampleBatch(y, run.images, x=x, xbar=xbar)
+    losses = [loss_c(batch, 10), loss_fm(batch), loss_p(batch)]
+    if n_seeds > 1:
+        losses.append(loss_sm(batch))
+    h = hashlib.sha256()
+    for img in run.images:
+        h.update(img.data.tobytes())
+    h.update(run.loss_history.tobytes())
+    h.update(np.array(losses).tobytes())
+    return h.hexdigest()
+
+
 def forward_digest(height, width, channels, colorspace):
     rng = np.random.default_rng(height * 100 + width)
     x = to_float(natural_image(rng, height, width, channels)).data
@@ -113,6 +175,11 @@ def forward_digest(height, width, channels, colorspace):
 @pytest.mark.parametrize("case", sorted(RESTORE_DIGESTS))
 def test_restore_with_history_digest(case):
     assert restore_digest(*case) == RESTORE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(COUPLED_DIGESTS))
+def test_coupled_restore_digest(case):
+    assert coupled_digest(*case) == COUPLED_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(FORWARD_DIGESTS))

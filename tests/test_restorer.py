@@ -9,12 +9,20 @@ from jpegkit.errors import (
     NotACompressedInput,
 )
 from jpegkit.image import FloatImage, to_float, to_pixels
-from jpegkit.losses import LossWeights, SampleBatch
+from jpegkit.losses import (
+    LossWeights,
+    SampleBatch,
+    first_moment_term,
+    loss_c,
+    loss_fm,
+    loss_p,
+    loss_sm,
+    second_moment_term,
+)
 from jpegkit.metrics import consistency_rmse, std_map
 from jpegkit.restorer import (
     RestoreConfig,
     RestoreRun,
-    _lambda_c_at,
     _seed_rng,
     restore,
     restore_project,
@@ -207,24 +215,84 @@ def test_coupled_moment_descent_runs(pair):
     assert len(outs) == 2
 
 
-def test_anneal_schedule_endpoints():
-    cfg = RestoreConfig(qf=5, steps=11, lambda_c_anneal=(0.1, 10.0))
-    assert abs(_lambda_c_at(cfg, 0) - 0.1) < 1e-12
-    assert abs(_lambda_c_at(cfg, 10) - 10.0) < 1e-12
-    mid = _lambda_c_at(cfg, 5)
-    assert 0.1 < mid < 10.0
+def _initial_states(y, cfg):
+    # the seeded states the restorer starts from
+    y_f = to_float(y).data
+    noise = [_seed_rng(cfg.seed, k).normal(0.0, cfg.init_noise_std, y_f.shape) for k in range(cfg.n_seeds)]
+    return np.stack([y_f + d for d in noise])
 
 
-def test_annealed_run_deterministic(pair):
-    _, y = pair
-    cfg = RestoreConfig(
-        qf=5,
-        weights=LossWeights(lambda_prior=20.0),
-        lambda_c_anneal=(0.1, 50.0),
-        steps=30,
-        step_size=2.0,
-    )
-    assert images_equal(restore(y, cfg)[0], restore(y, cfg)[0])
+def test_first_objective_is_the_reported_losses(pair):
+    # the restorer's objective at step 0 is the weighted sum of the losses
+    # jpegkit.losses reports on the seeded states: the per-seed terms
+    # (consistency, prior, feature) summed over seeds, the moment terms once
+    x, y = pair
+    xbar = to_float(y)
+    for n_seeds in (1, 3):
+        w = LossWeights(lambda_c=3.0, lambda_fm=5.0, lambda_p=0.7, lambda_sm=2.0 * (n_seeds > 1), lambda_prior=20.0)
+        cfg = RestoreConfig(qf=5, weights=w, steps=1, n_seeds=n_seeds, seed=9)
+        run = restore_with_history(y, cfg, x=x, xbar=xbar)
+        states = _initial_states(y, cfg)
+        batch = SampleBatch(y, tuple(FloatImage(s) for s in states), x=x, xbar=xbar)
+        per_seed = w.lambda_c * loss_c(batch, 5) + w.lambda_p * loss_p(batch)
+        expected = n_seeds * per_seed + w.lambda_prior * float(np.sum(tv_huber(states, cfg.huber_eps)[0]))
+        expected += w.lambda_fm * loss_fm(batch)
+        if n_seeds > 1:
+            expected += w.lambda_sm * loss_sm(batch)
+        assert run.loss_history[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _fm_gradient(states, x):
+    # the gradient the restorer builds from the first-moment gap, unweighted
+    _, gap = first_moment_term(states, x)
+    return (-2.0 / (x.size * len(states))) * gap
+
+
+def _sm_gradient(states, x, xbar):
+    # the gradient the restorer builds from the second-moment term, unweighted
+    _, pull = second_moment_term(states, x, xbar)
+    return -(2.0 / len(states)) * pull / x.size
+
+
+def test_moment_gradients_match_central_differences(rng):
+    x = to_float(natural_image(rng, 8, 8)).data
+    # target (x - xbar)**2 is 9 on about half the values and 0 elsewhere
+    xbar = x + np.where(rng.random(x.shape) < 0.5, 3.0, 0.0)
+    h = 1e-6
+    for n_seeds in (1, 3):
+        states = x + rng.normal(0.0, 1.0, (n_seeds,) + x.shape)
+        v = rng.normal(size=states.shape)
+        fm = [first_moment_term(states + e * v, x)[0] for e in (h, -h)]
+        fd = (fm[0] - fm[1]) / (2 * h)
+        assert abs(fd - float(np.sum(_fm_gradient(states, x) * v))) <= 1e-6 * max(1.0, abs(fd))
+        if n_seeds == 1:
+            continue
+        # away from the kinks of |gap|, where the value is differentiable
+        assert np.min(np.abs((x - xbar) ** 2 - states.var(axis=0))) > 1e-3
+        sm = [second_moment_term(states + e * v, x, xbar)[0] for e in (h, -h)]
+        fd = (sm[0] - sm[1]) / (2 * h)
+        assert abs(fd - float(np.sum(_sm_gradient(states, x, xbar) * v))) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_restorer_steps_along_the_moment_gradients(pair):
+    # one step of the restorer moves the seeded states by step_size times
+    # the weighted moment gradient, so its second objective is the moment
+    # loss at that point
+    x, y = pair
+    x_f = to_float(x).data
+    xbar = FloatImage(x_f + 2.0)
+    for weights in (LossWeights(lambda_fm=50.0), LossWeights(lambda_sm=50.0)):
+        cfg = RestoreConfig(qf=5, weights=weights, steps=2, step_size=0.5, n_seeds=3, seed=4)
+        run = restore_with_history(y, cfg, x=x, xbar=xbar)
+        s0 = _initial_states(y, cfg)
+        if weights.lambda_fm > 0:
+            s1 = s0 - cfg.step_size * weights.lambda_fm * _fm_gradient(s0, x_f)
+            expected = weights.lambda_fm * first_moment_term(s1, x_f)[0]
+        else:
+            s1 = s0 - cfg.step_size * weights.lambda_sm * _sm_gradient(s0, x_f, xbar.data)
+            expected = weights.lambda_sm * second_moment_term(s1, x_f, xbar.data)[0]
+        assert run.loss_history[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert run.loss_history[1] < run.loss_history[0]
 
 
 def test_tv_huber_gradient_matches_fd(rng):
@@ -287,7 +355,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RestoreConfig(qf=5, step_size=0.0)
     with pytest.raises(ValueError):
+        RestoreConfig(qf=5, step_size=float("inf"))
+    with pytest.raises(ValueError):
         RestoreConfig(qf=5, n_seeds=0)
+
+
+def test_init_noise_std_must_be_finite_and_nonnegative():
+    for std in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RestoreConfig(qf=5, init_noise_std=std)
+    assert RestoreConfig(qf=5, init_noise_std=0.0).init_noise_std == 0.0
 
 
 def test_huber_eps_must_be_positive():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jpegkit.errors import MalformedSampler, UnreachableY
+from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, UnreachableY
 from jpegkit.image import round_half_away_from_zero
 from jpegkit.toy import (
     ToyModel,
@@ -192,6 +192,42 @@ def test_fixture_roundtrip():
     assert np.allclose(m2.prior, m.prior, atol=0)
     assert np.allclose(m2.steps, m.steps, atol=0)
     assert mmse_consistency_deviation(m2) == mmse_consistency_deviation(m)
+
+
+def test_model_rejects_non_finite_values():
+    alphabet = alphabet_for_size(2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="steps"):
+            ToyModel(1, alphabet, np.array([0.5, 0.5]), np.array([bad]))
+        with pytest.raises(ValueError, match="prior"):
+            ToyModel(1, alphabet, np.array([bad, 0.5]), np.array([1.0]))
+    # a NaN entry once slipped past both the sign and the sum checks
+    with pytest.raises(ValueError, match="prior"):
+        ToyModel(2, alphabet, np.array([np.nan, 0.5, 0.25, 0.25]), np.array([1.0, 1.0]))
+
+
+MALFORMED_FIXTURES = {
+    "empty": "",
+    "garbage": "garbage",
+    "two lines": "1 2\n1.0\n",
+    "four lines": "1 2\n1.0\n0.5 0.5\n0.5 0.5\n",
+    "three header fields": "1 2 3\n1.0\n0.5 0.5\n",
+    "float length": "1.5 2\n1.0\n0.5 0.5\n",
+    "word in steps": "1 2\nfast\n0.5 0.5\n",
+    "NaN step": "1 2\nnan\n0.5 0.5\n",
+    "NaN prior": "2 2\n1.0 1.0\nnan 0.5 0.25 0.25\n",
+    "overflowing prior": "1 2\n1.0\n1e400 0.5\n",
+    "short prior": "1 2\n1.0\n1.0\n",
+    "huge alphabet": "1 4000000000000\n1.0\n1.0\n",
+    "length zero": "0 2\n\n1.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
+def test_load_model_raises_only_malformed_model(name):
+    with pytest.raises(MalformedModel) as info:
+        load_model(MALFORMED_FIXTURES[name])
+    assert isinstance(info.value, JpegkitError)
 
 
 def test_model_validation():
