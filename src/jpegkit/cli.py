@@ -1,8 +1,8 @@
 """Command-line front end: one binary, one subcommand per tool.
 
-Exit codes: 0 success, 1 domain error (error class name on stderr),
-2 usage error. All randomness is seeded via flags, so logged commands
-reproduce bitwise.
+Exit codes: 0 success, 1 domain or file error (error class name on
+stderr), 2 usage error. All randomness is seeded via flags, so logged
+commands reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecOptions, compress, decompress, grid_quality, jpeg_q
+from .codec import CodecOptions, compress, decompress, jpeg_q
 from .errors import JpegkitError
 from .image import PixelImage, to_pixels
 from .jfif import parse_jfif, write_jfif
@@ -102,13 +102,11 @@ def _cmd_metrics(args) -> int:
     x = _load_pnm(args.reference)
     grid, _ = _load_jfif(args.compressed)
     y = decompress(grid)
-    qf = grid_quality(grid)
+    qf = grid.table.quality_factor
     report = MetricReport(
         name=Path(args.xhat).name,
         qf=qf,
-        consistency_rmse=consistency_rmse(
-            xhat, y, qf if isinstance(qf, int) else 1, table=grid.table
-        ),
+        consistency_rmse=consistency_rmse(xhat, y, qf, table=grid.table),
         psnr=psnr(xhat, x),
         perceptual_proxy=perceptual_proxy([xhat], [x]),
         n_samples=1,
@@ -142,7 +140,7 @@ def _check_descent_flags(args):
 
 
 def _restore_config(args, grid) -> RestoreConfig:
-    qf = grid_quality(grid)
+    qf = grid.table.quality_factor
     weights = LossWeights(lambda_c=getattr(args, "lambda_c", 0.0), lambda_prior=args.lambda_prior)
     return RestoreConfig(
         qf=qf if isinstance(qf, int) else 50,
@@ -167,7 +165,7 @@ def _cmd_restore(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for k, img in enumerate(outs):
         (outdir / f"restored_{k:02d}.ppm").write_bytes(write_pnm(img))
-        rmse = consistency_rmse(img, y, cfg.qf, cfg.options, table=grid.table)
+        rmse = consistency_rmse(img, y, cfg.qf, table=grid.table)
         print(f"seed {k}: consistency_rmse={rmse:.4f}")
     return 0
 
@@ -334,7 +332,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"jpegkit {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except JpegkitError as exc:
+    except (JpegkitError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -34,12 +34,11 @@ from .color import rgb_to_ycbcr_data, ycbcr_to_rgb_data
 from .image import (
     FloatImage,
     PixelImage,
-    check_finite,
     float_samples,
     round_half_away_from_zero,
     to_pixels,
 )
-from .quant import QuantTable, detect_qf, table_for_qf
+from .quant import QuantTable, table_for_qf
 
 COLORSPACES = ("ycbcr", "rgb-passthrough")
 LEVEL_SHIFT = 128.0
@@ -121,14 +120,13 @@ def channel_kinds(n_channels: int, colorspace: str) -> list[str]:
 
 def planes_for_compress(data: np.ndarray, opts: CodecOptions, out: np.ndarray | None = None) -> np.ndarray:
     """The (..., H, W, C) planes the DCT sees. Three-channel YCbCr samples
-    are color-converted into one buffer (``out`` if given), checked finite
-    once and, with ``round_chroma``, rounded in place; other samples pass
-    as they are."""
+    are color-converted into one buffer (``out`` if given) and, with
+    ``round_chroma``, rounded in place; other samples pass as they are.
+    ``data`` must be finite samples, as :func:`~jpegkit.image.float_samples`
+    hands them out; they are not checked again here."""
     if not _color_converted(data.shape[-1], opts.colorspace):
         return data
     planes = rgb_to_ycbcr_data(data, out=out)
-    if not np.all(np.isfinite(planes)):
-        raise ValueError("planes must be finite")
     if opts.round_chroma:
         np.clip(round_half_away_from_zero(planes), 0.0, 255.0, out=planes)
     return planes
@@ -221,8 +219,8 @@ def _plane_layout(coef, copy: bool) -> np.ndarray:
 
 def _samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
     if _color_converted(planes.shape[-1], colorspace):
-        planes = ycbcr_to_rgb_data(planes, out=out)
-    return check_finite(planes)
+        return ycbcr_to_rgb_data(planes, out=out)
+    return planes
 
 
 def analysis(
@@ -232,9 +230,9 @@ def analysis(
 ) -> list[np.ndarray]:
     """Each channel's DCT coefficients in units of its quantization step.
 
-    ``img`` is an image or a finite float (..., H, W, C) stack of images;
-    channel c comes back as (..., n_by, n_bx, 8, 8), and every image of a
-    stack gets the arithmetic it would get on its own.
+    ``img`` is an image or a float (..., H, W, C) stack (ValueError if not
+    finite); channel c comes back as (..., n_by, n_bx, 8, 8), and every
+    image of a stack gets the arithmetic it would get on its own.
     """
     planes = planes_for_compress(float_samples(img), opts)
     kinds = channel_kinds(planes.shape[-1], opts.colorspace)
@@ -244,7 +242,7 @@ def analysis(
 def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str) -> np.ndarray:
     """Inverse of :func:`analysis`: scale by the steps, invert the DCT,
     crop, undo the level shift into one (..., H, W, C) buffer, and undo the
-    color transform. Raises ValueError if the samples are not finite."""
+    color transform."""
     kinds = channel_kinds(len(coefs), colorspace)
     planes = np.empty(np.shape(coefs[0])[:-4] + (height, width, len(coefs)))
     for c, (coef, kind) in enumerate(zip(coefs, kinds)):
@@ -315,10 +313,3 @@ def decompress(grid: CoefficientGrid) -> PixelImage:
 def jpeg_q(img: PixelImage, qf: int, opts: CodecOptions = CodecOptions()) -> PixelImage:
     """Full compress-decompress round trip; output dims equal input dims."""
     return decompress(compress(img, qf, opts))
-
-
-def grid_quality(grid: CoefficientGrid) -> int | str:
-    """Quality factor recorded on the grid's table, re-detected if custom."""
-    if isinstance(grid.table.quality_factor, int):
-        return grid.table.quality_factor
-    return detect_qf(grid.table.luma, grid.table.chroma)

@@ -22,16 +22,14 @@ def dct_matrix(n: int = BLOCK) -> np.ndarray:
 DCT_M = dct_matrix()
 
 
-def dct2(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward transform; accepts any (..., 8, 8) stack. ``out``, which
-    may be ``block`` itself, receives the result if given."""
-    return np.matmul(DCT_M @ block, DCT_M.T, out=out)
+def dct2(block: np.ndarray) -> np.ndarray:
+    """Forward transform; accepts any (..., 8, 8) stack."""
+    return DCT_M @ block @ DCT_M.T
 
 
-def idct2(coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse transform; exact transpose-inverse of :func:`dct2`. ``out``,
-    which may be ``coef`` itself, receives the result if given."""
-    return np.matmul(DCT_M.T @ coef, DCT_M, out=out)
+def idct2(coef: np.ndarray) -> np.ndarray:
+    """Inverse transform; exact transpose-inverse of :func:`dct2`."""
+    return DCT_M.T @ coef @ DCT_M
 
 
 def pad_to_block_multiple(plane: np.ndarray) -> np.ndarray:

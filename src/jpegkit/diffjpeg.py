@@ -25,7 +25,7 @@ import numpy as np
 
 from .codec import CodecOptions, requantize
 from .errors import DimMismatch
-from .image import FloatImage, check_finite, round_half_away_from_zero
+from .image import FloatImage, round_half_away_from_zero
 from .quant import QuantTable, table_for_qf
 
 
@@ -52,10 +52,11 @@ class Vjp:
     op: DiffJpegOp
 
 
-def _check_dims(op: DiffJpegOp, samples: np.ndarray):
-    if samples.shape[-3:] != (op.height, op.width, op.channels):
+def _check_dims(op: DiffJpegOp, x):
+    shape = np.shape(x.data if isinstance(x, FloatImage) else x)
+    if shape[-3:] != (op.height, op.width, op.channels):
         raise DimMismatch(
-            f"samples {samples.shape} do not match operator "
+            f"samples {shape} do not match operator "
             f"{op.width}x{op.height}x{op.channels}"
         )
 
@@ -65,10 +66,9 @@ def _round_in_place(coef, channel):
 
 
 def _run(op: DiffJpegOp, x, rounding: bool, out=None, work=None):
-    samples = x.data if isinstance(x, FloatImage) else check_finite(np.asarray(x, dtype=np.float64))
-    _check_dims(op, samples)
+    _check_dims(op, x)
     step = _round_in_place if rounding else None
-    result = requantize(samples, op.table, op.options, step, out=out, work=work)
+    result = requantize(x, op.table, op.options, step, out=out, work=work)
     return FloatImage(result) if isinstance(x, FloatImage) else result
 
 
@@ -76,11 +76,12 @@ def forward(op: DiffJpegOp, x, out=None, work=None):
     """Float-valued compress-decompress of x, plus the adjoint handle.
 
     ``x`` is a :class:`FloatImage`, which gives a FloatImage back, or a
-    finite (..., H, W, C) stack of samples, which gives a stack back. A
-    stack runs as one batch, and each of its images comes out bit for bit
-    as it would on its own. ``out`` and ``work``, arrays shaped like the
-    stack, receive the result and hold the color planes, so that a caller
-    stepping a stack again and again allocates neither.
+    (..., H, W, C) stack of samples, which gives a stack back. A stack is
+    checked finite once, as it enters (ValueError if not); it runs as one
+    batch, and each of its images comes out bit for bit as it would on its
+    own. ``out`` and ``work``, arrays shaped like the stack, receive the
+    result and hold the color planes, so that a caller stepping a stack
+    again and again allocates neither.
     """
     return _run(op, x, True, out, work), Vjp(op)
 
@@ -98,5 +99,5 @@ def apply_vjp(vjp: Vjp, cotangent):
     The no-rounding pipeline is the identity map (see the module
     docstring), so its adjoint returns the cotangent as it is.
     """
-    _check_dims(vjp.op, cotangent.data if isinstance(cotangent, FloatImage) else np.asarray(cotangent))
+    _check_dims(vjp.op, cotangent)
     return cotangent

@@ -37,10 +37,6 @@ class DimMismatch(JpegkitError):
     """Image/grid dimensions disagree."""
 
 
-class OptionsMismatch(JpegkitError):
-    """Codec options conflict with the options recorded on a grid."""
-
-
 # --- quantization / codec -----------------------------------------------
 
 class QfOutOfRange(JpegkitError):

@@ -85,13 +85,16 @@ class FloatImage:
 
 
 def float_samples(img) -> np.ndarray:
-    """The float64 samples of a :class:`PixelImage` or :class:`FloatImage`;
-    an (..., h, w, c) float array, one image or a stack, passes as it is."""
+    """The float64 samples of a :class:`PixelImage` or :class:`FloatImage`.
+    An (..., h, w, c) array, one image or a stack, is where raw samples
+    enter: it passes as it is (no copy if already float64) once checked
+    finite, raising ValueError as :class:`FloatImage` does, and nothing
+    downstream checks it again."""
     if isinstance(img, PixelImage):
         return img.data.astype(np.float64)
     if isinstance(img, FloatImage):
         return img.data
-    return img
+    return check_finite(np.asarray(img, dtype=np.float64))
 
 
 def to_float(img: PixelImage) -> FloatImage:

@@ -25,8 +25,8 @@ from .errors import (
     MissingReference,
     TooFewSamples,
 )
-from .image import FloatImage, PixelImage, check_finite, float_samples, to_float
-from .quant import QuantTable
+from .image import FloatImage, PixelImage, float_samples, to_float
+from .quant import QuantTable, table_for_qf
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def second_moment_term(states: np.ndarray, x: np.ndarray, xbar: np.ndarray):
 def feature_term(states: np.ndarray, fx: np.ndarray):
     """Per-sample mean squared texture-band feature gap to fx, and the gap.
     Gradient: :func:`texture_band_pullback` of (2 / gap[0].size) * gap."""
-    gap = texture_band_features(check_finite(states)) - fx
+    gap = texture_band_features(states) - fx
     return np.square(gap).mean(axis=(-3, -2, -1)), gap
 
 
@@ -113,13 +113,12 @@ def _sample_mean(values: np.ndarray) -> float:
     return total / len(values)
 
 
-def loss_c(batch: SampleBatch, qf: int, opts: CodecOptions = CodecOptions(), table: QuantTable | None = None) -> float:
-    """Mean squared recompression residual, averaged over samples."""
+def loss_c(batch: SampleBatch, qf: int, table: QuantTable | None = None) -> float:
+    """Mean squared recompression residual, averaged over samples; ``table``
+    overrides qf when given."""
     y = to_float(batch.y)
-    if table is None:
-        op = DiffJpegOp.for_image(y, qf, opts)
-    else:
-        op = DiffJpegOp(table, opts, y.width, y.height, y.channels)
+    table = table if table is not None else table_for_qf(qf)
+    op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
     return _sample_mean(consistency_term(op, batch.stacked(), y.data)[0])
 
 

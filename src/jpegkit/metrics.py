@@ -22,7 +22,7 @@ import numpy as np
 from .codec import CodecOptions, compress_with_table, decompress, plane_dct
 from .color import luma
 from .errors import DimMismatch, EmptySet, TooFewSamples
-from .image import FloatImage, PixelImage, to_float
+from .image import FloatImage, PixelImage, float_samples
 from .losses import SampleBatch
 from .quant import QuantTable, table_for_qf
 
@@ -79,8 +79,7 @@ def psnr(a: PixelImage, b: PixelImage) -> float:
 def dct_statistic_features(img: PixelImage | FloatImage) -> np.ndarray:
     """Per-image feature: mean and log-variance of each of the 64 DCT
     coefficient positions over all luma blocks (128 values)."""
-    fimg = to_float(img) if isinstance(img, PixelImage) else img
-    coef = plane_dct(luma(fimg.data)).reshape(-1, 64)
+    coef = plane_dct(luma(float_samples(img))).reshape(-1, 64)
     mean = coef.mean(axis=0)
     logvar = np.log(coef.var(axis=0) + LOGVAR_FLOOR)
     return np.concatenate([mean, logvar])

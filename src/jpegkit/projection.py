@@ -1,7 +1,9 @@
 """Consistency projection: clamp a restoration's DCT coefficients into the
 half-step cells of a compressed input. :func:`project` is
 :func:`~jpegkit.codec.requantize` with that clamp as the step: synthesis
-after the clamp after analysis.
+after the clamp after analysis. The grid supplies the codec settings, its
+table and its colorspace, on the float color path (no 8-bit rounding of
+the converted planes), so no second copy of them can disagree with it.
 
 The clamp half-width is 0.5 minus two guards. A 1e-9 tie guard keeps
 clamped values off the rounding boundary (a coefficient exactly halfway
@@ -26,8 +28,8 @@ import numpy as np
 
 from .codec import CodecOptions, CoefficientGrid, channel_kinds, requantize
 from .dct import DCT_M
-from .errors import DimMismatch, OptionsMismatch
-from .image import FloatImage, PixelImage, to_float
+from .errors import DimMismatch
+from .image import FloatImage, PixelImage
 
 TIE_GUARD = 1e-9
 
@@ -47,32 +49,19 @@ def _half_width(q: np.ndarray, guard: str) -> np.ndarray:
     return np.maximum(half, 0.0)
 
 
-def project(
-    xhat: PixelImage | FloatImage,
-    y_grid: CoefficientGrid,
-    opts: CodecOptions | None = None,
-    guard: str = "pixel",
-) -> FloatImage:
-    """Smallest change to xhat whose requantization reproduces y_grid."""
-    if opts is None:
-        opts = CodecOptions(colorspace=y_grid.colorspace)
-    if opts.colorspace != y_grid.colorspace:
-        raise OptionsMismatch(
-            f"grid is {y_grid.colorspace} but options say {opts.colorspace}"
-        )
-    if opts.round_chroma:
-        raise OptionsMismatch("projection requires the float color path")
-    fimg = to_float(xhat) if isinstance(xhat, PixelImage) else xhat
-    if (fimg.width, fimg.height) != (y_grid.width, y_grid.height):
+def project(xhat: PixelImage | FloatImage, y_grid: CoefficientGrid, guard: str = "pixel") -> FloatImage:
+    """Smallest change to xhat whose requantization reproduces y_grid,
+    under the grid's own colorspace on the float color path."""
+    if (xhat.width, xhat.height) != (y_grid.width, y_grid.height):
         raise DimMismatch(
-            f"image {fimg.width}x{fimg.height} vs grid {y_grid.width}x{y_grid.height}"
+            f"image {xhat.width}x{xhat.height} vs grid {y_grid.width}x{y_grid.height}"
         )
-    if fimg.channels != y_grid.n_channels:
+    if xhat.channels != y_grid.n_channels:
         raise DimMismatch(
-            f"image has {fimg.channels} channels, grid has {y_grid.n_channels}"
+            f"image has {xhat.channels} channels, grid has {y_grid.n_channels}"
         )
 
-    kinds = channel_kinds(y_grid.n_channels, opts.colorspace)
+    kinds = channel_kinds(y_grid.n_channels, y_grid.colorspace)
     halves = [_half_width(y_grid.table.for_channel_kind(k), guard) for k in kinds]
 
     def clamp(coef, c):
@@ -82,4 +71,4 @@ def project(
         coef += levels
         return coef
 
-    return FloatImage(requantize(fimg, y_grid.table, opts, clamp))
+    return FloatImage(requantize(xhat, y_grid.table, CodecOptions(colorspace=y_grid.colorspace), clamp))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import CodecOptions, compress_with_table
+from .codec import CodecOptions, CoefficientGrid
 from .diffjpeg import DiffJpegOp
 from .errors import (
     MissingGroundTruth,
@@ -68,7 +68,6 @@ class RestoreConfig:
     outputs."""
 
     qf: int
-    options: CodecOptions = CodecOptions()
     weights: LossWeights = field(default_factory=lambda: LossWeights(lambda_c=1.0))
     steps: int = 200
     step_size: float = 0.1
@@ -162,7 +161,7 @@ def restore_with_history(
     xbar: FloatImage | None = None,
 ) -> RestoreRun:
     table = cfg.quant_table()
-    if consistency_rmse(y, y, cfg.qf, cfg.options, table=table) > 1.0:
+    if consistency_rmse(y, y, cfg.qf, table=table) > 1.0:
         raise NotACompressedInput("input does not recompress to itself")
 
     w = cfg.weights
@@ -173,7 +172,7 @@ def restore_with_history(
         raise MissingReference("second-moment term needs the reference estimate")
 
     y_f = to_float(y).data
-    op = DiffJpegOp(table, cfg.options, y.width, y.height, y.channels)
+    op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
     n = y_f.size
     n_seeds = cfg.n_seeds
 
@@ -248,12 +247,10 @@ def restore(
     return restore_with_history(y, cfg, x, xbar).images
 
 
-def restore_project(y: PixelImage, cfg: RestoreConfig, grid=None) -> list:
-    """Restore, then clamp every output into the input's coefficient cells."""
-    if grid is None:
-        grid = compress_with_table(y, cfg.quant_table(), cfg.options)
-    outs = restore(y, cfg)
-    return [to_pixels(project(img, grid, cfg.options)) for img in outs]
+def restore_project(y: PixelImage, cfg: RestoreConfig, grid: CoefficientGrid) -> list:
+    """Restore, then clamp every output into the cells of ``grid``, the
+    compressed input that y was decoded from."""
+    return [to_pixels(project(img, grid)) for img in restore(y, cfg)]
 
 
 @dataclass(frozen=True)
@@ -301,9 +298,7 @@ def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
         for y, x in zip(y_set, x_set):
             outs = restore(y, run_cfg)
             restored.extend(outs)
-            cons.extend(
-                consistency_rmse(o, y, cfg.qf, cfg.options, table=table) for o in outs
-            )
+            cons.extend(consistency_rmse(o, y, cfg.qf, table=table) for o in outs)
             fid.extend(psnr(o, x) for o in outs)
         rows.append(
             SweepRow(

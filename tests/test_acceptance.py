@@ -265,7 +265,7 @@ def test_criterion_10_projection_perceptual_impact(sweep_fixture):
         warnings.simplefilter("ignore")
         for y in ys:
             plain.extend(restore(y, cfg))
-            projected.extend(restore_project(y, cfg))
+            projected.extend(restore_project(y, cfg, compress(y, 5)))
     pu = perceptual_proxy(plain, xs)
     pp = perceptual_proxy(projected, xs)
     rel = abs(pp - pu) / pu

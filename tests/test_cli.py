@@ -313,3 +313,26 @@ def test_domain_error_exits_1(workdir, capsys):
     code = main(["decode", str(d / "img.ppm"), "-o", str(d / "x.ppm")])
     assert code == 1
     assert "BadMarker" in capsys.readouterr().err
+
+
+def test_file_errors_exit_1_with_one_line(workdir, capsys):
+    # a missing or unreadable path is reported like a domain error: exit 1
+    # and one stderr line naming the error class, with no traceback
+    d, _ = workdir
+    main(["encode", str(d / "img.ppm"), "-q", "30", "-o", str(d / "img.jpg")])
+    capsys.readouterr()
+    missing = d / "missing.jpg"
+    cases = (
+        (["decode", missing, "-o", d / "out.ppm"], "FileNotFoundError"),
+        (["restore", missing, "--steps", "1", "-o", d / "restored"], "FileNotFoundError"),
+        (["theorem-check", "--models", "1", "--fixture", d / "missing.txt"], "FileNotFoundError"),
+        (["decode", d / "img.jpg", "-o", d / "no_such_dir" / "out.ppm"], "FileNotFoundError"),
+        (["decode", d, "-o", d / "out.ppm"], "IsADirectoryError"),
+    )
+    for argv, name in cases:
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{name}: ") and err.count("\n") == 1, err
+    proc = _run_jpegkit("restore", missing, "-o", d / "restored")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("FileNotFoundError: ") and proc.stderr.count("\n") == 1, proc.stderr

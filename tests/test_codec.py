@@ -224,3 +224,100 @@ def test_requantize_stack_matches_each_image(rng):
             assert np.array_equal(
                 requantize(stack, table, opts, clamp_in_place), requantize(stack, table, opts, clamp_new)
             )
+
+
+def _raw_sample_cases(rng):
+    """(options, samples) for YCbCr 3-channel, passthrough 3-channel and
+    1-channel samples, each as one 13x16 image and as a stack of three."""
+    for opts, channels in ((CodecOptions(), 3), (PASSTHROUGH, 3), (CodecOptions(), 1)):
+        for lead in ((), (3,)):
+            yield opts, rng.uniform(0.0, 255.0, lead + (13, 16, channels))
+
+
+def test_non_finite_samples_rejected_on_every_path(rng):
+    # raw samples are checked once, where they enter, on every colorspace
+    # and channel path, for one image and for a stack
+    from jpegkit.codec import analysis, requantize
+    from jpegkit.diffjpeg import DiffJpegOp, forward, forward_no_round
+    from jpegkit.losses import texture_band_features
+
+    table = table_for_qf(50)
+    for opts, samples in _raw_sample_cases(rng):
+        op = DiffJpegOp(table, opts, 16, 13, samples.shape[-1])
+        for bad in (np.nan, np.inf, -np.inf):
+            x = samples.copy()
+            x[..., 5, 7, 0] = bad
+            calls = (
+                lambda: analysis(x, table, opts),
+                lambda: requantize(x, table, opts),
+                lambda: forward(op, x),
+                lambda: forward_no_round(op, x),
+                lambda: texture_band_features(x),
+            )
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call()
+
+
+def test_entry_points_leave_the_callers_samples_unchanged(rng):
+    # raw arrays enter without a copy, so no path may write into them
+    from jpegkit.codec import analysis, requantize
+    from jpegkit.diffjpeg import DiffJpegOp, forward, forward_no_round
+    from jpegkit.image import FloatImage, round_half_away_from_zero
+    from jpegkit.projection import project
+
+    def rounded(coef, c):
+        return round_half_away_from_zero(coef, out=coef)
+
+    table = table_for_qf(50)
+    for opts, samples in _raw_sample_cases(rng):
+        before = samples.tobytes()
+        op = DiffJpegOp(table, opts, 16, 13, samples.shape[-1])
+        analysis(samples, table, opts)
+        for step in (None, rounded):
+            requantize(samples, table, opts, step)
+            requantize(samples, table, opts, step, out=np.empty_like(samples), work=np.empty_like(samples))
+        forward(op, samples)
+        forward_no_round(op, samples)
+        assert samples.tobytes() == before
+        if samples.ndim == 3:
+            img = FloatImage(samples.copy())
+            pixels = PixelImage(np.clip(samples, 0, 255).astype(np.uint8))
+            grid = compress(img, 50, opts)
+            for xhat in (img, pixels):
+                data = xhat.data.tobytes()
+                project(xhat, grid)
+                assert xhat.data.tobytes() == data
+
+
+def test_forward_and_project_scan_samples_once(rng, monkeypatch):
+    # finiteness is checked where samples enter: one isfinite scan per
+    # forward or project call, whatever the path
+    from jpegkit.diffjpeg import DiffJpegOp, forward
+    from jpegkit.image import FloatImage
+    from jpegkit.projection import project
+
+    isfinite = np.isfinite
+
+    def scans(call):
+        shapes = []
+
+        def counting(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "isfinite", counting)
+            call()
+        return len(shapes)
+
+    table = table_for_qf(50)
+    for opts, samples in _raw_sample_cases(rng):
+        op = DiffJpegOp(table, opts, 16, 13, samples.shape[-1])
+        assert scans(lambda: forward(op, samples)) == 1
+        if samples.ndim == 3:
+            img = FloatImage(samples.copy())
+            grid = compress(img, 50, opts)
+            assert scans(lambda: forward(op, img)) == 1
+            for xhat in (img, PixelImage(np.clip(samples, 0, 255).astype(np.uint8))):
+                assert scans(lambda: project(xhat, grid)) == 1

@@ -126,12 +126,3 @@ def test_block_helpers_take_leading_axes(rng):
             assert folded.shape == lead + (h, w)
             for idx in np.ndindex(*lead):
                 assert np.array_equal(folded[idx], fold_pad(planes[idx], h, w))
-
-
-def test_transform_into_out_matches_new_array(rng):
-    blocks = rng.normal(size=(2, 3, 4, 8, 8))
-    for fn in (dct2, idct2):
-        expected = fn(blocks)
-        work = blocks.copy()
-        assert fn(work, out=work) is work
-        assert np.array_equal(work, expected)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jpegkit.codec import CodecOptions, compress, compress_with_table, decompress
-from jpegkit.errors import DimMismatch, OptionsMismatch
+from jpegkit.errors import DimMismatch
 from jpegkit.image import PixelImage, to_pixels
 from jpegkit.metrics import consistency_rmse
 from jpegkit.projection import project
@@ -85,11 +85,3 @@ def test_dim_mismatch(rng):
         project(uniform_image(rng, 8, 8), g)
     with pytest.raises(DimMismatch):
         project(PixelImage(rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)), g)
-
-
-def test_options_mismatch(rng):
-    g = compress(uniform_image(rng, 8, 8), 10)
-    with pytest.raises(OptionsMismatch):
-        project(uniform_image(rng, 8, 8), g, CodecOptions(colorspace="rgb-passthrough"))
-    with pytest.raises(OptionsMismatch):
-        project(uniform_image(rng, 8, 8), g, CodecOptions(round_chroma=True))

@@ -187,7 +187,7 @@ def test_restore_project_exactly_consistent(pair):
     cfg = RestoreConfig(
         qf=5, weights=LossWeights(lambda_c=10.0, lambda_prior=60.0), steps=80, step_size=4.0, n_seeds=2
     )
-    for out in restore_project(y, cfg):
+    for out in restore_project(y, cfg, g):
         assert compress_with_table(out, g.table) == g
         assert consistency_rmse(out, y, 5) <= 1.0
 
