@@ -26,7 +26,8 @@ def _normalize(arr, dtype):
         raise ValueError("image data must be (height, width, 1|3)")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("image dimensions must be positive")
-    arr = np.ascontiguousarray(arr)
+    # a read-only view: the caller's own array stays writable, and is not copied
+    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
 

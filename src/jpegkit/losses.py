@@ -99,10 +99,13 @@ def second_moment_term(states: np.ndarray, x: np.ndarray, xbar: np.ndarray):
 
 
 def feature_term(states: np.ndarray, fx: np.ndarray):
-    """Per-sample mean squared texture-band feature gap to fx, and the gap.
-    Gradient: :func:`texture_band_pullback` of (2 / gap[0].size) * gap."""
-    gap = texture_band_features(states) - fx
-    return np.square(gap).mean(axis=(-3, -2, -1)), gap
+    """Per-sample mean squared texture-band feature gap to fx, the gap, and
+    the luma block coefficients of states the features were taken from.
+    Gradient: :func:`texture_band_pullback` of (2 / gap[0].size) * gap,
+    given those coefficients."""
+    coef = plane_dct(luma(float_samples(states)))
+    gap = _band_features(coef) - fx
+    return np.square(gap).mean(axis=(-3, -2, -1)), gap, coef
 
 
 def _sample_mean(values: np.ndarray) -> float:
@@ -161,19 +164,24 @@ def texture_band_features(img) -> np.ndarray:
     """Features of the feature term: per block, the mean sample level plus
     the mean coefficient magnitude in three AC frequency rings; shape
     (nby, nbx, 4), or (..., nby, nbx, 4) for an (..., h, w, c) stack."""
-    coef = plane_dct(luma(float_samples(img)))
+    return _band_features(plane_dct(luma(float_samples(img))))
+
+
+def _band_features(coef: np.ndarray) -> np.ndarray:
     feats = [coef[..., 0, 0] / 8.0]
     for mask in BAND_MASKS:
         feats.append(np.abs(coef[..., mask]).mean(axis=-1))
     return np.stack(feats, axis=-1)
 
 
-def texture_band_pullback(img, cotangent: np.ndarray) -> np.ndarray:
+def texture_band_pullback(img, cotangent: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
     """VJP of :func:`texture_band_features` at img, an image or a stack of
     samples (abs uses its sign subgradient); returns an array shaped like
-    its samples."""
+    its samples. ``coef``, the luma block coefficients of img that
+    :func:`feature_term` returns, saves computing them again."""
     data = float_samples(img)
-    coef = plane_dct(luma(data))
+    if coef is None:
+        coef = plane_dct(luma(data))
     dcoef = np.zeros_like(coef)
     dcoef[..., 0, 0] = cotangent[..., 0] / 8.0
     for m, mask in enumerate(BAND_MASKS):

@@ -204,8 +204,8 @@ def restore_with_history(
             grad += np.multiply(w.lambda_c * (2.0 / n), r, out=work[1])
             consistency = [w.lambda_c * v for v in mse.tolist()]
         if w.lambda_p > 0:
-            values, gap = feature_term(states, fx)
-            grad += w.lambda_p * texture_band_pullback(states, (2.0 / gap[0].size) * gap)
+            values, gap, coef = feature_term(states, fx)
+            grad += w.lambda_p * texture_band_pullback(states, (2.0 / gap[0].size) * gap, coef)
             feature = [w.lambda_p * v for v in values.tolist()]
 
         terms = [term for term in (consistency, prior, feature) if term is not None]

@@ -13,12 +13,20 @@ become finite computations:
   coefficient), because the preimage of an observation is a convex box;
 * a sampler is the posterior if and only if it is consistent and leaves
   the prior invariant, checkable entry by entry.
+
+Each model groups its states by observation once, on the first check that
+needs it, and keeps the grouping on itself as read-only arrays; every later
+check, and the exact posterior sampler, reads it. The sampler checks read
+the sampler's tables in fixed-size blocks and validate and compare a whole
+block at a time, so no check holds an (observations x states) table.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +59,11 @@ class ToyModel:
         steps = np.asarray(self.steps, dtype=np.float64)
         if steps.shape != (self.length,) or not np.all(np.isfinite(steps)) or np.any(steps <= 0):
             raise ValueError("steps must be finite and positive, one per coefficient")
+        # |DCT(x)_i| <= sqrt(length) * max|x|; past 2**53 a coefficient over
+        # its step no longer rounds exactly, and past int64 it wraps
+        largest = math.sqrt(self.length) * float(np.abs(alphabet.astype(np.float64)).max())
+        if steps.min() <= largest / 2.0**53:
+            raise ValueError("steps too small: a coefficient over its step could reach 2**53")
         prior = np.asarray(self.prior, dtype=np.float64)
         n_states = alphabet.size**self.length
         if prior.shape != (n_states,):
@@ -90,6 +103,13 @@ class ToyModel:
     def degrade_all(self) -> np.ndarray:
         return self.degrade(self._signals)
 
+    @cached_property
+    def _grouping(self) -> _Grouping:
+        """The states grouped by observation: computed on first use and kept
+        on this model, so each model is degraded and sorted once however
+        many checks run on it."""
+        return _group(self)
+
 
 def alphabet_for_size(a: int) -> np.ndarray:
     """Level-shifted integer alphabet: 0..a-1 minus a//2."""
@@ -120,17 +140,62 @@ def observations(model: ToyModel):
     probabilities.
 
     Returns (ys, probs, index) where ys has one row per reachable
-    observation and index maps each state to its observation's row, or -1
-    when the state's observation carries no prior mass.
+    observation, in lexicographic order, and index maps each state to its
+    observation's row, or -1 when the state's observation carries no prior
+    mass. The arrays are the model's cached grouping, read-only.
+    """
+    g = model._grouping
+    return g.ys, g.probs, g.index
+
+
+@dataclass(frozen=True)
+class _Grouping:
+    """A model's states grouped by observation, computed once per model by
+    :func:`_group` and kept on it; every array is read-only."""
+
+    ys: np.ndarray  # (n_obs, length) reachable observations, lexicographic
+    probs: np.ndarray  # (n_obs,) their pushforward masses
+    index: np.ndarray  # (n_states,) each state's row in ys, or -1
+    weights: np.ndarray  # (n_states,) p(x | y(x))
+    order: np.ndarray  # the states with index >= 0, stably sorted by row
+    starts: np.ndarray  # (n_obs + 1,) where each row's states begin in order
+
+
+def _group(model: ToyModel) -> _Grouping:
+    """Group the states by observation: one degradation, one lexsort.
+
+    The rows come out in the order, and with the masses, that
+    ``np.unique(axis=0)`` over the degraded states would give them.
+
+    Cost: one O(states * length**2) degradation and one lexsort of the
+    states on their length coordinates.
     """
     d = model.degrade_all()
-    ys_all, index_all = np.unique(d, axis=0, return_inverse=True)
-    probs_all = np.zeros(len(ys_all))
-    np.add.at(probs_all, index_all, model.prior)
+    n = len(d)
+    order = np.lexsort(d.T[::-1])  # column 0 is the primary key; stable
+    d = d[order]
+    first = np.ones(n, dtype=bool)  # each sorted row that differs from the one before
+    np.any(d[1:] != d[:-1], axis=1, out=first[1:])
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    probs_all = np.zeros(int(first.sum()))
+    np.add.at(probs_all, group, model.prior)
     keep = probs_all > 0.0
-    remap = np.full(len(ys_all), -1, dtype=np.int64)
+    remap = np.full(len(probs_all), -1, dtype=np.int64)
     remap[keep] = np.arange(int(keep.sum()))
-    return ys_all[keep], probs_all[keep], remap[index_all]
+    ys, probs, index = d[first][keep], probs_all[keep], remap[group]
+    order = order[index[order] >= 0]
+    g = _Grouping(
+        ys=ys,
+        probs=probs,
+        index=index,
+        weights=_posterior_weights(model, probs, index),
+        order=order,
+        starts=np.searchsorted(index[order], np.arange(len(ys) + 1)),
+    )
+    for arr in vars(g).values():
+        arr.setflags(write=False)
+    return g
 
 
 def enumerate_posterior(model: ToyModel, y) -> np.ndarray:
@@ -177,12 +242,12 @@ def mmse_consistency_deviation(model: ToyModel) -> float:
     At most 0.5 (plus float noise): every consistent state's transform
     lies in the half-step box around y and the box is convex.
 
-    Cost: one O(states * length**2) degradation and one O(states) pass that
-    yields every conditional mean at once.
+    Cost: the model's grouping (computed on first use, then cached), and
+    one O(states * length) pass that yields every conditional mean at once.
     """
-    ys, probs, index = observations(model)
-    means = _conditional_means(model, _posterior_weights(model, probs, index), index, len(ys))
-    return float(np.abs(model.transform(means) - ys).max())
+    g = model._grouping
+    means = _conditional_means(model, g.weights, g.index, len(g.ys))
+    return float(np.abs(model.transform(means) - g.ys).max())
 
 
 @dataclass(frozen=True)
@@ -194,13 +259,36 @@ class SamplerReport:
     max_posterior_gap: float
 
 
-def _validated_table(model: ToyModel, dist) -> np.ndarray:
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (model.n_states,):
-        raise MalformedSampler(f"sampler table must have {model.n_states} entries")
-    if dist.min() < -ATOL or abs(dist.sum() - 1.0) > 1e-9:
-        raise MalformedSampler("sampler table is not a probability distribution")
-    return dist
+# Sampler tables are read into blocks of at most this many float64 values
+# (256 KiB), a bound on memory: no check holds one table per observation.
+_BLOCK_VALUES = 1 << 15
+
+
+def _table_blocks(model: ToyModel, sampler):
+    """Call the sampler once per reachable observation, in row order, and
+    yield (first row, block) with the tables stacked as the block's rows.
+
+    A table of the wrong shape raises :class:`MalformedSampler` at once.
+    Values are checked per block, with one ``min`` and one row ``sum``, so
+    a table that is not a probability distribution (a negative or NaN
+    entry, or a sum off 1) raises :class:`MalformedSampler` once its block
+    is full. :class:`UnreachableY` from the sampler propagates. The block
+    is one buffer, overwritten by the next block.
+    """
+    n = model.n_states
+    keys = list(map(tuple, model._grouping.ys.tolist()))
+    size = max(1, min(len(keys), _BLOCK_VALUES // n))
+    buf = np.empty((size, n))
+    for r0 in range(0, len(keys), size):
+        block = buf[: min(size, len(keys) - r0)]
+        for k, y in enumerate(keys[r0 : r0 + len(block)]):
+            table = np.asarray(sampler(y), dtype=np.float64)
+            if table.shape != (n,):
+                raise MalformedSampler(f"sampler table must have {n} entries")
+            block[k] = table
+        if not (block.min() >= -ATOL and np.all(np.abs(block.sum(axis=1) - 1.0) <= 1e-9)):
+            raise MalformedSampler("sampler table is not a probability distribution")
+        yield r0, block
 
 
 def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
@@ -208,67 +296,81 @@ def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
     conditions that jointly force it to equal the posterior: zero mass on
     inconsistent states, and a sample marginal equal to the prior.
 
-    Cost: one O(states * length**2) degradation, then O(states) per
-    observation to read and compare the sampler's table.
+    The sampler is called once per reachable observation; its tables are
+    validated and compared a block at a time (see :func:`_table_blocks`),
+    so a table with bad values raises :class:`MalformedSampler` only when
+    its block is full, and one of the wrong shape raises it at once.
+
+    Cost: the model's grouping (computed on first use, then cached), then
+    O(states) per observation to read the sampler's table, and a few
+    whole-block passes per block of tables.
     """
-    ys, probs, index = observations(model)
-    weights = _posterior_weights(model, probs, index)
+    g = model._grouping
     marginal = np.zeros(model.n_states)
-    inconsistent = 0.0
-    max_gap = 0.0
-    for row, (y, py) in enumerate(zip(ys, probs)):
-        dist = _validated_table(model, sampler(tuple(int(v) for v in y)))
-        consistent_mask = index == row  # every state mapping to y, prior-independent
-        inconsistent += py * float(dist[~consistent_mask].sum())
-        marginal += py * dist
-        gap = float(np.abs(dist - np.where(consistent_mask, weights, 0.0)).max())
-        max_gap = max(max_gap, gap)
+    inconsistent = max_gap = 0.0
+    for r0, block in _table_blocks(model, sampler):
+        r1 = r0 + len(block)
+        # each table's entries on the states of its own observation
+        members = g.order[g.starts[r0] : g.starts[r1]]
+        rows = g.index[members] - r0
+        inside = block[rows, members]
+        block[rows, members] = 0.0  # the block now holds the mass outside
+        py = g.probs[r0:r1]
+        inconsistent += float(py @ block.sum(axis=1))
+        gap_inside = np.abs(inside - g.weights[members]).max()
+        max_gap = max(max_gap, float(block.max()), float(-block.min()), float(gap_inside))
+        block[rows, members] = inside
+        marginal += py @ block
     tv = 0.5 * float(np.abs(marginal - model.prior).sum())
     return SamplerReport(inconsistent, tv, max_gap)
 
 
-def _sampler_from(ys: np.ndarray, weights: np.ndarray, index: np.ndarray):
-    rows = {y: row for row, y in enumerate(map(tuple, ys.tolist()))}
+def posterior_sampler(model: ToyModel):
+    """The exact posterior as a sampler table function.
+
+    The states are grouped by observation once per model (see
+    :func:`observations`); each call then costs O(states): a zero table
+    with the observation's posterior weights scattered in.
+    """
+    g = model._grouping
+    rows = {y: row for row, y in enumerate(map(tuple, g.ys.tolist()))}
+    n = model.n_states
 
     def sampler(y) -> np.ndarray:
         y = np.asarray(y, dtype=np.int64)
         row = rows.get(tuple(y.reshape(-1).tolist()))
         if row is None:
             raise UnreachableY(f"no signal maps to {y.tolist()}")
-        return np.where(index == row, weights, 0.0)
+        members = g.order[g.starts[row] : g.starts[row + 1]]
+        table = np.zeros(n)
+        table[members] = g.weights[members]
+        return table
 
     return sampler
-
-
-def posterior_sampler(model: ToyModel):
-    """The exact posterior as a sampler table function.
-
-    The states are grouped by observation once, here; each call then costs
-    O(states).
-    """
-    ys, probs, index = observations(model)
-    return _sampler_from(ys, _posterior_weights(model, probs, index), index)
 
 
 def fm_identity_check(model: ToyModel, sampler=None) -> float:
     """max over reachable y of ||E_sampler[x | y] - E[X | y]||_inf.
 
     Exactly zero (to float noise) for the enumerated posterior: averaging
-    samples of the posterior IS the conditional mean.
+    samples of the posterior IS the conditional mean. The sampler, the
+    exact posterior by default, is called once per reachable observation
+    and its tables are validated a block at a time, as in
+    :func:`posterior_sampler_checks`.
 
-    Cost: one O(states * length**2) degradation and one O(states) pass for
-    every conditional mean, then O(states) per observation to read the
-    sampler's table.
+    Cost: the model's grouping (computed on first use, then cached), one
+    O(states * length) pass for every conditional mean, then O(states) per
+    observation to read the sampler's table and one product per block of
+    tables.
     """
-    ys, probs, index = observations(model)
-    weights = _posterior_weights(model, probs, index)
+    g = model._grouping
     if sampler is None:
-        sampler = _sampler_from(ys, weights, index)
-    means = _conditional_means(model, weights, index, len(ys))
+        sampler = posterior_sampler(model)
+    means = _conditional_means(model, g.weights, g.index, len(g.ys))
     signals = model.signals.astype(np.float64)
-    sampled = np.stack(
-        [_validated_table(model, sampler(tuple(int(v) for v in y))) @ signals for y in ys]
-    )
+    sampled = np.empty_like(means)
+    for r0, block in _table_blocks(model, sampler):
+        np.matmul(block, signals, out=sampled[r0 : r0 + len(block)])
     return float(np.abs(sampled - means).max())
 
 

@@ -173,6 +173,19 @@ def test_theorem_check_bad_fixture_is_domain_error(tmp_path, capsys, text):
     assert captured.err.startswith("MalformedModel: ")
 
 
+def test_theorem_check_tiny_step_fixture_is_one_line_domain_error(tmp_path, capsys):
+    # a 1e-300 step once overflowed int64 in the degradation and printed
+    # BOUND VIOLATED with a deviation of ~6e293
+    prior = " ".join(["0.125"] * 8 + ["0.0"])
+    (tmp_path / "tiny.txt").write_text(f"2 3\n1e-300 1.0\n{prior}\n")
+    assert main(["theorem-check", "--models", "1", "--fixture", str(tmp_path / "tiny.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "MalformedModel: bad model fixture: steps too small: a coefficient over its step could reach 2**53"
+    ]
+
+
 def test_theorem_check_runs_sampler_checks_on_every_model(tmp_path, monkeypatch, capsys):
     import jpegkit.cli as cli
     from jpegkit.toy import save_model

@@ -76,3 +76,14 @@ def test_images_are_immutable():
 def test_gray_2d_input_promoted():
     img = PixelImage(np.zeros((3, 4), dtype=np.uint8))
     assert (img.height, img.width, img.channels) == (3, 4, 1)
+
+
+@pytest.mark.parametrize("cls,dtype", [(PixelImage, np.uint8), (FloatImage, np.float64)])
+def test_container_keeps_a_read_only_view_of_the_callers_array(cls, dtype):
+    a = np.zeros((2, 3, 1), dtype=dtype)
+    img = cls(a)
+    assert np.shares_memory(img.data, a)  # no copy
+    with pytest.raises(ValueError):
+        img.data[0, 0, 0] = 1
+    a[0, 0, 0] = 1  # the caller's array stays writable
+    assert img.data[0, 0, 0] == 1

@@ -20,6 +20,14 @@ the bit-at-a-time coder that the bit-string one replaced: the bytes
 `write_jfif` emits over ragged sizes and qualities from 1 to 100, and the
 grid `parse_jfif` reads from a hand-built stream with a restart marker
 after every MCU (RST0 to RST7, then RST0 again).
+
+The toy oracle digests pin the four oracle values that do not depend on
+matrix products (the conditional-mean deviation, and the inconsistent
+mass, marginal TV and largest posterior gap of the exact posterior
+sampler) over the equivalence models of `tests/test_toy.py`, a fine-step
+model and the two coarse-step shapes of the benchmark's `oracle-check`.
+They were taken from the per-observation oracle loop that the blocked
+checks replaced.
 """
 
 import hashlib
@@ -34,7 +42,15 @@ from jpegkit.image import FloatImage, to_float
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
 from jpegkit.restorer import RestoreConfig, restore_with_history
-from tests.conftest import natural_image, restart_stream
+from jpegkit.toy import (
+    ToyModel,
+    alphabet_for_size,
+    mmse_consistency_deviation,
+    posterior_sampler,
+    posterior_sampler_checks,
+    random_model,
+)
+from tests.conftest import fine_step_model, natural_image, restart_stream
 
 RESTORE_DIGESTS = {
     (32, 1.0, 1): "954caf4a0ea593c3f3fa892100149f709e68c7e011738d39c46165bed74bdf17",
@@ -114,6 +130,13 @@ WRITE_JFIF_DIGESTS = {
 
 RESTART_GRID_DIGEST = "a9277ffbc0432d9ad5e60a291ceff947d56997abd10d751ac9b782982657cec5"
 
+ORACLE_DIGESTS = {
+    "equivalence": "5b98f14fef553db4914a3e5072719781fb6b08890b414fbf1e65cbc9c78fd5c3",
+    "fine-7": "788e4cc0dcea018f26cd51c325672a99e0a080476a701ce3762c9d49f6280e13",
+    "coarse-6x4": "8fa25bb2c3f37bd8ad20992ad11ba0c8252fb2fa33260290c4b7d2726a2aff83",
+    "coarse-7x3": "04fc9b2bc543d1dab03f7b6757d7bf65e76a6b19037ec501d15d5b85d9c7ad7c",
+}
+
 
 def restore_digest(size, lam_c, n_seeds):
     y = jpeg_q(natural_image(np.random.default_rng(size), size, size), 10)
@@ -172,6 +195,31 @@ def forward_digest(height, width, channels, colorspace):
     return hashlib.sha256(z.data.tobytes()).hexdigest()
 
 
+def coarse_step_model(length, a, steps, seed):
+    """A model with the step vector of a coarse-step `oracle-check` model
+    and a log-normal prior."""
+    raw = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, a**length))
+    return ToyModel(length, alphabet_for_size(a), raw / raw.sum(), np.array(steps))
+
+
+ORACLE_MODELS = {
+    # the same models as EQUIVALENCE_MODELS in tests/test_toy.py
+    "equivalence": lambda: [random_model(np.random.default_rng(3000 + i)) for i in range(24)],
+    "fine-7": lambda: [fine_step_model(7)],
+    "coarse-6x4": lambda: [coarse_step_model(6, 4, (1.8, 2.16, 2.52, 2.88, 3.24, 3.6), 41)],
+    "coarse-7x3": lambda: [coarse_step_model(7, 3, (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4), 42)],
+}
+
+
+def oracle_digest(case):
+    h = hashlib.sha256()
+    for m in ORACLE_MODELS[case]():
+        rep = posterior_sampler_checks(m, posterior_sampler(m))
+        values = [mmse_consistency_deviation(m), rep.inconsistent_mass, rep.marginal_tv, rep.max_posterior_gap]
+        h.update(np.array(values).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(RESTORE_DIGESTS))
 def test_restore_with_history_digest(case):
     assert restore_digest(*case) == RESTORE_DIGESTS[case]
@@ -205,3 +253,8 @@ def test_restart_stream_grid_digest():
     for ch in g2.channels:
         h.update(ch.tobytes())
     assert h.hexdigest() == RESTART_GRID_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
+def test_toy_oracle_digest(case):
+    assert oracle_digest(case) == ORACLE_DIGESTS[case]

@@ -215,6 +215,18 @@ def test_coupled_moment_descent_runs(pair):
     assert len(outs) == 2
 
 
+def test_feature_term_takes_one_dct_per_step(pair, monkeypatch):
+    import jpegkit.losses as losses
+
+    calls = []
+    plane_dct = losses.plane_dct
+    monkeypatch.setattr(losses, "plane_dct", lambda *a: calls.append(1) or plane_dct(*a))
+    x, y = pair
+    cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_p=0.1), steps=10, step_size=1.0, n_seeds=2)
+    restore(y, cfg, x=x)
+    assert len(calls) == 10 + 1  # one per step, plus one for the ground truth's features
+
+
 def _initial_states(y, cfg):
     # the seeded states the restorer starts from
     y_f = to_float(y).data

@@ -6,6 +6,7 @@ import pytest
 from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, UnreachableY
 from jpegkit.image import round_half_away_from_zero
 from jpegkit.toy import (
+    _BLOCK_VALUES,
     ToyModel,
     _conditional_means,
     _posterior_weights,
@@ -220,6 +221,7 @@ MALFORMED_FIXTURES = {
     "short prior": "1 2\n1.0\n1.0\n",
     "huge alphabet": "1 4000000000000\n1.0\n1.0\n",
     "length zero": "0 2\n\n1.0\n",
+    "tiny step": "2 3\n1e-300 1.0\n" + " ".join(["0.125"] * 8 + ["0.0"]) + "\n",
 }
 
 
@@ -228,6 +230,20 @@ def test_load_model_raises_only_malformed_model(name):
     with pytest.raises(MalformedModel) as info:
         load_model(MALFORMED_FIXTURES[name])
     assert isinstance(info.value, JpegkitError)
+
+
+def test_model_refuses_steps_past_exact_rounding():
+    # |DCT(x)| / 1e-300 overflows int64, which once merged states with
+    # different observations and broke the 0.5 bound by ~1e293
+    with pytest.raises(ValueError, match="steps too small"):
+        ToyModel(2, alphabet_for_size(3), np.full(9, 1 / 9), np.array([1e-300, 1.0]))
+    # sqrt(2) * 1 / step reaches 2**53 at step = sqrt(2) / 2**53
+    with pytest.raises(ValueError, match="steps too small"):
+        ToyModel(2, alphabet_for_size(3), np.full(9, 1 / 9), np.array([1.0, np.sqrt(2) / 2.0**53]))
+    m = ToyModel(2, alphabet_for_size(3), np.full(9, 1 / 9), np.array([1.0, 2 * np.sqrt(2) / 2.0**53]))
+    ys, _, _ = observations(m)
+    assert len(ys) == m.n_states  # every state still has its own observation
+    assert mmse_consistency_deviation(m) <= 0.5
 
 
 def test_model_validation():
@@ -314,3 +330,204 @@ def test_checks_degrade_a_constant_number_of_times(monkeypatch, check):
         counts.append(len(calls))
     assert len(observations(fine_step_model(7))[0]) > 100  # many observations, same count
     assert counts[0] == counts[1] == counts[2] <= 2
+
+
+# --- cached grouping and blocked sampler checks ------------------------------
+
+
+def unique_observations(m):
+    """The grouping by np.unique that the lexsort grouping replaced."""
+    d = m.degrade_all()
+    ys_all, index_all = np.unique(d, axis=0, return_inverse=True)
+    probs_all = np.zeros(len(ys_all))
+    np.add.at(probs_all, index_all, m.prior)
+    keep = probs_all > 0.0
+    remap = np.full(len(ys_all), -1, dtype=np.int64)
+    remap[keep] = np.arange(int(keep.sum()))
+    return ys_all[keep], probs_all[keep], remap[index_all]
+
+
+def reference_table(m, dist):
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != (m.n_states,):
+        raise MalformedSampler(f"sampler table must have {m.n_states} entries")
+    if dist.min() < -1e-12 or abs(dist.sum() - 1.0) > 1e-9:
+        raise MalformedSampler("sampler table is not a probability distribution")
+    return dist
+
+
+def reference_sampler_checks(m, sampler):
+    """The per-observation loop that the blocked checks replaced."""
+    ys, probs, index = unique_observations(m)
+    weights = m.prior / probs[index]
+    marginal = np.zeros(m.n_states)
+    inconsistent = max_gap = 0.0
+    for row, (y, py) in enumerate(zip(ys, probs)):
+        dist = reference_table(m, sampler(tuple(int(v) for v in y)))
+        consistent_mask = index == row
+        inconsistent += py * float(dist[~consistent_mask].sum())
+        marginal += py * dist
+        max_gap = max(max_gap, float(np.abs(dist - np.where(consistent_mask, weights, 0.0)).max()))
+    return inconsistent, 0.5 * float(np.abs(marginal - m.prior).sum()), max_gap
+
+
+def reference_fm_identity(m, sampler):
+    ys, _, _ = unique_observations(m)
+    means = np.stack([mmse_estimate(m, y) for y in ys])
+    signals = m.signals.astype(np.float64)
+    sampled = np.stack([reference_table(m, sampler(tuple(int(v) for v in y))) @ signals for y in ys])
+    return float(np.abs(sampled - means).max())
+
+
+def _biased(m):
+    def sampler(y):
+        out = enumerate_posterior(m, np.asarray(y)).copy()
+        out[np.argmax(out)] *= 2.0
+        return out / out.sum()
+
+    return sampler
+
+
+def _snapped(m):
+    def sampler(y):
+        est = mmse_estimate(m, np.asarray(y))
+        out = np.zeros(m.n_states)
+        out[np.argmin(np.sum((m.signals - est) ** 2, axis=1))] = 1.0
+        return out
+
+    return sampler
+
+
+def _negative_entry(m):
+    def sampler(y):
+        out = enumerate_posterior(m, np.asarray(y)).copy()
+        out[np.argmin(out)] -= 1.0
+        out[np.argmax(out)] += 1.0
+        return out
+
+    return sampler
+
+
+def _wrong_shape(m):
+    return lambda y: np.full(m.n_states + 1, 1.0 / (m.n_states + 1))
+
+
+def _malformed_at_last(m):
+    last = tuple(observations(m)[0][-1].tolist())
+    exact = posterior_sampler(m)
+
+    def sampler(y):
+        return 2.0 * exact(y) if tuple(y) == last else exact(y)
+
+    return sampler
+
+
+SAMPLERS = {
+    "exact": posterior_sampler,
+    "biased": _biased,
+    "snapped": _snapped,
+    "prior-ignoring": lambda m: (lambda y: m.prior),
+    "negative-entry": _negative_entry,
+    "wrong-shape": _wrong_shape,
+    "malformed-at-last": _malformed_at_last,
+}
+
+# 1024 states take 32 tables per block, so the fine-step model spans many blocks
+BLOCK_MODELS = EQUIVALENCE_MODELS[:8] + [uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7)]
+
+
+def _outcome(check):
+    try:
+        return check()
+    except JpegkitError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_blocked_checks_match_per_observation_loop(name):
+    for m in BLOCK_MODELS:
+        sampler = SAMPLERS[name](m)
+        ref = _outcome(lambda: reference_sampler_checks(m, sampler))
+        got = _outcome(lambda: posterior_sampler_checks(m, sampler))
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            rep = (got.inconsistent_mass, got.marginal_tv, got.max_posterior_gap)
+            assert np.abs(np.array(rep) - np.array(ref)).max() <= 1e-15
+        ref = _outcome(lambda: reference_fm_identity(m, sampler))
+        got = _outcome(lambda: fm_identity_check(m, sampler))
+        if isinstance(ref, type):
+            assert got is ref
+        else:
+            assert abs(got - ref) <= 1e-14
+
+
+def test_grouping_matches_np_unique():
+    for m in EQUIVALENCE_MODELS + [fine_step_model(7), uniform_model(1, 2, [100.0])]:
+        for got, want in zip(observations(m), unique_observations(m)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_grouping_is_cached_and_read_only():
+    m = uniform_model(2, 4, [2.0, 2.0])
+    first = observations(m)
+    assert all(a is b for a, b in zip(first, observations(m)))
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_posterior_sampler_tables_are_the_masked_weights():
+    for m in EQUIVALENCE_MODELS + [fine_step_model(7)]:
+        ys, probs, index = unique_observations(m)
+        weights = m.prior / probs[index]
+        sampler = posterior_sampler(m)
+        for row, y in enumerate(ys):
+            assert np.array_equal(sampler(tuple(y.tolist())), np.where(index == row, weights, 0.0))
+
+
+def test_all_four_oracle_calls_degrade_each_model_once(monkeypatch):
+    calls = []
+    degrade_all = ToyModel.degrade_all
+    monkeypatch.setattr(ToyModel, "degrade_all", lambda self: calls.append(self) or degrade_all(self))
+    # fresh models: a model keeps its grouping once any check has run on it
+    models = [uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7), random_model(np.random.default_rng(3000))]
+    for m in models:
+        mmse_consistency_deviation(m)
+        fm_identity_check(m)
+        posterior_sampler_checks(m, posterior_sampler(m))
+    assert calls == models
+
+
+def test_bad_values_raise_when_their_block_is_full():
+    m = fine_step_model(7)
+    block_rows = _BLOCK_VALUES // m.n_states
+    assert 1 < block_rows < len(observations(m)[0])
+    exact = posterior_sampler(m)
+    for make_bad, calls_before_raise in (
+        (lambda t: 2.0 * t, block_rows),  # sum off 1: checked with the block
+        (lambda t: np.full(m.n_states, np.nan), block_rows),  # NaN: checked with the block
+        (lambda t: t[:-1], 1),  # wrong shape: at once
+    ):
+        for check in (posterior_sampler_checks, fm_identity_check):
+            calls = []
+
+            def sampler(y):
+                calls.append(y)
+                return make_bad(exact(y)) if len(calls) == 1 else exact(y)
+
+            with pytest.raises(MalformedSampler):
+                check(m, sampler)
+            assert len(calls) == calls_before_raise
+
+
+def test_sampler_unreachable_y_propagates():
+    m = uniform_model(2, 4, [2.0, 2.0])
+
+    def sampler(y):
+        raise UnreachableY("no")
+
+    for check in (posterior_sampler_checks, fm_identity_check):
+        with pytest.raises(UnreachableY):
+            check(m, sampler)
