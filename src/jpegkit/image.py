@@ -19,15 +19,15 @@ def round_half_away_from_zero(x, out=None):
 
 
 def _normalize(arr, dtype):
-    arr = np.asarray(arr, dtype=dtype)
+    # an own read-only copy: the caller's array stays writable, and writing
+    # to it later cannot change (or un-finite) the image
+    arr = np.array(arr, dtype=dtype, order="C")
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
         raise ValueError("image data must be (height, width, 1|3)")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("image dimensions must be positive")
-    # a read-only view: the caller's own array stays writable, and is not copied
-    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
 
@@ -42,7 +42,8 @@ def check_finite(samples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PixelImage:
-    """Interleaved 8-bit raster, shape (height, width, channels)."""
+    """Interleaved 8-bit raster, shape (height, width, channels); it holds
+    its own read-only copy of the array it is given."""
 
     data: np.ndarray
 
@@ -65,7 +66,8 @@ class PixelImage:
 @dataclass(frozen=True, eq=False)
 class FloatImage:
     """Float64 raster in nominal [0, 255]; out-of-range values are allowed
-    mid-optimization, non-finite values are not."""
+    mid-optimization, non-finite values are not. It holds its own read-only
+    copy of the array it is given, so its data stays finite."""
 
     data: np.ndarray
 

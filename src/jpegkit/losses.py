@@ -174,14 +174,12 @@ def _band_features(coef: np.ndarray) -> np.ndarray:
     return np.stack(feats, axis=-1)
 
 
-def texture_band_pullback(img, cotangent: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+def texture_band_pullback(img, cotangent: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """VJP of :func:`texture_band_features` at img, an image or a stack of
-    samples (abs uses its sign subgradient); returns an array shaped like
-    its samples. ``coef``, the luma block coefficients of img that
-    :func:`feature_term` returns, saves computing them again."""
+    samples (abs uses its sign subgradient), given ``coef``, the luma block
+    coefficients of img that :func:`feature_term` returns; returns an array
+    shaped like its samples."""
     data = float_samples(img)
-    if coef is None:
-        coef = plane_dct(luma(data))
     dcoef = np.zeros_like(coef)
     dcoef[..., 0, 0] = cotangent[..., 0] / 8.0
     for m, mask in enumerate(BAND_MASKS):

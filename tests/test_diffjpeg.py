@@ -152,3 +152,14 @@ def test_forward_stack_checks(rng):
     stack[1, 2, 3, 0] = np.nan
     with pytest.raises(ValueError):
         forward(op, stack)
+
+
+def test_image_forward_into_a_reused_buffer_keeps_earlier_results(rng):
+    a = to_float(natural_image(rng, 16, 16, 3))
+    b = FloatImage(a.data + rng.normal(0.0, 8.0, a.data.shape))
+    op = DiffJpegOp.for_image(a, 50)
+    buf = np.empty_like(a.data)
+    za, _ = forward(op, a, out=buf)
+    first = za.data.copy()
+    forward(op, b, out=buf)
+    assert np.array_equal(za.data, first)

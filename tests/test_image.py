@@ -79,11 +79,18 @@ def test_gray_2d_input_promoted():
 
 
 @pytest.mark.parametrize("cls,dtype", [(PixelImage, np.uint8), (FloatImage, np.float64)])
-def test_container_keeps_a_read_only_view_of_the_callers_array(cls, dtype):
+def test_container_copies_the_callers_array(cls, dtype):
     a = np.zeros((2, 3, 1), dtype=dtype)
     img = cls(a)
-    assert np.shares_memory(img.data, a)  # no copy
+    assert not np.shares_memory(img.data, a)
     with pytest.raises(ValueError):
         img.data[0, 0, 0] = 1
     a[0, 0, 0] = 1  # the caller's array stays writable
-    assert img.data[0, 0, 0] == 1
+    assert img.data[0, 0, 0] == 0
+
+
+def test_float_image_stays_finite_when_the_callers_array_changes():
+    a = np.zeros((2, 3, 1))
+    img = FloatImage(a)
+    a[0, 0, 0] = np.nan
+    assert np.all(np.isfinite(img.data))
