@@ -260,7 +260,8 @@ class SamplerReport:
 
 
 # Sampler tables are read into blocks of at most this many float64 values
-# (256 KiB), a bound on memory: no check holds one table per observation.
+# (256 KiB) or one table, whichever is larger, a bound on memory: no check
+# holds one table per observation.
 _BLOCK_VALUES = 1 << 15
 
 

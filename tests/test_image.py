@@ -87,10 +87,3 @@ def test_container_copies_the_callers_array(cls, dtype):
         img.data[0, 0, 0] = 1
     a[0, 0, 0] = 1  # the caller's array stays writable
     assert img.data[0, 0, 0] == 0
-
-
-def test_float_image_stays_finite_when_the_callers_array_changes():
-    a = np.zeros((2, 3, 1))
-    img = FloatImage(a)
-    a[0, 0, 0] = np.nan
-    assert np.all(np.isfinite(img.data))
