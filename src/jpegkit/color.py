@@ -72,9 +72,12 @@ def _per_pixel(data: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = No
 def _shift_channels(data: np.ndarray, offsets: np.ndarray):
     """``data += offsets`` over the last axis, one channel at a time: a
     broadcast over a length-3 axis runs numpy's inner loop three values at
-    a time."""
+    a time. A zero offset (luma's) is skipped: adding -0.0 changes nothing,
+    and adding +0.0 only turns a -0.0 sample into +0.0, which the level
+    shift that follows in the codec maps to the same value."""
     for c, offset in enumerate(offsets):
-        data[..., c] += offset
+        if offset != 0.0:
+            data[..., c] += offset
 
 
 def rgb_to_ycbcr_data(rgb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -102,8 +102,10 @@ def feature_term(states: np.ndarray, fx: np.ndarray):
     """Per-sample mean squared texture-band feature gap to fx, the gap, and
     the luma block coefficients of states the features were taken from.
     Gradient: :func:`texture_band_pullback` of (2 / gap[0].size) * gap,
-    given those coefficients."""
-    coef = plane_dct(luma(float_samples(states)))
+    given those coefficients. ``states`` is a float64 stack of finite
+    samples, taken as it is: the restorer's own states, or
+    :meth:`SampleBatch.stacked`."""
+    coef = plane_dct(luma(states))
     gap = _band_features(coef) - fx
     return np.square(gap).mean(axis=(-3, -2, -1)), gap, coef
 
@@ -174,21 +176,21 @@ def _band_features(coef: np.ndarray) -> np.ndarray:
     return np.stack(feats, axis=-1)
 
 
-def texture_band_pullback(img, cotangent: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """VJP of :func:`texture_band_features` at img, an image or a stack of
-    samples (abs uses its sign subgradient), given ``coef``, the luma block
-    coefficients of img that :func:`feature_term` returns; returns an array
-    shaped like its samples."""
-    data = float_samples(img)
+def texture_band_pullback(shape: tuple, cotangent: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """VJP of :func:`texture_band_features` at an image or a stack of
+    samples of the given (..., h, w, c) shape (abs uses its sign
+    subgradient), given ``coef``, the luma block coefficients of those
+    samples that :func:`feature_term` returns; returns an array of that
+    shape."""
     dcoef = np.zeros_like(coef)
     dcoef[..., 0, 0] = cotangent[..., 0] / 8.0
     for m, mask in enumerate(BAND_MASKS):
         n = int(mask.sum())
         sign = np.sign(coef[..., mask])
         dcoef[..., mask] += sign * cotangent[..., m + 1][..., None] / n
-    height, width = data.shape[-3:-1]
+    height, width, channels = shape[-3:]
     dplane = fold_pad(merge_blocks(idct2(dcoef)), height, width)
-    if data.shape[-1] == 3:
+    if channels == 3:
         return dplane[..., None] * RGB_TO_YCBCR[0]
     return dplane[..., None]
 

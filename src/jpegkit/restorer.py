@@ -205,7 +205,7 @@ def restore_with_history(
             consistency = [w.lambda_c * v for v in mse.tolist()]
         if w.lambda_p > 0:
             values, gap, coef = feature_term(states, fx)
-            grad += w.lambda_p * texture_band_pullback(states, (2.0 / gap[0].size) * gap, coef)
+            grad += w.lambda_p * texture_band_pullback(states.shape, (2.0 / gap[0].size) * gap, coef)
             feature = [w.lambda_p * v for v in values.tolist()]
 
         terms = [term for term in (consistency, prior, feature) if term is not None]

@@ -16,9 +16,14 @@ become finite computations:
 
 Each model groups its states by observation once, on the first check that
 needs it, and keeps the grouping on itself as read-only arrays; every later
-check, and the exact posterior sampler, reads it. The sampler checks read
-the sampler's tables in fixed-size blocks and validate and compare a whole
-block at a time, so no check holds an (observations x states) table.
+check, and the exact posterior sampler, reads it.
+
+A sampler is block-shaped: it takes a (k, length) int array of observations
+and returns a (k, n_states) array, one distribution table over the states
+per observation. The sampler checks call it once per block of at most
+``max(1, 2**15 // n_states)`` observations, in row order, and validate and
+compare a whole block at a time, so no check holds an (observations x
+states) table. The exact posterior sampler fills a block with one scatter.
 """
 
 from __future__ import annotations
@@ -110,6 +115,16 @@ class ToyModel:
         many checks run on it."""
         return _group(self)
 
+    @cached_property
+    def _row_keys(self) -> np.ndarray:
+        """The grouping's observations as sorted, read-only lookup keys (see
+        :func:`_observation_keys`), computed on the first lookup and kept on
+        this model. They are not part of the grouping, so the checks that
+        never look an observation up do not pay for them."""
+        keys = _observation_keys(self._grouping.ys)
+        keys.setflags(write=False)
+        return keys
+
 
 def alphabet_for_size(a: int) -> np.ndarray:
     """Level-shifted integer alphabet: 0..a-1 minus a//2."""
@@ -198,6 +213,32 @@ def _group(model: ToyModel) -> _Grouping:
     return g
 
 
+_SIGN_BIT = np.int64(-(2**63))
+
+
+def _observation_keys(ys: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a (k, length) int64 array, ordered as the
+    rows are lexicographically: each value with its sign bit flipped, stored
+    big-endian, so keys compare byte by byte as the rows compare value by
+    value."""
+    return (ys ^ _SIGN_BIT).astype(">i8").view(f"V{8 * ys.shape[1]}")[:, 0]
+
+
+def _rows_of(model: ToyModel, ys) -> np.ndarray:
+    """The grouping row of each observation of a (k, length) int array, by one
+    binary search over the model's keys; the first observation that no state
+    with prior mass reaches raises :class:`UnreachableY`, which names it."""
+    ys = np.asarray(ys, dtype=np.int64)
+    if ys.ndim != 2 or ys.shape[1] != model.length:
+        raise ValueError(f"observations must be a (k, {model.length}) array")
+    keys, wanted = model._row_keys, _observation_keys(ys)
+    rows = keys.searchsorted(wanted)
+    found = keys.take(rows, mode="clip") == wanted
+    if not found.all():
+        raise UnreachableY(f"no signal maps to {ys[np.argmin(found)].tolist()}")
+    return rows
+
+
 def enumerate_posterior(model: ToyModel, y) -> np.ndarray:
     """p(x | y) over all states, by direct enumeration."""
     y = np.asarray(y, dtype=np.int64)
@@ -265,46 +306,62 @@ class SamplerReport:
 _BLOCK_VALUES = 1 << 15
 
 
-def _table_blocks(model: ToyModel, sampler):
-    """Call the sampler once per reachable observation, in row order, and
-    yield (first row, block) with the tables stacked as the block's rows.
+def _block_rows(n_states: int) -> int:
+    """The most observations one sampler call is given by the checks."""
+    return max(1, _BLOCK_VALUES // n_states)
 
-    A table of the wrong shape raises :class:`MalformedSampler` at once.
-    Values are checked per block, with one ``min`` and one row ``sum``, so
-    a table that is not a probability distribution (a negative or NaN
-    entry, or a sum off 1) raises :class:`MalformedSampler` once its block
-    is full. :class:`UnreachableY` from the sampler propagates. The block
-    is one buffer, overwritten by the next block.
+
+def _sampled_block(sampler, ys: np.ndarray, shape: tuple) -> np.ndarray:
+    """The sampler's tables for the observations ``ys``; a return value that
+    is not an array of ``shape`` raises :class:`MalformedSampler`. Its own
+    function so that the sampler's array is freed once copied, not kept
+    alive beside the next one."""
+    tables = np.asarray(sampler(ys), dtype=np.float64)
+    if tables.shape != shape:
+        raise MalformedSampler(f"sampler must return a {shape} table block, not {tables.shape}")
+    return tables
+
+
+def _table_blocks(model: ToyModel, sampler):
+    """Call the sampler once per block of reachable observations, in row
+    order, and yield (first row, block) with the block's tables as its rows.
+
+    A block holds at most :func:`_block_rows` observations. A return value
+    that is not a (k, n_states) array for the k observations given raises
+    :class:`MalformedSampler` right after its call, before any value check.
+    The tables are then copied into one buffer, overwritten by the next
+    block, and checked with one ``min`` and one row ``sum``: a table that is
+    not a probability distribution (a negative or NaN entry, or a sum off
+    1) raises :class:`MalformedSampler` before its block is used.
+    :class:`UnreachableY` from the sampler propagates.
     """
     n = model.n_states
-    keys = list(map(tuple, model._grouping.ys.tolist()))
-    size = max(1, min(len(keys), _BLOCK_VALUES // n))
+    ys = model._grouping.ys
+    size = min(len(ys), _block_rows(n))
     buf = np.empty((size, n))
-    for r0 in range(0, len(keys), size):
-        block = buf[: min(size, len(keys) - r0)]
-        for k, y in enumerate(keys[r0 : r0 + len(block)]):
-            table = np.asarray(sampler(y), dtype=np.float64)
-            if table.shape != (n,):
-                raise MalformedSampler(f"sampler table must have {n} entries")
-            block[k] = table
-        if not (block.min() >= -ATOL and np.all(np.abs(block.sum(axis=1) - 1.0) <= 1e-9)):
+    for r0 in range(0, len(ys), size):
+        block = buf[: min(size, len(ys) - r0)]
+        block[...] = _sampled_block(sampler, ys[r0 : r0 + len(block)], block.shape)
+        if not (block.min() >= -ATOL and np.abs(block.sum(axis=1) - 1.0).max() <= 1e-9):
             raise MalformedSampler("sampler table is not a probability distribution")
         yield r0, block
 
 
 def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
-    """Evaluate a sampler (y -> distribution table over states) on the two
-    conditions that jointly force it to equal the posterior: zero mass on
-    inconsistent states, and a sample marginal equal to the prior.
+    """Evaluate a block sampler ((k, length) observations -> (k, n_states)
+    distribution tables) on the two conditions that jointly force it to
+    equal the posterior: zero mass on inconsistent states, and a sample
+    marginal equal to the prior.
 
-    The sampler is called once per reachable observation; its tables are
-    validated and compared a block at a time (see :func:`_table_blocks`),
-    so a table with bad values raises :class:`MalformedSampler` only when
-    its block is full, and one of the wrong shape raises it at once.
+    The sampler is called once per block of reachable observations, and
+    each block is validated and compared as a whole (see
+    :func:`_table_blocks`): a block of the wrong shape raises
+    :class:`MalformedSampler` before its values are looked at, and a table
+    with bad values raises it before its block is used.
 
     Cost: the model's grouping (computed on first use, then cached), then
-    O(states) per observation to read the sampler's table, and a few
-    whole-block passes per block of tables.
+    one sampler call and a few whole-block passes, O(states) per
+    observation, per block of tables.
     """
     g = model._grouping
     marginal = np.zeros(model.n_states)
@@ -327,25 +384,33 @@ def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
 
 
 def posterior_sampler(model: ToyModel):
-    """The exact posterior as a sampler table function.
+    """The exact posterior as a block sampler: a (k, length) int array of
+    observations in, their (k, n_states) posterior tables out.
 
     The states are grouped by observation once per model (see
-    :func:`observations`); each call then costs O(states): a zero table
-    with the observation's posterior weights scattered in.
+    :func:`observations`), and its observation lookup once per model, on
+    the first call. A call then costs one binary search per observation and one
+    scatter of every observation's posterior weights into a zero block,
+    O(states) per observation. An observation that no state with prior mass
+    reaches raises :class:`UnreachableY`, which names it.
     """
     g = model._grouping
-    rows = {y: row for row, y in enumerate(map(tuple, g.ys.tolist()))}
+    sizes = g.starts[1:] - g.starts[:-1]
     n = model.n_states
 
-    def sampler(y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64)
-        row = rows.get(tuple(y.reshape(-1).tolist()))
-        if row is None:
-            raise UnreachableY(f"no signal maps to {y.tolist()}")
-        members = g.order[g.starts[row] : g.starts[row + 1]]
-        table = np.zeros(n)
-        table[members] = g.weights[members]
-        return table
+    def sampler(ys) -> np.ndarray:
+        rows = _rows_of(model, ys)
+        counts = sizes[rows]
+        # where each row's states sit in g.order, the rows one after another
+        ends = counts.cumsum()
+        pos = (g.starts[rows] - ends + counts).repeat(counts)
+        pos += np.arange(len(pos))
+        members = g.order[pos]
+        tables = np.zeros((len(rows), n))
+        flat = np.arange(0, tables.size, n).repeat(counts)
+        flat += members
+        tables.reshape(-1)[flat] = g.weights[members]
+        return tables
 
     return sampler
 
@@ -354,15 +419,14 @@ def fm_identity_check(model: ToyModel, sampler=None) -> float:
     """max over reachable y of ||E_sampler[x | y] - E[X | y]||_inf.
 
     Exactly zero (to float noise) for the enumerated posterior: averaging
-    samples of the posterior IS the conditional mean. The sampler, the
-    exact posterior by default, is called once per reachable observation
-    and its tables are validated a block at a time, as in
+    samples of the posterior IS the conditional mean. The sampler, a block
+    sampler that is the exact posterior by default, is called once per
+    block of reachable observations, and each block is validated as in
     :func:`posterior_sampler_checks`.
 
     Cost: the model's grouping (computed on first use, then cached), one
-    O(states * length) pass for every conditional mean, then O(states) per
-    observation to read the sampler's table and one product per block of
-    tables.
+    O(states * length) pass for every conditional mean, then one sampler
+    call and one product per block of tables.
     """
     g = model._grouping
     if sampler is None:

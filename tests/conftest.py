@@ -100,6 +100,13 @@ def fine_step_model(seed, length=5, a=4):
     return ToyModel(length, alphabet_for_size(a), raw / raw.sum(), steps)
 
 
+def block_sampler(per_observation):
+    """A block sampler, as the toy checks call one, from a per-observation
+    one: ``per_observation(y)`` gets each row of the (k, length) block as a
+    tuple of ints, and its k tables are stacked in row order."""
+    return lambda ys: np.stack([per_observation(tuple(int(v) for v in y)) for y in ys])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

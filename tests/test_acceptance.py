@@ -26,7 +26,7 @@ from jpegkit.toy import (
     random_model,
     uniform_model,
 )
-from tests.conftest import natural_image, uniform_image
+from tests.conftest import block_sampler, natural_image, uniform_image
 
 
 def _report(num, ok, budget_s, elapsed, detail):
@@ -69,12 +69,12 @@ def test_criterion_02_posterior_sampler_characterization():
         out[idx] = 1.0
         return out
 
-    det = posterior_sampler_checks(model, snapped)
+    det = posterior_sampler_checks(model, block_sampler(snapped))
     ok = ok and det.marginal_tv > 1e-12
 
     # counterexample 2: sampling the prior regardless of y preserves the
     # marginal but places mass on inconsistent states
-    prior_only = posterior_sampler_checks(model, lambda y: model.prior)
+    prior_only = posterior_sampler_checks(model, block_sampler(lambda y: model.prior))
     ok = ok and prior_only.marginal_tv <= 1e-12 and prior_only.inconsistent_mass > 1e-12
     _report(
         2, ok, 5, time.perf_counter() - t0,

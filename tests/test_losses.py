@@ -28,7 +28,8 @@ def _f(img):
 
 
 def _pullback(img, cot):
-    return texture_band_pullback(img, cot, plane_dct(luma(float_samples(img))))
+    data = float_samples(img)
+    return texture_band_pullback(data.shape, cot, plane_dct(luma(data)))
 
 
 def test_loss_c_lattice_samples_small(rng):

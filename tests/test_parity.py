@@ -3,10 +3,14 @@
 The restorer and diffjpeg digests were taken from the per-seed, per-image
 implementation that the batched one replaced; any change to the
 arithmetic, its order or the random draws shows up here as a different
-digest. They were taken with numpy 2.4 on OpenBLAS 0.3.31 (Haswell
-kernels), when the DCT still ran as two 8x8 products per block; it now
-runs as strided GEMMs over whole planes and gives the same digests. A BLAS
-that rounds its matrix products differently gives other digests.
+digest. They were taken with numpy 2.4 and its OpenBLAS 0.3.31, when the
+DCT still ran as two 8x8 products per block; it now runs as strided GEMMs
+over whole planes and gives the same digests. That OpenBLAS is built for
+many CPUs (DYNAMIC_ARCH) and picks its kernel at load time: the digests
+are those of its SkylakeX kernel, which it picks on an AVX-512 Xeon. A
+kernel that rounds its matrix products differently gives other float
+digests: with OPENBLAS_CORETYPE=Haswell, 15 of the restorer and forward
+digest tests fail (ROADMAP item 1).
 
 The coupled-term restorer digests pin the seed-coupling terms (first and
 second moment, feature), alone and all three, with and without the
@@ -28,10 +32,20 @@ sampler) over the equivalence models of `tests/test_toy.py`, a fine-step
 model and the two coarse-step shapes of the benchmark's `oracle-check`.
 They were taken from the per-observation oracle loop that the blocked
 checks replaced.
+
+The toy oracle, `write_jfif` and restart-grid digests do not depend on the
+BLAS kernel; a test reruns them under OpenBLAS's Prescott kernel, which
+needs only SSE3, so that one that came to depend on it fails on any x86-64
+host.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +272,22 @@ def test_restart_stream_grid_digest():
 @pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
 def test_toy_oracle_digest(case):
     assert oracle_digest(case) == ORACLE_DIGESTS[case]
+
+
+KERNEL_FREE_DIGESTS = "toy_oracle_digest or write_jfif_digest or restart_stream_grid_digest"
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="Prescott is an x86-64 OpenBLAS kernel"
+)
+def test_kernel_free_digests_hold_under_the_prescott_kernel():
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", KERNEL_FREE_DIGESTS, __file__],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    expected = len(ORACLE_DIGESTS) + len(WRITE_JFIF_DIGESTS) + 1
+    assert run.returncode == 0 and f"{expected} passed" in run.stdout, run.stdout[-3000:]

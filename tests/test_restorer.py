@@ -227,6 +227,19 @@ def test_feature_term_takes_one_dct_per_step(pair, monkeypatch):
     assert len(calls) == 10 + 1  # one per step, plus one for the ground truth's features
 
 
+def test_feature_term_checks_the_states_finite_once_per_step(pair, monkeypatch):
+    import jpegkit.image as image
+
+    shapes = []
+    check_finite = image.check_finite
+    monkeypatch.setattr(image, "check_finite", lambda a: shapes.append(np.shape(a)) or check_finite(a))
+    x, y = pair
+    cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_p=0.1), steps=10, step_size=1.0, n_seeds=2)
+    restore(y, cfg, x=x)
+    stack = (cfg.n_seeds,) + to_float(y).data.shape
+    assert shapes.count(stack) == cfg.steps  # diffjpeg.forward's, as the stack enters the codec
+
+
 def _initial_states(y, cfg):
     # the seeded states the restorer starts from
     y_f = to_float(y).data

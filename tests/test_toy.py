@@ -6,8 +6,8 @@ import pytest
 from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, UnreachableY
 from jpegkit.image import round_half_away_from_zero
 from jpegkit.toy import (
-    _BLOCK_VALUES,
     ToyModel,
+    _block_rows,
     _conditional_means,
     _posterior_weights,
     alphabet_for_size,
@@ -23,7 +23,7 @@ from jpegkit.toy import (
     save_model,
     uniform_model,
 )
-from tests.conftest import fine_step_model
+from tests.conftest import block_sampler, fine_step_model
 
 
 def brute_force_posterior(model, y):
@@ -141,7 +141,7 @@ def test_deterministic_estimator_cannot_match_prior():
         out[idx] = 1.0
         return out
 
-    rep = posterior_sampler_checks(m, snapped)
+    rep = posterior_sampler_checks(m, block_sampler(snapped))
     assert rep.marginal_tv > 1e-6
 
 
@@ -149,7 +149,7 @@ def test_prior_sampler_ignoring_y_is_inconsistent():
     m = uniform_model(2, 4, [2.0, 2.0])
     ys, _, _ = observations(m)
     assert len(ys) > 1
-    rep = posterior_sampler_checks(m, lambda y: m.prior)
+    rep = posterior_sampler_checks(m, block_sampler(lambda y: m.prior))
     assert rep.marginal_tv <= 1e-12  # marginal preserved by construction
     assert rep.inconsistent_mass > 1e-6  # but mass leaks across observations
 
@@ -157,7 +157,7 @@ def test_prior_sampler_ignoring_y_is_inconsistent():
 def test_malformed_sampler():
     m = uniform_model(1, 2, [1.0])
     with pytest.raises(MalformedSampler):
-        posterior_sampler_checks(m, lambda y: np.ones(m.n_states))
+        posterior_sampler_checks(m, lambda ys: np.ones((len(ys), m.n_states)))
 
 
 def test_fm_identity_exact_posterior(rng):
@@ -175,7 +175,7 @@ def test_fm_identity_biased_sampler_deviates():
         out[np.argmax(out)] *= 2.0
         return out / out.sum()
 
-    assert fm_identity_check(m, biased) > 1e-6
+    assert fm_identity_check(m, block_sampler(biased)) > 1e-6
 
 
 def test_fm_identity_point_mass_prior():
@@ -275,10 +275,8 @@ def test_grouped_means_match_mmse_estimate(m):
 
 @pytest.mark.parametrize("m", EQUIVALENCE_MODELS)
 def test_posterior_sampler_matches_enumeration_and_bruteforce(m):
-    sampler = posterior_sampler(m)
     ys, _, _ = observations(m)
-    for y in ys:
-        table = sampler(tuple(int(v) for v in y))
+    for y, table in zip(ys, posterior_sampler(m)(ys)):
         assert np.abs(table - enumerate_posterior(m, y)).max() <= 1e-12
         assert np.abs(table - brute_force_posterior(m, y)).max() <= 1e-12
 
@@ -288,9 +286,7 @@ def test_posterior_sampler_matches_enumeration_fine_steps():
     assert m.n_states >= 1024
     ys, _, _ = observations(m)
     assert len(ys) > 0.9 * m.n_states
-    sampler = posterior_sampler(m)
-    for k, y in enumerate(ys):
-        table = sampler(tuple(int(v) for v in y))
+    for k, (y, table) in enumerate(zip(ys, posterior_sampler(m)(ys))):
         assert np.abs(table - enumerate_posterior(m, y)).max() <= 1e-12
         if k % 128 == 0:  # the pure-Python enumeration is slow at 1024 states
             assert np.abs(table - brute_force_posterior(m, y)).max() <= 1e-12
@@ -300,7 +296,7 @@ def test_posterior_sampler_unreachable_y():
     m = uniform_model(1, 2, [1.0])
     sampler = posterior_sampler(m)
     with pytest.raises(UnreachableY):
-        sampler((999,))
+        sampler(np.array([[999]]))
     with pytest.raises(UnreachableY):
         enumerate_posterior(m, np.array([999]))
 
@@ -357,13 +353,14 @@ def reference_table(m, dist):
 
 
 def reference_sampler_checks(m, sampler):
-    """The per-observation loop that the blocked checks replaced."""
+    """The per-observation loop that the blocked checks replaced, calling the
+    block sampler with one observation at a time."""
     ys, probs, index = unique_observations(m)
     weights = m.prior / probs[index]
     marginal = np.zeros(m.n_states)
     inconsistent = max_gap = 0.0
     for row, (y, py) in enumerate(zip(ys, probs)):
-        dist = reference_table(m, sampler(tuple(int(v) for v in y)))
+        dist = reference_table(m, sampler(y[None])[0])
         consistent_mask = index == row
         inconsistent += py * float(dist[~consistent_mask].sum())
         marginal += py * dist
@@ -375,7 +372,7 @@ def reference_fm_identity(m, sampler):
     ys, _, _ = unique_observations(m)
     means = np.stack([mmse_estimate(m, y) for y in ys])
     signals = m.signals.astype(np.float64)
-    sampled = np.stack([reference_table(m, sampler(tuple(int(v) for v in y))) @ signals for y in ys])
+    sampled = np.stack([reference_table(m, sampler(y[None])[0]) @ signals for y in ys])
     return float(np.abs(sampled - means).max())
 
 
@@ -385,7 +382,7 @@ def _biased(m):
         out[np.argmax(out)] *= 2.0
         return out / out.sum()
 
-    return sampler
+    return block_sampler(sampler)
 
 
 def _snapped(m):
@@ -395,7 +392,7 @@ def _snapped(m):
         out[np.argmin(np.sum((m.signals - est) ** 2, axis=1))] = 1.0
         return out
 
-    return sampler
+    return block_sampler(sampler)
 
 
 def _negative_entry(m):
@@ -405,11 +402,11 @@ def _negative_entry(m):
         out[np.argmax(out)] += 1.0
         return out
 
-    return sampler
+    return block_sampler(sampler)
 
 
 def _wrong_shape(m):
-    return lambda y: np.full(m.n_states + 1, 1.0 / (m.n_states + 1))
+    return block_sampler(lambda y: np.full(m.n_states + 1, 1.0 / (m.n_states + 1)))
 
 
 def _malformed_at_last(m):
@@ -417,16 +414,17 @@ def _malformed_at_last(m):
     exact = posterior_sampler(m)
 
     def sampler(y):
-        return 2.0 * exact(y) if tuple(y) == last else exact(y)
+        table = exact(np.array([y]))[0]
+        return 2.0 * table if y == last else table
 
-    return sampler
+    return block_sampler(sampler)
 
 
 SAMPLERS = {
     "exact": posterior_sampler,
     "biased": _biased,
     "snapped": _snapped,
-    "prior-ignoring": lambda m: (lambda y: m.prior),
+    "prior-ignoring": lambda m: block_sampler(lambda y: m.prior),
     "negative-entry": _negative_entry,
     "wrong-shape": _wrong_shape,
     "malformed-at-last": _malformed_at_last,
@@ -434,6 +432,12 @@ SAMPLERS = {
 
 # 1024 states take 32 tables per block, so the fine-step model spans many blocks
 BLOCK_MODELS = EQUIVALENCE_MODELS[:8] + [uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7)]
+
+
+def block_sizes(m):
+    """The number of observations in each sampler call of a whole check."""
+    n_obs, rows = len(observations(m)[0]), _block_rows(m.n_states)
+    return [min(rows, n_obs - r0) for r0 in range(0, n_obs, rows)]
 
 
 def _outcome(check):
@@ -447,19 +451,45 @@ def _outcome(check):
 def test_blocked_checks_match_per_observation_loop(name):
     for m in BLOCK_MODELS:
         sampler = SAMPLERS[name](m)
+        calls = []
+
+        def counted(ys):
+            calls.append(len(ys))
+            return sampler(ys)
+
         ref = _outcome(lambda: reference_sampler_checks(m, sampler))
-        got = _outcome(lambda: posterior_sampler_checks(m, sampler))
+        got = _outcome(lambda: posterior_sampler_checks(m, counted))
         if isinstance(ref, type):
             assert got is ref
+            assert calls == block_sizes(m)[: len(calls)]  # a prefix: the raise ends the check
         else:
             rep = (got.inconsistent_mass, got.marginal_tv, got.max_posterior_gap)
             assert np.abs(np.array(rep) - np.array(ref)).max() <= 1e-15
+            assert calls == block_sizes(m)
+        calls.clear()
         ref = _outcome(lambda: reference_fm_identity(m, sampler))
-        got = _outcome(lambda: fm_identity_check(m, sampler))
+        got = _outcome(lambda: fm_identity_check(m, counted))
         if isinstance(ref, type):
             assert got is ref
+            assert calls == block_sizes(m)[: len(calls)]
         else:
             assert abs(got - ref) <= 1e-14
+            assert calls == block_sizes(m)
+
+
+def test_sampler_is_called_once_per_block_in_row_order():
+    # 6**6 = 46656 states is more than 2**15 values: one observation per call
+    big = uniform_model(6, 6, [6.0] * 6)
+    for m in BLOCK_MODELS + [big]:
+        ys = observations(m)[0]
+        rows = max(1, 2**15 // m.n_states)
+        exact = posterior_sampler(m)
+        for check in (posterior_sampler_checks, fm_identity_check):
+            blocks = []
+            check(m, lambda b: blocks.append(np.array(b)) or exact(b))
+            assert len(blocks) == -(-len(ys) // rows)
+            assert max(len(b) for b in blocks) <= rows
+            assert np.array_equal(np.concatenate(blocks), ys)
 
 
 def test_grouping_matches_np_unique():
@@ -482,9 +512,30 @@ def test_posterior_sampler_tables_are_the_masked_weights():
     for m in EQUIVALENCE_MODELS + [fine_step_model(7)]:
         ys, probs, index = unique_observations(m)
         weights = m.prior / probs[index]
+        want = np.where(index == np.arange(len(ys))[:, None], weights, 0.0)
         sampler = posterior_sampler(m)
-        for row, y in enumerate(ys):
-            assert np.array_equal(sampler(tuple(y.tolist())), np.where(index == row, weights, 0.0))
+        assert np.array_equal(sampler(ys), want)
+        # any block of observations, in any order and with repeats
+        rows = np.random.default_rng(len(ys)).integers(0, len(ys), 64)
+        assert np.array_equal(sampler(ys[rows]), want[rows])
+        assert sampler(ys[:0]).shape == (0, m.n_states)
+
+
+def test_unreachable_observation_in_a_block_is_named():
+    m = uniform_model(2, 4, [2.0, 2.0])
+    block = observations(m)[0][:3].copy()
+    block[1] = [99, -99]
+    with pytest.raises(UnreachableY, match=r"\[99, -99\]"):
+        posterior_sampler(m)(block)
+    # steps of 0.5 give each state its own observation, 2x; the state -2
+    # has no prior mass, so its observation [-4] is unreachable
+    prior = np.zeros(4)
+    prior[1] = 1.0
+    m = ToyModel(1, alphabet_for_size(4), prior, np.array([0.5]))
+    with pytest.raises(UnreachableY, match=r"\[-4\]"):
+        posterior_sampler(m)(np.array([[-2], [-4]]))
+    with pytest.raises(ValueError):
+        posterior_sampler(m)(np.array([-2]))  # not a (k, length) array
 
 
 def test_all_four_oracle_calls_degrade_each_model_once(monkeypatch):
@@ -502,30 +553,56 @@ def test_all_four_oracle_calls_degrade_each_model_once(monkeypatch):
 
 def test_bad_values_raise_when_their_block_is_full():
     m = fine_step_model(7)
-    block_rows = _BLOCK_VALUES // m.n_states
-    assert 1 < block_rows < len(observations(m)[0])
+    block_rows = _block_rows(m.n_states)
+    assert 1 < block_rows < len(observations(m)[0]) - block_rows
     exact = posterior_sampler(m)
-    for make_bad, calls_before_raise in (
-        (lambda t: 2.0 * t, block_rows),  # sum off 1: checked with the block
-        (lambda t: np.full(m.n_states, np.nan), block_rows),  # NaN: checked with the block
-        (lambda t: t[:-1], 1),  # wrong shape: at once
+    for make_bad in (
+        lambda t: 2.0 * t,  # sum off 1
+        lambda t: np.full(m.n_states, np.nan),  # NaN
     ):
         for check in (posterior_sampler_checks, fm_identity_check):
             calls = []
 
-            def sampler(y):
-                calls.append(y)
-                return make_bad(exact(y)) if len(calls) == 1 else exact(y)
+            def sampler(ys):
+                calls.append(len(ys))
+                tables = exact(ys)
+                if len(calls) == 2:  # the last table of the second block
+                    tables[-1] = make_bad(tables[-1])
+                return tables
 
-            with pytest.raises(MalformedSampler):
+            with pytest.raises(MalformedSampler, match="probability distribution"):
                 check(m, sampler)
-            assert len(calls) == calls_before_raise
+            assert calls == [block_rows, block_rows]
+
+
+def test_wrong_shape_block_raises_before_any_value_check():
+    m = fine_step_model(7)
+    block_rows = _block_rows(m.n_states)
+    exact = posterior_sampler(m)
+    for reshape in (
+        lambda t: t[:, :-1],  # tables one state short
+        lambda t: t[:-1],  # one table short
+        lambda t: t[0],  # one table, not a block
+        lambda t: t.T,  # as many values, transposed
+    ):
+        for check in (posterior_sampler_checks, fm_identity_check):
+            calls = []
+
+            def sampler(ys):
+                calls.append(len(ys))
+                tables = exact(ys)
+                # NaN values as well: the shape is what must be reported
+                return np.full_like(reshape(tables), np.nan) if len(calls) == 2 else tables
+
+            with pytest.raises(MalformedSampler, match="table block"):
+                check(m, sampler)
+            assert calls == [block_rows, block_rows]
 
 
 def test_sampler_unreachable_y_propagates():
     m = uniform_model(2, 4, [2.0, 2.0])
 
-    def sampler(y):
+    def sampler(ys):
         raise UnreachableY("no")
 
     for check in (posterior_sampler_checks, fm_identity_check):
