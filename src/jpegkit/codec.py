@@ -132,6 +132,14 @@ def planes_for_compress(data: np.ndarray, opts: CodecOptions, out: np.ndarray | 
     return planes
 
 
+def samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`planes_for_compress`, in ``out`` if given; YCbCr
+    planes lose their chroma offset in place."""
+    if _color_converted(planes.shape[-1], colorspace):
+        return ycbcr_to_rgb_data(planes, out=out)
+    return planes
+
+
 def _block_view(coef: np.ndarray) -> np.ndarray:
     """(..., H', W') coefficients in plane layout as their
     (..., n_by, n_bx, 8, 8) blocks; a view, not a copy."""
@@ -217,12 +225,6 @@ def _plane_layout(coef, copy: bool) -> np.ndarray:
     return plane.reshape(coef.shape[:-4] + (nby * dct.BLOCK, nbx * dct.BLOCK))
 
 
-def _samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
-    if _color_converted(planes.shape[-1], colorspace):
-        return ycbcr_to_rgb_data(planes, out=out)
-    return planes
-
-
 def analysis(
     img: PixelImage | FloatImage | np.ndarray,
     table: QuantTable,
@@ -247,7 +249,7 @@ def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str
     planes = np.empty(np.shape(coefs[0])[:-4] + (height, width, len(coefs)))
     for c, (coef, kind) in enumerate(zip(coefs, kinds)):
         _write_plane(_plane_layout(coef, copy=True), table.for_channel_kind(kind), planes[..., c])
-    return _samples_from_planes(planes, colorspace)
+    return samples_from_planes(planes, colorspace)
 
 
 def _requantize_plane(plane: np.ndarray, dst: np.ndarray, q: np.ndarray, step, c: int):
@@ -284,7 +286,7 @@ def requantize(
         dst = np.empty_like(samples) if out is None else out
     for c, kind in enumerate(channel_kinds(samples.shape[-1], opts.colorspace)):
         _requantize_plane(src[..., c], dst[..., c], table.for_channel_kind(kind), step, c)
-    return _samples_from_planes(dst, opts.colorspace, out=out)
+    return samples_from_planes(dst, opts.colorspace, out=out)
 
 
 def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOptions()) -> CoefficientGrid:

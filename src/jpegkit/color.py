@@ -5,6 +5,9 @@ inverse uses the exact algebraic inverse of the forward matrix, so the
 float round-trip is the identity to ~1e-13. Quantizing the converted
 planes to 8 bits is the one step in the codec that breaks exactness, which
 is why it is an explicit flag elsewhere rather than implicit here.
+
+Both directions convert (..., h, w, 3) arrays; :func:`rgb_to_ycbcr` wraps
+the forward one for a single image, as a :class:`YCbCrImage` of planes.
 """
 
 from __future__ import annotations
@@ -47,14 +50,6 @@ class YCbCrImage:
             if not np.all(np.isfinite(plane)):
                 raise ValueError("planes must be finite")
             object.__setattr__(self, name, plane)
-
-    @property
-    def width(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.y.shape[0]
 
 
 def _per_pixel(data: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -101,10 +96,6 @@ def rgb_to_ycbcr(img: FloatImage) -> YCbCrImage:
         raise WrongChannelCount(f"need 3 channels, got {img.channels}")
     out = rgb_to_ycbcr_data(img.data)
     return YCbCrImage(out[:, :, 0], out[:, :, 1], out[:, :, 2])
-
-
-def ycbcr_to_rgb(img: YCbCrImage) -> FloatImage:
-    return FloatImage(ycbcr_to_rgb_data(np.stack([img.y, img.cb, img.cr], axis=-1)))
 
 
 def luma(data: np.ndarray) -> np.ndarray:

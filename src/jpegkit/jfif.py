@@ -16,7 +16,9 @@ symbol -> code map and the inverse. The writer joins codes and fields and
 packs the scan with one ``int(bits, 2)``; the parser unpacks each restart
 segment with ``int.from_bytes`` and reads it by slicing. Byte stuffing is
 one ``bytes.replace`` each way. Before it allocates the coefficients, the
-parser checks that the scan holds the 2 bits every block needs at least.
+parser checks that the scan holds the 2 bits every block needs at least;
+it then decodes each block straight into the raster-order array that the
+grid keeps. DRI, SOF0 and SOS bodies must match their layout's length.
 """
 
 from __future__ import annotations
@@ -236,10 +238,23 @@ def write_jfif(grid: CoefficientGrid) -> bytes:
 # --- parser ----------------------------------------------------------------
 
 
+# the raster position of each zigzag index, as ints for per-value writes
+_RASTER_OF = tuple(ZIGZAG.tolist())
+
+
 def _read_u16(data: bytes, pos: int) -> int:
     if pos + 2 > len(data):
         raise TruncatedStream("segment length runs past the end")
     return (data[pos] << 8) | data[pos + 1]
+
+
+def _check_length(name: str, body: bytes, size: int):
+    """A fixed-layout segment's body holds exactly its layout's size bytes
+    (T.81 B.2.2, B.2.3, B.2.4.4)."""
+    if len(body) < size:
+        raise TruncatedStream(f"{name} segment truncated")
+    if len(body) > size:
+        raise BadMarker(f"{name} body has {len(body)} bytes, its layout {size}")
 
 
 def _split_scan(data: bytes, pos: int):
@@ -291,8 +306,9 @@ def _read_amplitude(bits: str, pos: int, s: int) -> tuple[int, int]:
     return (v if bits[pos] == "1" else v + 1 - (1 << s)), end
 
 
-def _decode_block(bits: str, pos: int, zz: np.ndarray, dc_map: dict, ac_map: dict, pred: int):
-    """Decode one block at bit pos into zz (zigzag order); returns (pos, pred)."""
+def _decode_block(bits: str, pos: int, block: np.ndarray, dc_map: dict, ac_map: dict, pred: int):
+    """Decode one block at bit pos into its 64 values in raster order;
+    returns (pos, pred)."""
     s, pos = _read_symbol(bits, pos, dc_map)
     if s > 11:  # 8-bit baseline: DC categories 0..11
         raise HuffmanDecodeError(f"DC category {s} out of range")
@@ -300,7 +316,7 @@ def _decode_block(bits: str, pos: int, zz: np.ndarray, dc_map: dict, ac_map: dic
     pred += diff
     if not -2048 <= pred <= 2047:  # 8-bit baseline coefficient range
         raise HuffmanDecodeError(f"DC value {pred} out of range")
-    zz[0] = pred
+    block[0] = pred
     k = 1
     while k < 64:
         rs, pos = _read_symbol(bits, pos, ac_map)
@@ -317,7 +333,7 @@ def _decode_block(bits: str, pos: int, zz: np.ndarray, dc_map: dict, ac_map: dic
         k += r
         if k > 63:
             raise HuffmanDecodeError("AC run overflows the block")
-        zz[k], pos = _read_amplitude(bits, pos, s)
+        block[_RASTER_OF[k]], pos = _read_amplitude(bits, pos, s)
         k += 1
     return pos, pred
 
@@ -401,17 +417,15 @@ def parse_jfif(data: bytes):
                 htables[(cls, tid)] = table
                 i += 17 + nsym
         elif marker == DRI:
-            if len(body) < 2:
-                raise TruncatedStream("DRI segment truncated")
-            restart_interval = struct.unpack(">H", body[:2])[0]
+            _check_length(name, body, 2)
+            restart_interval = struct.unpack(">H", body)[0]
         elif marker == SOF0:
             if frame is not None:
                 raise BadMarker("multiple SOF0 segments")
             if len(body) < 6:
                 raise TruncatedStream("SOF0 header truncated")
             precision, height, width, ncomp = struct.unpack(">BHHB", body[:6])
-            if len(body) < 6 + 3 * ncomp:
-                raise TruncatedStream("SOF0 component list truncated")
+            _check_length(name, body, 6 + 3 * ncomp)
             if width < 1 or height < 1:
                 raise BadMarker("frame dimensions must be positive")
             if precision != 8:
@@ -433,8 +447,7 @@ def parse_jfif(data: bytes):
             if len(body) < 1:
                 raise TruncatedStream("SOS header truncated")
             ns = body[0]
-            if len(body) < 1 + 2 * ns + 3:
-                raise TruncatedStream("SOS header truncated")
+            _check_length(name, body, 1 + 2 * ns + 3)
             if ns != len(frame[2]):
                 raise BadMarker("scan does not cover all components")
             comp_tables = []
@@ -451,10 +464,8 @@ def parse_jfif(data: bytes):
                 raise NotBaseline("spectral selection / successive approximation present")
             # DRI and DQT apply to the scans that follow them (T.81 B.2.4),
             # so the scan takes the interval and the tables defined so far
-            comps = frame[2]
-            tq_y = comps[0][1]
-            tq_c = comps[1][1] if len(comps) > 1 else tq_y
-            if len(comps) == 3 and comps[2][1] != tq_c:
+            (_, tq_y), (_, tq_c), (_, tq_cr) = frame[2]
+            if tq_cr != tq_c:
                 raise BadMarker("chroma components use different quantization tables")
             if tq_y not in qtables or tq_c not in qtables:
                 raise BadMarker("scan references undefined quantization table")
@@ -488,7 +499,8 @@ def parse_jfif(data: bytes):
     if 8 * sum(map(len, segments)) < 2 * n_mcu * len(comps):
         raise TruncatedStream(f"scan is too short for {n_mcu} MCUs")
     maps = [(d.symbol_of, a.symbol_of) for d, a in comp_tables]
-    zz = np.zeros((n_mcu, len(comps), 64), dtype=np.int32)
+    # raster order, contiguous per channel: the grid keeps it as it is
+    coefs = np.zeros((len(comps), n_mcu, 64), dtype=np.int32)
     mcu = 0
     for seg in segments:
         bits = format(int.from_bytes(seg, "big"), f"0{8 * len(seg)}b") if seg else ""
@@ -496,12 +508,10 @@ def parse_jfif(data: bytes):
         preds = [0] * len(comps)  # DC prediction resets at restart boundaries
         for _ in range(min(restart_interval or n_mcu, n_mcu - mcu)):
             for c in range(len(comps)):
-                pos, preds[c] = _decode_block(bits, pos, zz[mcu, c], *maps[c], preds[c])
+                pos, preds[c] = _decode_block(bits, pos, coefs[c, mcu], *maps[c], preds[c])
             mcu += 1
     if mcu != n_mcu:
         raise TruncatedStream(f"decoded {mcu} of {n_mcu} MCUs")
-    coefs = np.empty((len(comps), n_mcu, 64), dtype=np.int32)  # contiguous per channel
-    coefs[..., ZIGZAG] = zz.swapaxes(0, 1)
 
     grid = CoefficientGrid(
         tuple(c.reshape(nby, nbx, 8, 8) for c in coefs),

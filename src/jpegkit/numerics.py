@@ -2,17 +2,18 @@
 
 At maximum quality the only surviving sources of error are the color
 transform and the integer quantization of its output. To isolate them the
-study runs the pipeline at unit block size, where the transform stage is
+study runs the codec's color path (``planes_for_compress``, then
+``samples_from_planes``) at unit block size, where the transform stage is
 exactly invertible on integers (the coefficients ARE the samples), for
-three paths:
+three paths, one :class:`~jpegkit.codec.CodecOptions` each:
 
 * rgb-passthrough: no conversion; round-tripping 8-bit samples is exact,
   so the error is identically zero;
 * ycbcr-float: convert in float, quantize the converted samples to
   integers, convert back; the rounding noise does not invert exactly;
 * ycbcr-rounded: additionally round the converted planes to 8 bits before
-  quantization (a no-op on top of the quantization here, so the row can
-  equal the float row).
+  quantization (``round_chroma``; a no-op on top of the quantization here,
+  so the row can equal the float row).
 """
 
 from __future__ import annotations
@@ -23,12 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import LEVEL_SHIFT
-from .color import YCbCrImage, rgb_to_ycbcr, ycbcr_to_rgb
+from .codec import LEVEL_SHIFT, CodecOptions, planes_for_compress, samples_from_planes
 from .errors import EmptySet, WrongChannelCount
-from .image import FloatImage, PixelImage, round_half_away_from_zero, to_float, to_pixels
+from .image import FloatImage, PixelImage, float_samples, round_half_away_from_zero, to_pixels
 
-STUDY_PATHS = ("ycbcr-rounded", "ycbcr-float", "rgb-passthrough")
+_PATH_OPTIONS = {
+    "ycbcr-rounded": CodecOptions(round_chroma=True),
+    "ycbcr-float": CodecOptions(),
+    "rgb-passthrough": CodecOptions(colorspace="rgb-passthrough"),
+}
+STUDY_PATHS = tuple(_PATH_OPTIONS)
 
 
 def _unit_quantize(plane: np.ndarray) -> np.ndarray:
@@ -38,20 +43,13 @@ def _unit_quantize(plane: np.ndarray) -> np.ndarray:
 
 def lossless_roundtrip(img: PixelImage, path: str) -> PixelImage:
     """One image through the chosen lossless-settings path."""
-    if path == "rgb-passthrough":
-        planes = [img.data[:, :, c].astype(np.float64) for c in range(img.channels)]
-        out = np.stack([_unit_quantize(p) for p in planes], axis=-1)
-        return to_pixels(FloatImage(out))
-    if path not in STUDY_PATHS:
+    if path not in _PATH_OPTIONS:
         raise ValueError(f"unknown path {path!r}")
-    if img.channels != 3:
+    opts = _PATH_OPTIONS[path]
+    if opts.colorspace == "ycbcr" and img.channels != 3:
         raise WrongChannelCount("color paths need a 3-channel image")
-    ycc = rgb_to_ycbcr(to_float(img))
-    planes = [ycc.y, ycc.cb, ycc.cr]
-    if path == "ycbcr-rounded":
-        planes = [np.clip(round_half_away_from_zero(p), 0.0, 255.0) for p in planes]
-    planes = [_unit_quantize(p) for p in planes]
-    return to_pixels(ycbcr_to_rgb(YCbCrImage(*planes)))
+    planes = _unit_quantize(planes_for_compress(float_samples(img), opts))
+    return to_pixels(FloatImage(samples_from_planes(planes, opts.colorspace)))
 
 
 @dataclass(frozen=True)

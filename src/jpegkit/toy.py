@@ -23,7 +23,9 @@ and returns a (k, n_states) array, one distribution table over the states
 per observation. The sampler checks call it once per block of at most
 ``max(1, 2**15 // n_states)`` observations, in row order, and validate and
 compare a whole block at a time, so no check holds an (observations x
-states) table. The exact posterior sampler fills a block with one scatter.
+states) table. They read each block where the sampler returned it, and
+copy only one that is not a writable, C-contiguous float64 array of its
+own. The exact posterior sampler fills a block with one scatter.
 """
 
 from __future__ import annotations
@@ -300,26 +302,15 @@ class SamplerReport:
     max_posterior_gap: float
 
 
-# Sampler tables are read into blocks of at most this many float64 values
-# (256 KiB) or one table, whichever is larger, a bound on memory: no check
-# holds one table per observation.
+# Sampler tables are asked for in blocks of at most this many float64
+# values (256 KiB) or one table, whichever is larger, a bound on memory: no
+# check holds one table per observation.
 _BLOCK_VALUES = 1 << 15
 
 
 def _block_rows(n_states: int) -> int:
     """The most observations one sampler call is given by the checks."""
     return max(1, _BLOCK_VALUES // n_states)
-
-
-def _sampled_block(sampler, ys: np.ndarray, shape: tuple) -> np.ndarray:
-    """The sampler's tables for the observations ``ys``; a return value that
-    is not an array of ``shape`` raises :class:`MalformedSampler`. Its own
-    function so that the sampler's array is freed once copied, not kept
-    alive beside the next one."""
-    tables = np.asarray(sampler(ys), dtype=np.float64)
-    if tables.shape != shape:
-        raise MalformedSampler(f"sampler must return a {shape} table block, not {tables.shape}")
-    return tables
 
 
 def _table_blocks(model: ToyModel, sampler):
@@ -329,19 +320,23 @@ def _table_blocks(model: ToyModel, sampler):
     A block holds at most :func:`_block_rows` observations. A return value
     that is not a (k, n_states) array for the k observations given raises
     :class:`MalformedSampler` right after its call, before any value check.
-    The tables are then copied into one buffer, overwritten by the next
-    block, and checked with one ``min`` and one row ``sum``: a table that is
-    not a probability distribution (a negative or NaN entry, or a sum off
-    1) raises :class:`MalformedSampler` before its block is used.
+    The block is read where the sampler returned it, and copied only when it
+    is not a writable, C-contiguous float64 array that owns its memory (a
+    view or a read-only block, say): the checks zero and restore entries of
+    the block in place, and sum its rows. It is then checked with one
+    ``min`` and one row ``sum``: a table that is not a probability
+    distribution (a negative or NaN entry, or a sum off 1) raises
+    :class:`MalformedSampler` before its block is used.
     :class:`UnreachableY` from the sampler propagates.
     """
     n = model.n_states
     ys = model._grouping.ys
-    size = min(len(ys), _block_rows(n))
-    buf = np.empty((size, n))
+    size = _block_rows(n)
     for r0 in range(0, len(ys), size):
-        block = buf[: min(size, len(ys) - r0)]
-        block[...] = _sampled_block(sampler, ys[r0 : r0 + len(block)], block.shape)
+        k = min(size, len(ys) - r0)
+        block = np.require(sampler(ys[r0 : r0 + k]), np.float64, "CWOE")
+        if block.shape != (k, n):
+            raise MalformedSampler(f"sampler must return a {(k, n)} table block, not {block.shape}")
         if not (block.min() >= -ATOL and np.abs(block.sum(axis=1) - 1.0).max() <= 1e-9):
             raise MalformedSampler("sampler table is not a probability distribution")
         yield r0, block

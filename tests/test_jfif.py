@@ -202,6 +202,53 @@ def test_forged_dimensions_fail_before_allocating(rng):
     assert peak < 1 << 20
 
 
+def _with_surplus_byte(data: bytes, marker: bytes) -> bytes:
+    """The stream with one zero byte appended to the body of its first
+    ``marker`` segment, and that segment's length raised to match."""
+    i = data.find(marker)
+    (length,) = struct.unpack(">H", data[i + 2 : i + 4])
+    end = i + 2 + length
+    return data[: i + 2] + struct.pack(">H", length + 1) + data[i + 4 : end] + b"\x00" + data[end:]
+
+
+def test_surplus_byte_in_dri_rejected(rng):
+    # T.81 B.2.4.4: a DRI body is exactly Ri, two bytes
+    data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
+    dri = data[:2] + b"\xff\xdd\x00\x04\x00\x00" + data[2:]
+    assert parse_jfif(dri)[1].restart_interval == 0
+    with pytest.raises(BadMarker, match="DRI body has 3 bytes, its layout 2"):
+        parse_jfif(_with_surplus_byte(dri, b"\xff\xdd"))
+
+
+def test_surplus_byte_in_sof0_rejected(rng):
+    # T.81 B.2.2: a SOF0 body is exactly 6 + 3 * Nf bytes
+    data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
+    with pytest.raises(BadMarker, match="SOF0 body has 16 bytes, its layout 15"):
+        parse_jfif(_with_surplus_byte(data, b"\xff\xc0"))
+
+
+def test_surplus_byte_in_sos_rejected(rng):
+    # T.81 B.2.3: a SOS body is exactly 1 + 2 * Ns + 3 bytes
+    data = write_jfif(compress(uniform_image(rng, 8, 8), 50))
+    with pytest.raises(BadMarker, match="SOS body has 11 bytes, its layout 10"):
+        parse_jfif(_with_surplus_byte(data, b"\xff\xda"))
+
+
+def test_parse_keeps_one_coefficient_array():
+    # the blocks are decoded straight into the array the grid keeps, so the
+    # parse peaks under twice the grid's coefficient bytes
+    g = compress(natural_image(np.random.default_rng(256), 256, 256), 90)
+    data = write_jfif(g)
+    tracemalloc.start()
+    try:
+        g2, _ = parse_jfif(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g2 == g
+    assert peak < 2 * sum(ch.nbytes for ch in g.channels)
+
+
 def test_huffman_tables_prefix_free():
     for t in (DC_LUMA, AC_LUMA, DC_CHROMA, AC_CHROMA):
         assert len(t.code_of) == len(t.symbols)

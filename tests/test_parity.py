@@ -33,8 +33,14 @@ model and the two coarse-step shapes of the benchmark's `oracle-check`.
 They were taken from the per-observation oracle loop that the blocked
 checks replaced.
 
-The toy oracle, `write_jfif` and restart-grid digests do not depend on the
-BLAS kernel; a test reruns them under OpenBLAS's Prescott kernel, which
+The numerics digest pins the lossless-settings study: every round trip of
+its three paths over ragged natural images and a uniform-noise image, and
+the three RMSEs. It was taken from the study's own color path, before the
+study came to run the codec's.
+
+The toy oracle, `write_jfif`, restart-grid and numerics digests do not
+depend on the BLAS kernel (the study's color products are rounded to
+integers); a test reruns them under OpenBLAS's Prescott kernel, which
 needs only SSE3, so that one that came to depend on it fails on any x86-64
 host.
 """
@@ -55,6 +61,7 @@ from jpegkit.diffjpeg import DiffJpegOp, forward
 from jpegkit.image import FloatImage, to_float
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
+from jpegkit.numerics import STUDY_PATHS, lossless_roundtrip, run_numerics_study
 from jpegkit.restorer import RestoreConfig, restore_with_history
 from jpegkit.toy import (
     ToyModel,
@@ -64,7 +71,7 @@ from jpegkit.toy import (
     posterior_sampler_checks,
     random_model,
 )
-from tests.conftest import fine_step_model, natural_image, restart_stream
+from tests.conftest import fine_step_model, natural_image, restart_stream, uniform_image
 
 RESTORE_DIGESTS = {
     (32, 1.0, 1): "954caf4a0ea593c3f3fa892100149f709e68c7e011738d39c46165bed74bdf17",
@@ -150,6 +157,9 @@ ORACLE_DIGESTS = {
     "coarse-6x4": "8fa25bb2c3f37bd8ad20992ad11ba0c8252fb2fa33260290c4b7d2726a2aff83",
     "coarse-7x3": "04fc9b2bc543d1dab03f7b6757d7bf65e76a6b19037ec501d15d5b85d9c7ad7c",
 }
+
+NUMERICS_DIGEST = "688e4a98653d0caccc3d3414b783eb4bc7ed8250f50f6bed48d977d3d4cb1bc0"
+NUMERICS_RMSES = [0.5775242976761853, 0.5776230432886426, 0.0]
 
 
 def restore_digest(size, lam_c, n_seeds):
@@ -274,7 +284,23 @@ def test_toy_oracle_digest(case):
     assert oracle_digest(case) == ORACLE_DIGESTS[case]
 
 
-KERNEL_FREE_DIGESTS = "toy_oracle_digest or write_jfif_digest or restart_stream_grid_digest"
+def test_numerics_study_digest():
+    rng = np.random.default_rng(11)
+    images = [natural_image(rng, h, w) for h, w in ((16, 16), (17, 13), (9, 31), (64, 48))]
+    images.append(uniform_image(rng, 24, 24))
+    rmses = [row.rmse for row in run_numerics_study(images)]
+    assert rmses == NUMERICS_RMSES
+    h = hashlib.sha256()
+    for path in STUDY_PATHS:
+        for img in images:
+            h.update(lossless_roundtrip(img, path).data.tobytes())
+    h.update(np.array(rmses).tobytes())
+    assert h.hexdigest() == NUMERICS_DIGEST
+
+
+KERNEL_FREE_DIGESTS = (
+    "toy_oracle_digest or write_jfif_digest or restart_stream_grid_digest or numerics_study_digest"
+)
 
 
 @pytest.mark.skipif(
@@ -289,5 +315,5 @@ def test_kernel_free_digests_hold_under_the_prescott_kernel():
         text=True,
         timeout=300,
     )
-    expected = len(ORACLE_DIGESTS) + len(WRITE_JFIF_DIGESTS) + 1
+    expected = len(ORACLE_DIGESTS) + len(WRITE_JFIF_DIGESTS) + 2
     assert run.returncode == 0 and f"{expected} passed" in run.stdout, run.stdout[-3000:]

@@ -10,6 +10,7 @@ from jpegkit.toy import (
     _block_rows,
     _conditional_means,
     _posterior_weights,
+    _table_blocks,
     alphabet_for_size,
     enumerate_posterior,
     fm_identity_check,
@@ -597,6 +598,61 @@ def test_wrong_shape_block_raises_before_any_value_check():
             with pytest.raises(MalformedSampler, match="table block"):
                 check(m, sampler)
             assert calls == [block_rows, block_rows]
+
+
+def test_checks_read_the_samplers_own_blocks_in_place():
+    m = fine_step_model(7)
+    exact = posterior_sampler(m)
+    returned = []
+
+    def sampler(ys):
+        returned.append(exact(ys))
+        return returned[-1]
+
+    blocks = 0
+    for _, block in _table_blocks(m, sampler):
+        assert block is returned[-1]  # no copy of a writable float64 block
+        blocks += 1
+    assert blocks == len(returned) > 1
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_read_only_and_fortran_blocks_get_the_stacked_blocks_report():
+    # a read-only block, a view or one of its own, is copied before the
+    # checks zero its inside entries, and a Fortran-ordered one before they
+    # sum its rows, which would add them in another order
+    for m in (uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7)):
+        stacked = block_sampler(lambda y: m.prior)
+        want = posterior_sampler_checks(m, stacked), fm_identity_check(m, stacked)
+        for sampler in (
+            lambda ys: np.broadcast_to(m.prior, (len(ys), m.n_states)),
+            lambda ys: _read_only(stacked(ys)),
+            lambda ys: np.asfortranarray(stacked(ys)),
+        ):
+            assert (posterior_sampler_checks(m, sampler), fm_identity_check(m, sampler)) == want
+
+
+def test_views_of_a_samplers_table_stay_unchanged():
+    m = fine_step_model(7)
+    ys = observations(m)[0]
+    table = posterior_sampler(m)(ys)  # every observation's table, kept by the sampler
+    before = table.copy()
+    row_of = {tuple(y): r for r, y in enumerate(ys.tolist())}
+
+    def sampler(block_ys):
+        assert np.array_equal(table, before)  # as the earlier blocks left it
+        r0 = row_of[tuple(block_ys[0].tolist())]
+        return table[r0 : r0 + len(block_ys)]
+
+    rep = posterior_sampler_checks(m, sampler)
+    fm = fm_identity_check(m, sampler)
+    assert np.array_equal(table, before)
+    assert rep == posterior_sampler_checks(m, posterior_sampler(m))
+    assert fm == fm_identity_check(m)
 
 
 def test_sampler_unreachable_y_propagates():
