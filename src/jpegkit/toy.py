@@ -25,7 +25,12 @@ per observation. The sampler checks call it once per block of at most
 compare a whole block at a time, so no check holds an (observations x
 states) table. They read each block where the sampler returned it, and
 copy only one that is not a writable, C-contiguous float64 array of its
-own. The exact posterior sampler fills a block with one scatter.
+own. One block is alive at a time: no check holds block i while the
+sampler fills block i + 1. Validation takes no pass of its own, so
+:func:`posterior_sampler_checks` reads a block in four dense passes and
+:func:`fm_identity_check` in two, and a table that is not a probability
+distribution raises :class:`MalformedSampler` naming its observation. The
+exact posterior sampler fills a block with one scatter.
 """
 
 from __future__ import annotations
@@ -323,10 +328,12 @@ def _table_blocks(model: ToyModel, sampler):
     The block is read where the sampler returned it, and copied only when it
     is not a writable, C-contiguous float64 array that owns its memory (a
     view or a read-only block, say): the checks zero and restore entries of
-    the block in place, and sum its rows. It is then checked with one
-    ``min`` and one row ``sum``: a table that is not a probability
-    distribution (a negative or NaN entry, or a sum off 1) raises
-    :class:`MalformedSampler` before its block is used.
+    the block in place, and multiply it. The checks validate its values
+    themselves, from the passes they make anyway.
+
+    One block is alive at a time: this generator drops its reference before
+    it asks the sampler for the next block, and each check drops its own,
+    with no view of the block left, at the end of its loop body.
     :class:`UnreachableY` from the sampler propagates.
     """
     n = model.n_states
@@ -334,12 +341,23 @@ def _table_blocks(model: ToyModel, sampler):
     size = _block_rows(n)
     for r0 in range(0, len(ys), size):
         k = min(size, len(ys) - r0)
-        block = np.require(sampler(ys[r0 : r0 + k]), np.float64, "CWOE")
+        block = np.asarray(sampler(ys[r0 : r0 + k]), np.float64, order="C")
+        if not (block.flags.writeable and block.flags.owndata):
+            block = block.copy()
         if block.shape != (k, n):
             raise MalformedSampler(f"sampler must return a {(k, n)} table block, not {block.shape}")
-        if not (block.min() >= -ATOL and np.abs(block.sum(axis=1) - 1.0).max() <= 1e-9):
-            raise MalformedSampler("sampler table is not a probability distribution")
         yield r0, block
+        del block
+
+
+def _not_a_distribution(ys: np.ndarray, block: np.ndarray, sums: np.ndarray) -> MalformedSampler:
+    """The error for a block that failed validation, naming the observation
+    of its first table with a negative or NaN entry or a sum off 1. ``ys``
+    are the block's observations and ``sums`` its row sums; only a failed
+    block pays for the per-row ``min``."""
+    ok = (block.min(axis=1) >= -ATOL) & (np.abs(sums - 1.0) <= 1e-9)
+    y = ys[int(np.argmin(ok))].tolist()
+    return MalformedSampler(f"sampler table for observation {y} is not a probability distribution")
 
 
 def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
@@ -348,32 +366,54 @@ def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
     equal the posterior: zero mass on inconsistent states, and a sample
     marginal equal to the prior.
 
-    The sampler is called once per block of reachable observations, and
-    each block is validated and compared as a whole (see
-    :func:`_table_blocks`): a block of the wrong shape raises
-    :class:`MalformedSampler` before its values are looked at, and a table
-    with bad values raises it before its block is used.
+    The sampler is called once per block of reachable observations (see
+    :func:`_table_blocks`), and each block is validated and compared as a
+    whole: a block of the wrong shape raises :class:`MalformedSampler`
+    before its values are looked at, and a table with bad values raises it,
+    naming its observation, before its block is used.
 
-    Cost: the model's grouping (computed on first use, then cached), then
-    one sampler call and a few whole-block passes, O(states) per
-    observation, per block of tables.
+    A block's "inside" entries are each table's entries on the states of
+    its own observation; the rest is its mass outside. Their flat positions
+    in a block and their posterior weights are gathered once per call, from
+    the grouping's order. Per block the check gathers the inside entries and
+    zeroes them, makes three dense passes over the zeroed block (``min``,
+    ``max`` and the row sums as one product with ones), restores the inside
+    entries and, once the block has passed validation, makes the fourth:
+    ``probs @ block`` into the marginal. The validation needs no pass of its
+    own: a table is a probability distribution when the block ``min`` and
+    its inside entries are at least ``-ATOL`` and its outside row sum plus
+    its inside sum is within 1e-9 of 1. On a failed block, restored, one
+    row ``min`` finds the first bad table.
+
+    Cost: the model's grouping (computed on first use, then cached), a few
+    O(states) arrays per call, then one sampler call and four whole-block
+    passes, O(states) per observation, per block of tables.
     """
     g = model._grouping
-    marginal = np.zeros(model.n_states)
+    n = model.n_states
+    # flat positions in their blocks: a block's first row is a multiple of the block size
+    inside_at = g.index[g.order] % _block_rows(n) * n + g.order
+    inside_weights = g.weights[g.order]
+    ones = np.ones(n)
+    marginal = np.zeros(n)
     inconsistent = max_gap = 0.0
     for r0, block in _table_blocks(model, sampler):
         r1 = r0 + len(block)
-        # each table's entries on the states of its own observation
-        members = g.order[g.starts[r0] : g.starts[r1]]
-        rows = g.index[members] - r0
-        inside = block[rows, members]
-        block[rows, members] = 0.0  # the block now holds the mass outside
+        s0, s1 = g.starts[r0], g.starts[r1]
+        at = inside_at[s0:s1]
+        inside = block.take(at)
+        block.put(at, 0.0)  # the block now holds the mass outside
+        lo, hi, outside = block.min(), block.max(), block @ ones
+        block.put(at, inside)
+        sums = outside + np.add.reduceat(inside, g.starts[r0:r1] - s0)
+        if not (lo >= -ATOL and inside.min() >= -ATOL and np.abs(sums - 1.0).max() <= 1e-9):
+            raise _not_a_distribution(g.ys[r0:r1], block, sums)
         py = g.probs[r0:r1]
-        inconsistent += float(py @ block.sum(axis=1))
-        gap_inside = np.abs(inside - g.weights[members]).max()
-        max_gap = max(max_gap, float(block.max()), float(-block.min()), float(gap_inside))
-        block[rows, members] = inside
+        inconsistent += float(py @ outside)
+        gap_inside = np.abs(inside - inside_weights[s0:s1]).max()
+        max_gap = max(max_gap, float(hi), float(-lo), float(gap_inside))
         marginal += py @ block
+        del block  # before the sampler fills the next one
     tv = 0.5 * float(np.abs(marginal - model.prior).sum())
     return SamplerReport(inconsistent, tv, max_gap)
 
@@ -416,22 +456,33 @@ def fm_identity_check(model: ToyModel, sampler=None) -> float:
     Exactly zero (to float noise) for the enumerated posterior: averaging
     samples of the posterior IS the conditional mean. The sampler, a block
     sampler that is the exact posterior by default, is called once per
-    block of reachable observations, and each block is validated as in
-    :func:`posterior_sampler_checks`.
+    block of reachable observations, and each block is validated and
+    compared as a whole, with the errors of :func:`posterior_sampler_checks`.
+
+    Per block the check makes two dense passes: ``min``, and one product
+    with the signals and a column of ones, which gives each table's mean and
+    its sum together. A table is a probability distribution when the block
+    ``min`` is at least ``-ATOL`` and its sum is within 1e-9 of 1.
 
     Cost: the model's grouping (computed on first use, then cached), one
     O(states * length) pass for every conditional mean, then one sampler
-    call and one product per block of tables.
+    call and two whole-block passes per block of tables.
     """
     g = model._grouping
     if sampler is None:
         sampler = posterior_sampler(model)
     means = _conditional_means(model, g.weights, g.index, len(g.ys))
-    signals = model.signals.astype(np.float64)
-    sampled = np.empty_like(means)
+    length = model.length
+    signals = np.ones((model.n_states, length + 1))
+    signals[:, :length] = model.signals
+    sampled = np.empty((len(g.ys), length + 1))
     for r0, block in _table_blocks(model, sampler):
-        np.matmul(block, signals, out=sampled[r0 : r0 + len(block)])
-    return float(np.abs(sampled - means).max())
+        out = sampled[r0 : r0 + len(block)]
+        np.matmul(block, signals, out=out)
+        if not (block.min() >= -ATOL and np.abs(out[:, length] - 1.0).max() <= 1e-9):
+            raise _not_a_distribution(g.ys[r0 : r0 + len(block)], block, out[:, length])
+        del block  # before the sampler fills the next one
+    return float(np.abs(sampled[:, :length] - means).max())
 
 
 # --- text fixtures ---------------------------------------------------------

@@ -100,6 +100,15 @@ def fine_step_model(seed, length=5, a=4):
     return ToyModel(length, alphabet_for_size(a), raw / raw.sum(), steps)
 
 
+def coarse_step_model(length, a, steps, seed):
+    """A model with the step vector of a coarse-step `oracle-check` model
+    and a log-normal prior."""
+    from jpegkit.toy import ToyModel, alphabet_for_size
+
+    raw = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, a**length))
+    return ToyModel(length, alphabet_for_size(a), raw / raw.sum(), np.array(steps))
+
+
 def block_sampler(per_observation):
     """A block sampler, as the toy checks call one, from a per-observation
     one: ``per_observation(y)`` gets each row of the (k, length) block as a

@@ -64,14 +64,12 @@ from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, lo
 from jpegkit.numerics import STUDY_PATHS, lossless_roundtrip, run_numerics_study
 from jpegkit.restorer import RestoreConfig, restore_with_history
 from jpegkit.toy import (
-    ToyModel,
-    alphabet_for_size,
     mmse_consistency_deviation,
     posterior_sampler,
     posterior_sampler_checks,
     random_model,
 )
-from tests.conftest import fine_step_model, natural_image, restart_stream, uniform_image
+from tests.conftest import coarse_step_model, fine_step_model, natural_image, restart_stream, uniform_image
 
 RESTORE_DIGESTS = {
     (32, 1.0, 1): "954caf4a0ea593c3f3fa892100149f709e68c7e011738d39c46165bed74bdf17",
@@ -217,13 +215,6 @@ def forward_digest(height, width, channels, colorspace):
     op = DiffJpegOp.for_image(x, 50, CodecOptions(colorspace=colorspace))
     z, _ = forward(op, x)
     return hashlib.sha256(z.data.tobytes()).hexdigest()
-
-
-def coarse_step_model(length, a, steps, seed):
-    """A model with the step vector of a coarse-step `oracle-check` model
-    and a log-normal prior."""
-    raw = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, a**length))
-    return ToyModel(length, alphabet_for_size(a), raw / raw.sum(), np.array(steps))
 
 
 ORACLE_MODELS = {

@@ -1,4 +1,7 @@
 import itertools
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from jpegkit.toy import (
     save_model,
     uniform_model,
 )
-from tests.conftest import block_sampler, fine_step_model
+from tests.conftest import block_sampler, coarse_step_model, fine_step_model
 
 
 def brute_force_posterior(model, y):
@@ -664,3 +667,121 @@ def test_sampler_unreachable_y_propagates():
     for check in (posterior_sampler_checks, fm_identity_check):
         with pytest.raises(UnreachableY):
             check(m, sampler)
+
+
+# --- one live block; validation from the checks' own passes -----------------
+
+
+def coarse_4096_model():
+    """The 4096-state coarse-step model of the parity digests: 197
+    observations, 8 tables per block."""
+    return coarse_step_model(6, 4, (1.8, 2.16, 2.52, 2.88, 3.24, 3.6), 41)
+
+
+def test_no_block_is_alive_while_the_sampler_fills_the_next():
+    m = fine_step_model(7)  # 1024 observations, 32 per block
+    exact = posterior_sampler(m)
+    for check in (posterior_sampler_checks, fm_identity_check):
+        returned = []
+
+        def sampler(ys):
+            assert not returned or returned[-1]() is None, "the previous block is still alive"
+            block = exact(ys)
+            returned.append(weakref.ref(block))
+            return block
+
+        check(m, sampler)
+        assert len(returned) == len(block_sizes(m)) == 32
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checks_peak_at_one_block():
+    m = coarse_4096_model()
+    block_bytes = _block_rows(m.n_states) * m.n_states * 8
+    assert block_bytes == 256 * 1024
+    sampler = posterior_sampler(m)
+    posterior_sampler_checks(m, sampler)  # the grouping and lookup keys, kept on the model
+    # one block, and the call's O(states) arrays; two blocks alive read 566 KiB
+    assert _traced_peak(lambda: posterior_sampler_checks(m, sampler)) < 512 * 1024
+    # one block, the signals with their column of ones, and the rest; two
+    # blocks alive read 741 KiB
+    signals_bytes = m.n_states * (m.length + 1) * 8
+    assert _traced_peak(lambda: fm_identity_check(m, sampler)) < block_bytes + signals_bytes + 64 * 1024
+
+
+def _spoil_table(m, row, spoil):
+    """The exact sampler, with ``spoil(table, states)`` applied to the table
+    of observation ``row``, ``states`` being that observation's own states.
+    The sampler keeps every block it returns, and a copy of it as returned."""
+    _, _, index = observations(m)
+    exact = posterior_sampler(m)
+    rows = _block_rows(m.n_states)
+    kept, as_returned = [], []
+
+    def sampler(ys):
+        tables = exact(ys)
+        if len(kept) == row // rows:
+            spoil(tables[row % rows], np.flatnonzero(index == row))
+        kept.append(tables)
+        as_returned.append(tables.copy())
+        return tables
+
+    return sampler, kept, as_returned
+
+
+def _negative_inside(table, states):
+    # the sum stays 1: one state of the table's own observation loses 1, another gains it
+    table[states[0]] -= 1.0
+    table[states[1]] += 1.0
+
+
+def _nan_inside(table, states):
+    table[states[0]] = np.nan
+
+
+@pytest.mark.parametrize("spoil", [_negative_inside, _nan_inside], ids=["negative", "nan"])
+def test_bad_entries_on_a_tables_own_states_raise(spoil):
+    # the posterior checks zero these entries before they take the block's
+    # min, so they are validated from the gathered entries
+    m = coarse_4096_model()
+    ys, _, index = observations(m)
+    rows = _block_rows(m.n_states)
+    row = 2 * rows + 3  # inside the third block
+    assert np.count_nonzero(index == row) >= 2
+    for check in (posterior_sampler_checks, fm_identity_check):
+        sampler, kept, as_returned = _spoil_table(m, row, spoil)
+        with pytest.raises(MalformedSampler, match=re.escape(f"observation {ys[row].tolist()} ")):
+            check(m, sampler)
+        assert len(kept) == 3  # raised when its block was full
+        # the checks read the block in place, and give it back as it came
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, as_returned))
+
+
+def test_malformed_sampler_names_the_first_bad_table():
+    m = fine_step_model(7)
+    ys = observations(m)[0]
+    rows = _block_rows(m.n_states)
+    exact = posterior_sampler(m)
+    sum_off, nan = (lambda t: 2.0 * t), (lambda t: np.full_like(t, np.nan))
+    for first, second in ((sum_off, nan), (nan, sum_off)):
+        for check in (posterior_sampler_checks, fm_identity_check):
+            calls = []
+
+            def sampler(block_ys):
+                calls.append(len(block_ys))
+                tables = exact(block_ys)
+                if len(calls) == 2:  # tables 5 and 9 of the second block
+                    tables[5], tables[9] = first(tables[5]), second(tables[9])
+                return tables
+
+            with pytest.raises(MalformedSampler, match=re.escape(f"for observation {ys[rows + 5].tolist()} is not")):
+                check(m, sampler)
+            assert calls == [rows, rows]
