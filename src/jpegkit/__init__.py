@@ -17,7 +17,7 @@ from .codec import (
     decompress_float,
     jpeg_q,
 )
-from .diffjpeg import DiffJpegOp, Vjp, apply_vjp, forward, forward_no_round
+from .diffjpeg import DiffJpegOp, Vjp, apply_vjp, forward
 from .image import FloatImage, PixelImage, to_float, to_pixels
 from .jfif import parse_jfif, write_jfif
 from .losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
@@ -26,7 +26,7 @@ from .pnm import read_pnm, write_pnm
 from .projection import project
 from .quant import QuantTable, table_for_qf
 from .restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
-from .toy import ToyModel, enumerate_posterior, mmse_estimate, posterior_sampler_checks
+from .toy import ToyModel, posterior_sampler_checks
 
 __version__ = "0.1.0"
 
@@ -49,15 +49,12 @@ __all__ = [
     "consistency_rmse",
     "decompress",
     "decompress_float",
-    "enumerate_posterior",
     "forward",
-    "forward_no_round",
     "jpeg_q",
     "loss_c",
     "loss_fm",
     "loss_p",
     "loss_sm",
-    "mmse_estimate",
     "parse_jfif",
     "perceptual_proxy",
     "posterior_sampler_checks",

@@ -26,7 +26,7 @@ import numpy as np
 from .codec import CodecOptions, requantize
 from .errors import DimMismatch
 from .image import FloatImage, round_half_away_from_zero
-from .quant import QuantTable, table_for_qf
+from .quant import QuantTable
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class DiffJpegOp:
     width: int
     height: int
     channels: int
-
-    @classmethod
-    def for_image(cls, img, qf: int, options: CodecOptions = CodecOptions()) -> "DiffJpegOp":
-        return cls(table_for_qf(qf), options, img.width, img.height, img.channels)
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,6 @@ def _round_in_place(coef, channel):
     return round_half_away_from_zero(coef, out=coef)
 
 
-def _run(op: DiffJpegOp, x, rounding: bool, out=None, work=None):
-    _check_dims(op, x)
-    step = _round_in_place if rounding else None
-    result = requantize(x, op.table, op.options, step, out=out, work=work)
-    return FloatImage(result) if isinstance(x, FloatImage) else result
-
-
 def forward(op: DiffJpegOp, x, out=None, work=None):
     """Float-valued compress-decompress of x, plus the adjoint handle.
 
@@ -83,13 +72,9 @@ def forward(op: DiffJpegOp, x, out=None, work=None):
     result and hold the color planes, so that a caller stepping a stack
     again and again allocates neither.
     """
-    return _run(op, x, True, out, work), Vjp(op)
-
-
-def forward_no_round(op: DiffJpegOp, x):
-    """The pipeline with rounding replaced by the identity: the map whose
-    Jacobian the VJP implements. It returns x up to float error."""
-    return _run(op, x, False)
+    _check_dims(op, x)
+    result = requantize(x, op.table, op.options, _round_in_place, out=out, work=work)
+    return (FloatImage(result) if isinstance(x, FloatImage) else result), Vjp(op)
 
 
 def apply_vjp(vjp: Vjp, cotangent):

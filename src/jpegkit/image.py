@@ -102,7 +102,7 @@ def float_samples(img) -> np.ndarray:
 
 def to_float(img: PixelImage) -> FloatImage:
     """Exact value copy into float64."""
-    return FloatImage(img.data.astype(np.float64))
+    return FloatImage(img.data)
 
 
 def to_pixels(img: FloatImage) -> PixelImage:

@@ -189,13 +189,15 @@ def write_jfif(grid: CoefficientGrid) -> bytes:
         raise PassthroughNotRepresentable(
             "only 3-channel ycbcr grids map onto a standard stream"
         )
+    if max(grid.width, grid.height) > 0xFFFF:  # SOF0's X and Y are 16-bit (T.81 B.2.2)
+        raise PassthroughNotRepresentable(f"a {grid.width}x{grid.height} frame exceeds 65535 samples a side")
     for ch in grid.channels:
         # baseline codes reach DC differences of +-2047 and AC of +-1023;
         # DC in [-1024, 1023] keeps every difference representable
         dc = ch[:, :, 0, 0]
         ac = ch.reshape(-1, 64)[:, 1:]
         if dc.max() > 1023 or dc.min() < -1024 or ac.max() > 1023 or ac.min() < -1023:
-            raise ValueError("coefficient outside the baseline code range")
+            raise PassthroughNotRepresentable("coefficient outside the baseline code range")
     out = bytearray(b"\xff" + bytes([SOI]))
     _segment(out, APP0, b"JFIF\x00" + bytes((1, 1, 0)) + struct.pack(">HHBB", 1, 1, 0, 0))
     _segment(

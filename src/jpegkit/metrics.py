@@ -114,12 +114,9 @@ def perceptual_proxy(set_a, set_b) -> float:
     return max(0.0, frechet_distance(fa, fb))
 
 
-def std_map(batch: SampleBatch, fourth_root: bool = False) -> FloatImage:
+def std_map(batch: SampleBatch) -> FloatImage:
     """Per-pixel sample standard deviation (unbiased) over the batch."""
     if len(batch.samples) < 2:
         raise TooFewSamples("std map needs at least 2 samples")
-    std = batch.stacked().std(axis=0, ddof=1)
-    if fourth_root:
-        std = std**0.25
-    return FloatImage(std)
+    return FloatImage(batch.stacked().std(axis=0, ddof=1))
 

@@ -20,16 +20,18 @@ check, and the exact posterior sampler, reads it.
 
 A sampler is block-shaped: it takes a (k, length) int array of observations
 and returns a (k, n_states) array, one distribution table over the states
-per observation. The sampler checks call it once per block of at most
-``max(1, 2**15 // n_states)`` observations, in row order, and validate and
-compare a whole block at a time, so no check holds an (observations x
-states) table. They read each block where the sampler returned it, and
-copy only one that is not a writable, C-contiguous float64 array of its
-own. One block is alive at a time: no check holds block i while the
-sampler fills block i + 1. Validation takes no pass of its own, so
+per observation. The sampler checks keep one block contract. Block
+bound: they call the sampler once per block of at most
+``max(1, 2**15 // n_states)`` observations, in row order, so no check holds
+an (observations x states) table. Copy rule: they read each block where the
+sampler returned it, and copy only one that is not a writable, C-contiguous
+float64 array of its own, since they write to it. One block alive: no check
+holds block i, or a view of it, while the sampler fills block i + 1. Pass
+counts: validation takes no pass of its own, so
 :func:`posterior_sampler_checks` reads a block in four dense passes and
-:func:`fm_identity_check` in two, and a table that is not a probability
-distribution raises :class:`MalformedSampler` naming its observation. The
+:func:`fm_identity_check` in two. A block of the wrong shape raises
+:class:`MalformedSampler`, and so does a table that is not a probability
+distribution, named by its observation (the first such in its block). The
 exact posterior sampler fills a block with one scatter.
 """
 
@@ -117,17 +119,13 @@ class ToyModel:
 
     @cached_property
     def _grouping(self) -> _Grouping:
-        """The states grouped by observation: computed on first use and kept
-        on this model, so each model is degraded and sorted once however
-        many checks run on it."""
+        """The states grouped by observation, computed on first use and kept."""
         return _group(self)
 
     @cached_property
     def _row_keys(self) -> np.ndarray:
-        """The grouping's observations as sorted, read-only lookup keys (see
-        :func:`_observation_keys`), computed on the first lookup and kept on
-        this model. They are not part of the grouping, so the checks that
-        never look an observation up do not pay for them."""
+        """Sorted, read-only lookup keys of the grouping's observations, kept
+        apart so that the checks, which never look one up, do not pay for them."""
         keys = _observation_keys(self._grouping.ys)
         keys.setflags(write=False)
         return keys
@@ -136,12 +134,6 @@ class ToyModel:
 def alphabet_for_size(a: int) -> np.ndarray:
     """Level-shifted integer alphabet: 0..a-1 minus a//2."""
     return np.arange(a, dtype=np.int64) - a // 2
-
-
-def uniform_model(length: int, a: int, steps) -> ToyModel:
-    alphabet = alphabet_for_size(a)
-    n = a**length
-    return ToyModel(length, alphabet, np.full(n, 1.0 / n), np.asarray(steps, float))
 
 
 def random_model(rng: np.random.Generator, max_length: int = 4, max_alphabet: int = 4) -> ToyModel:
@@ -159,21 +151,18 @@ def random_model(rng: np.random.Generator, max_length: int = 4, max_alphabet: in
 
 def observations(model: ToyModel):
     """Reachable observations (positive pushforward mass) and their
-    probabilities.
-
-    Returns (ys, probs, index) where ys has one row per reachable
+    probabilities: (ys, probs, index), where ys has one row per reachable
     observation, in lexicographic order, and index maps each state to its
-    observation's row, or -1 when the state's observation carries no prior
-    mass. The arrays are the model's cached grouping, read-only.
-    """
+    observation's row, or -1 when that observation carries no prior mass.
+    The arrays are the model's cached grouping, read-only."""
     g = model._grouping
     return g.ys, g.probs, g.index
 
 
 @dataclass(frozen=True)
 class _Grouping:
-    """A model's states grouped by observation, computed once per model by
-    :func:`_group` and kept on it; every array is read-only."""
+    """A model's states grouped by observation (see :func:`_group`); every
+    array is read-only."""
 
     ys: np.ndarray  # (n_obs, length) reachable observations, lexicographic
     probs: np.ndarray  # (n_obs,) their pushforward masses
@@ -188,9 +177,6 @@ def _group(model: ToyModel) -> _Grouping:
 
     The rows come out in the order, and with the masses, that
     ``np.unique(axis=0)`` over the degraded states would give them.
-
-    Cost: one O(states * length**2) degradation and one lexsort of the
-    states on their length coordinates.
     """
     d = model.degrade_all()
     n = len(d)
@@ -211,7 +197,7 @@ def _group(model: ToyModel) -> _Grouping:
         ys=ys,
         probs=probs,
         index=index,
-        weights=_posterior_weights(model, probs, index),
+        weights=model.prior / probs[index],  # 0 where index is -1: no prior there
         order=order,
         starts=np.searchsorted(index[order], np.arange(len(ys) + 1)),
     )
@@ -246,32 +232,6 @@ def _rows_of(model: ToyModel, ys) -> np.ndarray:
     return rows
 
 
-def enumerate_posterior(model: ToyModel, y) -> np.ndarray:
-    """p(x | y) over all states, by direct enumeration."""
-    y = np.asarray(y, dtype=np.int64)
-    mask = np.all(model.degrade_all() == y, axis=1)
-    mass = model.prior * mask
-    total = mass.sum()
-    if total <= 0.0:
-        raise UnreachableY(f"no signal maps to {y.tolist()}")
-    return mass / total
-
-
-def mmse_estimate(model: ToyModel, y) -> np.ndarray:
-    """Conditional mean E[X | y]."""
-    post = enumerate_posterior(model, y)
-    return post @ model.signals.astype(np.float64)
-
-
-def _posterior_weights(model: ToyModel, probs: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """p(x | y(x)) for every state x: its prior over its observation's mass.
-
-    A state whose observation carries no mass has zero prior itself, so
-    its weight is 0 whatever ``probs[-1]`` is.
-    """
-    return model.prior / probs[index]
-
-
 def _conditional_means(model: ToyModel, weights: np.ndarray, index: np.ndarray, n_obs: int) -> np.ndarray:
     """E[X | y] for every reachable observation, shape (n_obs, length), from
     one pass over the states grouped by ``index``."""
@@ -290,8 +250,8 @@ def mmse_consistency_deviation(model: ToyModel) -> float:
     At most 0.5 (plus float noise): every consistent state's transform
     lies in the half-step box around y and the box is convex.
 
-    Cost: the model's grouping (computed on first use, then cached), and
-    one O(states * length) pass that yields every conditional mean at once.
+    Cost: the model's cached grouping and one O(states * length) pass that
+    yields every conditional mean.
     """
     g = model._grouping
     means = _conditional_means(model, g.weights, g.index, len(g.ys))
@@ -307,35 +267,19 @@ class SamplerReport:
     max_posterior_gap: float
 
 
-# Sampler tables are asked for in blocks of at most this many float64
-# values (256 KiB) or one table, whichever is larger, a bound on memory: no
-# check holds one table per observation.
-_BLOCK_VALUES = 1 << 15
+_BLOCK_VALUES = 1 << 15  # float64 values, 256 KiB
 
 
 def _block_rows(n_states: int) -> int:
-    """The most observations one sampler call is given by the checks."""
+    """The block bound of the module docstring, in observations."""
     return max(1, _BLOCK_VALUES // n_states)
 
 
 def _table_blocks(model: ToyModel, sampler):
-    """Call the sampler once per block of reachable observations, in row
-    order, and yield (first row, block) with the block's tables as its rows.
-
-    A block holds at most :func:`_block_rows` observations. A return value
-    that is not a (k, n_states) array for the k observations given raises
-    :class:`MalformedSampler` right after its call, before any value check.
-    The block is read where the sampler returned it, and copied only when it
-    is not a writable, C-contiguous float64 array that owns its memory (a
-    view or a read-only block, say): the checks zero and restore entries of
-    the block in place, and multiply it. The checks validate its values
-    themselves, from the passes they make anyway.
-
-    One block is alive at a time: this generator drops its reference before
-    it asks the sampler for the next block, and each check drops its own,
-    with no view of the block left, at the end of its loop body.
-    :class:`UnreachableY` from the sampler propagates.
-    """
+    """Yield (first row, block) for each block of reachable observations,
+    the block's tables as its rows, under the block contract of the module
+    docstring; the checks validate the values. :class:`UnreachableY` from
+    the sampler propagates."""
     n = model.n_states
     ys = model._grouping.ys
     size = _block_rows(n)
@@ -352,9 +296,8 @@ def _table_blocks(model: ToyModel, sampler):
 
 def _not_a_distribution(ys: np.ndarray, block: np.ndarray, sums: np.ndarray) -> MalformedSampler:
     """The error for a block that failed validation, naming the observation
-    of its first table with a negative or NaN entry or a sum off 1. ``ys``
-    are the block's observations and ``sums`` its row sums; only a failed
-    block pays for the per-row ``min``."""
+    of its first table with a negative or NaN entry or a sum off 1; ``ys``
+    and ``sums`` are the block's observations and row sums."""
     ok = (block.min(axis=1) >= -ATOL) & (np.abs(sums - 1.0) <= 1e-9)
     y = ys[int(np.argmin(ok))].tolist()
     return MalformedSampler(f"sampler table for observation {y} is not a probability distribution")
@@ -366,28 +309,12 @@ def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
     equal the posterior: zero mass on inconsistent states, and a sample
     marginal equal to the prior.
 
-    The sampler is called once per block of reachable observations (see
-    :func:`_table_blocks`), and each block is validated and compared as a
-    whole: a block of the wrong shape raises :class:`MalformedSampler`
-    before its values are looked at, and a table with bad values raises it,
-    naming its observation, before its block is used.
+    Blocks are read under the block contract of the module docstring. A
+    table's "inside" entries are those on its own observation's states; the
+    rest is its mass outside, read from the block with the inside zeroed.
 
-    A block's "inside" entries are each table's entries on the states of
-    its own observation; the rest is its mass outside. Their flat positions
-    in a block and their posterior weights are gathered once per call, from
-    the grouping's order. Per block the check gathers the inside entries and
-    zeroes them, makes three dense passes over the zeroed block (``min``,
-    ``max`` and the row sums as one product with ones), restores the inside
-    entries and, once the block has passed validation, makes the fourth:
-    ``probs @ block`` into the marginal. The validation needs no pass of its
-    own: a table is a probability distribution when the block ``min`` and
-    its inside entries are at least ``-ATOL`` and its outside row sum plus
-    its inside sum is within 1e-9 of 1. On a failed block, restored, one
-    row ``min`` finds the first bad table.
-
-    Cost: the model's grouping (computed on first use, then cached), a few
-    O(states) arrays per call, then one sampler call and four whole-block
-    passes, O(states) per observation, per block of tables.
+    Cost: the model's cached grouping, a few O(states) arrays per call,
+    then one sampler call and the block passes per block of tables.
     """
     g = model._grouping
     n = model.n_states
@@ -422,12 +349,10 @@ def posterior_sampler(model: ToyModel):
     """The exact posterior as a block sampler: a (k, length) int array of
     observations in, their (k, n_states) posterior tables out.
 
-    The states are grouped by observation once per model (see
-    :func:`observations`), and its observation lookup once per model, on
-    the first call. A call then costs one binary search per observation and one
-    scatter of every observation's posterior weights into a zero block,
-    O(states) per observation. An observation that no state with prior mass
-    reaches raises :class:`UnreachableY`, which names it.
+    A call costs one binary search per observation over the model's
+    cached lookup keys and one scatter of the posterior weights into a zero
+    block, O(states) per observation. An observation that no state with
+    prior mass reaches raises :class:`UnreachableY`, which names it.
     """
     g = model._grouping
     sizes = g.starts[1:] - g.starts[:-1]
@@ -455,18 +380,13 @@ def fm_identity_check(model: ToyModel, sampler=None) -> float:
 
     Exactly zero (to float noise) for the enumerated posterior: averaging
     samples of the posterior IS the conditional mean. The sampler, a block
-    sampler that is the exact posterior by default, is called once per
-    block of reachable observations, and each block is validated and
-    compared as a whole, with the errors of :func:`posterior_sampler_checks`.
+    sampler that is the exact posterior by default, is read under the block
+    contract of the module docstring; the product with the signals and a
+    column of ones gives each table's mean and its sum together.
 
-    Per block the check makes two dense passes: ``min``, and one product
-    with the signals and a column of ones, which gives each table's mean and
-    its sum together. A table is a probability distribution when the block
-    ``min`` is at least ``-ATOL`` and its sum is within 1e-9 of 1.
-
-    Cost: the model's grouping (computed on first use, then cached), one
-    O(states * length) pass for every conditional mean, then one sampler
-    call and two whole-block passes per block of tables.
+    Cost: the model's cached grouping, one O(states * length) pass for
+    every conditional mean, then one sampler call and the block passes per
+    block of tables.
     """
     g = model._grouping
     if sampler is None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jpegkit.codec import compress, compress_with_table, decompress, decompress_float, jpeg_q
-from jpegkit.diffjpeg import DiffJpegOp, apply_vjp, forward, forward_no_round
+from jpegkit.diffjpeg import apply_vjp, forward
 from jpegkit.image import FloatImage, PixelImage, to_float, to_pixels
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_sm
@@ -20,13 +20,12 @@ from jpegkit.restorer import RestoreConfig, restore, restore_project, sweep_lamb
 from jpegkit.toy import (
     fm_identity_check,
     mmse_consistency_deviation,
-    mmse_estimate,
     posterior_sampler,
     posterior_sampler_checks,
     random_model,
-    uniform_model,
 )
 from tests.conftest import block_sampler, natural_image, uniform_image
+from tests.reference import forward_no_round, mmse_estimate, op_for_image, uniform_model
 
 
 def _report(num, ok, budget_s, elapsed, detail):
@@ -173,7 +172,7 @@ def test_criterion_06_straight_through_gradient():
     worst = 0.0
     for i in range(5):
         x = to_float(natural_image(rng, 16, 16))
-        op = DiffJpegOp.for_image(x, (5, 10, 50, 75, 95)[i])
+        op = op_for_image(x, (5, 10, 50, 75, 95)[i])
         _, vjp = forward(op, x)
         h = 1e-3
         for _ in range(10):

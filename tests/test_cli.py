@@ -3,6 +3,7 @@ import pytest
 
 from jpegkit.cli import main
 from jpegkit.codec import compress, compress_with_table, decompress
+from jpegkit.image import PixelImage
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.pnm import read_pnm, write_pnm
 from tests.conftest import fine_step_model, images_equal, natural_image, table_from_text
@@ -120,6 +121,28 @@ def test_sweep_command(tmp_path, rng, capsys):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "lambda_c,consistency_rmse,perceptual_proxy,psnr"
     assert len(lines) == 3
+
+
+def test_encode_past_16_bit_frame_is_a_domain_error(tmp_path, capsys):
+    (tmp_path / "wide.ppm").write_bytes(write_pnm(PixelImage(np.zeros((1, 65536, 3), np.uint8))))
+    code, _, err = _usage_error(capsys, ["encode", str(tmp_path / "wide.ppm"), "-q", "50", "-o", str(tmp_path / "w.jpg")])
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("PassthroughNotRepresentable:")
+    assert not (tmp_path / "w.jpg").exists()
+
+
+def test_sweep_input_errors_write_no_csv(tmp_path, rng, capsys):
+    argv = ["sweep", str(tmp_path), "--lambdas", "0,10", "--steps", "1", "-o", str(tmp_path / "s.csv")]
+    x = natural_image(rng)
+    (tmp_path / "a.ppm").write_bytes(write_pnm(x))
+    code, _, err = _usage_error(capsys, argv)
+    assert code == 1 and len(err) == 1 and "no stem.jpg/stem.ppm pairs" in err[0]
+    (tmp_path / "a.jpg").write_bytes(write_jfif(compress(x, 5)))
+    (tmp_path / "b.ppm").write_bytes(write_pnm(x))
+    (tmp_path / "b.jpg").write_bytes(write_jfif(compress(x, 50)))
+    code, _, err = _usage_error(capsys, argv)
+    assert code == 1 and len(err) == 1 and "share one quantization table" in err[0]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_numerics_study_command(tmp_path, rng, capsys):

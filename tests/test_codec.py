@@ -238,8 +238,9 @@ def test_non_finite_samples_rejected_on_every_path(rng):
     # raw samples are checked once, where they enter, on every colorspace
     # and channel path, for one image and for a stack
     from jpegkit.codec import analysis, requantize
-    from jpegkit.diffjpeg import DiffJpegOp, forward, forward_no_round
+    from jpegkit.diffjpeg import DiffJpegOp, forward
     from jpegkit.losses import texture_band_features
+    from tests.reference import forward_no_round
 
     table = table_for_qf(50)
     for opts, samples in _raw_sample_cases(rng):
@@ -262,9 +263,10 @@ def test_non_finite_samples_rejected_on_every_path(rng):
 def test_entry_points_leave_the_callers_samples_unchanged(rng):
     # raw arrays enter without a copy, so no path may write into them
     from jpegkit.codec import analysis, requantize
-    from jpegkit.diffjpeg import DiffJpegOp, forward, forward_no_round
+    from jpegkit.diffjpeg import DiffJpegOp, forward
     from jpegkit.image import FloatImage, round_half_away_from_zero
     from jpegkit.projection import project
+    from tests.reference import forward_no_round
 
     def rounded(coef, c):
         return round_half_away_from_zero(coef, out=coef)

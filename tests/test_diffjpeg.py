@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from jpegkit.codec import CodecOptions, compress, decompress_float, jpeg_q
-from jpegkit.diffjpeg import DiffJpegOp, Vjp, apply_vjp, forward, forward_no_round
+from jpegkit.diffjpeg import DiffJpegOp, Vjp, apply_vjp, forward
 from jpegkit.errors import DimMismatch
 from jpegkit.image import FloatImage, to_float, to_pixels
 from tests.conftest import natural_image, uniform_image
+from tests.reference import forward_no_round, op_for_image
 
 PASSTHROUGH = CodecOptions(colorspace="rgb-passthrough")
 
@@ -13,7 +14,7 @@ PASSTHROUGH = CodecOptions(colorspace="rgb-passthrough")
 def test_value_agrees_with_codec(rng):
     for qf in (5, 50):
         x = natural_image(rng)
-        op = DiffJpegOp.for_image(x, qf)
+        op = op_for_image(x, qf)
         y, _ = forward(op, to_float(x))
         z = jpeg_q(x, qf)
         assert np.max(np.abs(to_pixels(y).data.astype(int) - z.data.astype(int))) <= 1
@@ -39,7 +40,7 @@ def test_qf100_passthrough_lattice_identity(rng):
 def test_vjp_matches_finite_differences(rng):
     # central differences of the no-rounding pipeline vs the adjoint
     x = to_float(natural_image(rng, 17, 13))
-    op = DiffJpegOp.for_image(x, 10)
+    op = op_for_image(x, 10)
     _, vjp = forward(op, x)
     h = 1e-3
     for _ in range(10):
@@ -59,7 +60,7 @@ def test_vjp_passthrough_is_identity(rng):
         for channels in (1, 3):
             for height, width in ((16, 16), (17, 13)):
                 x = to_float(natural_image(rng, height, width, channels))
-                op = DiffJpegOp.for_image(x, 30, opts)
+                op = op_for_image(x, 30, opts)
                 _, vjp = forward(op, x)
                 c = rng.normal(size=x.data.shape)
                 out = apply_vjp(vjp, FloatImage(c)).data
@@ -69,7 +70,7 @@ def test_vjp_passthrough_is_identity(rng):
 
 def test_vjp_zero_cotangent(rng):
     x = to_float(uniform_image(rng, 8, 8))
-    op = DiffJpegOp.for_image(x, 50)
+    op = op_for_image(x, 50)
     _, vjp = forward(op, x)
     out = apply_vjp(vjp, FloatImage(np.zeros_like(x.data)))
     assert np.all(out.data == 0.0)
@@ -79,7 +80,7 @@ def test_ste_contract_vjp_of_no_round_pipeline(rng):
     # J is input-independent: the adjoint applied to a basis cotangent must
     # reproduce the corresponding row of the no-rounding pipeline's Jacobian
     x = to_float(uniform_image(rng, 8, 8))
-    op = DiffJpegOp.for_image(x, 20)
+    op = op_for_image(x, 20)
     _, vjp = forward(op, x)
     v = rng.normal(size=x.data.shape)
     jv = (
@@ -96,7 +97,7 @@ def test_residual_shrinks_with_quality(rng):
     x = to_float(natural_image(rng))
     norms = []
     for qf in (5, 25, 50, 75, 95, 100):
-        op = DiffJpegOp.for_image(x, qf, PASSTHROUGH)
+        op = op_for_image(x, qf, PASSTHROUGH)
         y, _ = forward(op, x)
         norms.append(float(np.linalg.norm(y.data - x.data)))
     assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
@@ -105,7 +106,7 @@ def test_residual_shrinks_with_quality(rng):
 
 def test_dim_mismatch(rng):
     x = to_float(uniform_image(rng, 8, 8))
-    op = DiffJpegOp.for_image(x, 50)
+    op = op_for_image(x, 50)
     bad = FloatImage(np.zeros((16, 16, 3)))
     with pytest.raises(DimMismatch):
         forward(op, bad)
@@ -116,7 +117,7 @@ def test_dim_mismatch(rng):
 
 def test_vjp_dataclass_holds_operator(rng):
     x = to_float(uniform_image(rng, 8, 8))
-    op = DiffJpegOp.for_image(x, 50)
+    op = op_for_image(x, 50)
     _, vjp = forward(op, x)
     assert isinstance(vjp, Vjp) and vjp.op == op
 
@@ -130,7 +131,7 @@ def test_forward_stack_matches_per_image(rng):
                 stack = np.stack(
                     [to_float(natural_image(rng, height, width, channels)).data for _ in range(3)]
                 ) + rng.normal(0.0, 3.0, (3, height, width, channels))
-                op = DiffJpegOp.for_image(FloatImage(stack[0]), 50, opts)
+                op = op_for_image(FloatImage(stack[0]), 50, opts)
                 z, vjp = forward(op, stack)
                 out, work = np.empty_like(stack), np.empty_like(stack)
                 z_buf, _ = forward(op, stack, out=out, work=work)
@@ -145,7 +146,7 @@ def test_forward_stack_matches_per_image(rng):
 
 def test_forward_stack_checks(rng):
     x = to_float(uniform_image(rng, 8, 8))
-    op = DiffJpegOp.for_image(x, 50)
+    op = op_for_image(x, 50)
     stack = np.stack([x.data, x.data])
     with pytest.raises(DimMismatch):
         forward(op, stack[:, :, :4])
@@ -157,7 +158,7 @@ def test_forward_stack_checks(rng):
 def test_image_forward_into_a_reused_buffer_keeps_earlier_results(rng):
     a = to_float(natural_image(rng, 16, 16, 3))
     b = FloatImage(a.data + rng.normal(0.0, 8.0, a.data.shape))
-    op = DiffJpegOp.for_image(a, 50)
+    op = op_for_image(a, 50)
     buf = np.empty_like(a.data)
     za, _ = forward(op, a, out=buf)
     first = za.data.copy()

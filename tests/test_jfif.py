@@ -115,6 +115,35 @@ def test_gray_grid_not_representable(rng):
         write_jfif(g)
 
 
+def _zero_grid(width, height):
+    from jpegkit.codec import CoefficientGrid
+    from jpegkit.quant import table_for_qf
+
+    blocks = np.zeros((-(-height // 8), -(-width // 8), 8, 8), dtype=np.int32)
+    return CoefficientGrid((blocks, blocks, blocks), table_for_qf(50), width, height)
+
+
+@pytest.mark.parametrize("width, height", [(65536, 1), (1, 65536)])
+def test_frame_past_16_bits_not_representable(width, height):
+    # SOF0's X and Y fields are 16 bits (T.81 B.2.2)
+    with pytest.raises(PassthroughNotRepresentable):
+        write_jfif(_zero_grid(width, height))
+
+
+def test_frame_of_65535_samples_roundtrips():
+    g = _zero_grid(65535, 1)
+    assert parse_jfif(write_jfif(g))[0] == g
+
+
+@pytest.mark.parametrize("at, level", [(1, 1024), (1, -1024), (0, 1024), (0, -1025)])
+def test_coefficient_past_baseline_range_not_representable(at, level):
+    g = _zero_grid(8, 8)
+    y = g.channels[0].copy()
+    y[0, 0, 0, at] = level
+    with pytest.raises(PassthroughNotRepresentable):
+        write_jfif(type(g)((y, *g.channels[1:]), g.table, 8, 8))
+
+
 def test_parser_skips_appn_and_com(rng):
     g = compress(uniform_image(rng, 8, 8), 50)
     data = write_jfif(g)

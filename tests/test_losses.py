@@ -227,13 +227,14 @@ def test_weights_nonnegative():
 def test_loss_c_equals_per_sample_loop(rng):
     # the stacked forward sums the per-sample means in sample order, so it
     # is bit-identical to running the samples one at a time
-    from jpegkit.diffjpeg import DiffJpegOp, forward
+    from jpegkit.diffjpeg import forward
+    from tests.reference import op_for_image
 
     x = natural_image(rng)
     y = jpeg_q(x, 10)
     samples = (x, *(FloatImage(x.data + rng.normal(0, 6, x.data.shape)) for _ in range(3)))
     batch = SampleBatch(y, samples)
-    op = DiffJpegOp.for_image(y, 10)
+    op = op_for_image(y, 10)
     total = 0.0
     for s in samples:
         z, _ = forward(op, _f(s))

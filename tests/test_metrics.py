@@ -175,15 +175,6 @@ def test_std_map_hand_case(rng):
     assert np.all(m.data.reshape(-1)[1:] == 0.0)
 
 
-def test_std_map_fourth_root(rng):
-    y = uniform_image(rng, 2, 2)
-    a = FloatImage(np.zeros((2, 2, 3)))
-    b = FloatImage(np.full((2, 2, 3), 2.0))
-    plain = std_map(SampleBatch(y, (a, b)))
-    rooted = std_map(SampleBatch(y, (a, b)), fourth_root=True)
-    assert np.allclose(rooted.data, plain.data**0.25)
-
-
 def test_std_map_needs_two_samples(rng):
     y = uniform_image(rng, 2, 2)
     with pytest.raises(TooFewSamples):

@@ -57,7 +57,7 @@ import numpy as np
 import pytest
 
 from jpegkit.codec import CodecOptions, compress, jpeg_q
-from jpegkit.diffjpeg import DiffJpegOp, forward
+from jpegkit.diffjpeg import forward
 from jpegkit.image import FloatImage, to_float
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
@@ -70,6 +70,7 @@ from jpegkit.toy import (
     random_model,
 )
 from tests.conftest import coarse_step_model, fine_step_model, natural_image, restart_stream, uniform_image
+from tests.reference import op_for_image
 
 RESTORE_DIGESTS = {
     (32, 1.0, 1): "954caf4a0ea593c3f3fa892100149f709e68c7e011738d39c46165bed74bdf17",
@@ -212,7 +213,7 @@ def forward_digest(height, width, channels, colorspace):
     rng = np.random.default_rng(height * 100 + width)
     x = to_float(natural_image(rng, height, width, channels)).data
     x = FloatImage(x + rng.normal(0.0, 3.0, x.shape))
-    op = DiffJpegOp.for_image(x, 50, CodecOptions(colorspace=colorspace))
+    op = op_for_image(x, 50, CodecOptions(colorspace=colorspace))
     z, _ = forward(op, x)
     return hashlib.sha256(z.data.tobytes()).hexdigest()
 

@@ -12,22 +12,19 @@ from jpegkit.toy import (
     ToyModel,
     _block_rows,
     _conditional_means,
-    _posterior_weights,
     _table_blocks,
     alphabet_for_size,
-    enumerate_posterior,
     fm_identity_check,
     load_model,
     mmse_consistency_deviation,
-    mmse_estimate,
     observations,
     posterior_sampler,
     posterior_sampler_checks,
     random_model,
     save_model,
-    uniform_model,
 )
 from tests.conftest import block_sampler, coarse_step_model, fine_step_model
+from tests.reference import enumerate_posterior, mmse_estimate, uniform_model
 
 
 def brute_force_posterior(model, y):
@@ -266,7 +263,7 @@ EQUIVALENCE_MODELS = [random_model(np.random.default_rng(3000 + i)) for i in ran
 
 def _grouped_means(m):
     ys, probs, index = observations(m)
-    return ys, _conditional_means(m, _posterior_weights(m, probs, index), index, len(ys))
+    return ys, _conditional_means(m, m.prior / probs[index], index, len(ys))
 
 
 @pytest.mark.parametrize("m", EQUIVALENCE_MODELS + [fine_step_model(7)])
