@@ -65,6 +65,10 @@ class TruncatedStream(JpegkitError):
     """Stream ends before the expected terminator."""
 
 
+class FrameTooLarge(JpegkitError):
+    """Frame has more pixels than the parser decodes (``jfif.MAX_PIXELS``)."""
+
+
 class PassthroughNotRepresentable(JpegkitError):
     """Grid cannot be written as a standard 3-component YCbCr stream."""
 

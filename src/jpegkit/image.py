@@ -18,6 +18,16 @@ def round_half_away_from_zero(x, out=None):
     return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
+BLOCK_VALUES = 1 << 15  # float64 values, 256 KiB
+
+
+def block_rows(row_size: int) -> int:
+    """Rows of ``row_size`` values in one block: at most BLOCK_VALUES
+    values, and at least one row. The toy oracle's table blocks and the
+    restorer's and ``loss_c``'s seed blocks keep this bound."""
+    return max(1, BLOCK_VALUES // row_size)
+
+
 def _normalize(arr, dtype):
     # an own read-only copy: the caller's array stays writable, and writing
     # to it later cannot change (or un-finite) the image

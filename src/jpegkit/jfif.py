@@ -18,7 +18,10 @@ segment with ``int.from_bytes`` and reads it by slicing. Byte stuffing is
 one ``bytes.replace`` each way. Before it allocates the coefficients, the
 parser checks that the scan holds the 2 bits every block needs at least;
 it then decodes each block straight into the raster-order array that the
-grid keeps. DRI, SOF0 and SOS bodies must match their layout's length.
+grid keeps. DRI, SOF0 and SOS bodies must match their layout's length. A
+frame of more than ``MAX_PIXELS`` pixels, Pillow's decompression-bomb
+limit, is refused at its SOF0, so the grid the parser allocates is at
+most ~1 GiB however many bytes the scan holds.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from . import dct
 from .codec import CoefficientGrid
 from .errors import (
     BadMarker,
+    FrameTooLarge,
     HuffmanDecodeError,
     NotBaseline,
     PassthroughNotRepresentable,
@@ -42,6 +46,7 @@ from .quant import ZIGZAG, QuantTable, detect_qf, zigzag_flatten, zigzag_unflatt
 
 SOI, EOI, SOS, DQT, DHT, DRI, COM = 0xD8, 0xD9, 0xDA, 0xDB, 0xC4, 0xDD, 0xFE
 SOF0 = 0xC0
+MAX_PIXELS = 89_478_485  # Pillow's Image.MAX_IMAGE_PIXELS: 1 GiB / 4 bytes / 3 channels
 APP0 = 0xE0
 
 _MARKER_NAMES = {
@@ -430,6 +435,8 @@ def parse_jfif(data: bytes):
             _check_length(name, body, 6 + 3 * ncomp)
             if width < 1 or height < 1:
                 raise BadMarker("frame dimensions must be positive")
+            if width * height > MAX_PIXELS:
+                raise FrameTooLarge(f"{width}x{height} frame is over the {MAX_PIXELS}-pixel cap")
             if precision != 8:
                 raise NotBaseline(f"{precision}-bit samples are not baseline")
             if ncomp != 3:

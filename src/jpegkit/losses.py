@@ -7,6 +7,14 @@ from; the restorer descends them, and ``loss_*`` are their values over a
 Every loss is normalized per sample value (mean, not sum) so weights mean
 the same thing at any resolution. Absolute weight values are therefore not
 comparable across differently normalized implementations.
+
+The per-sample terms (consistency, feature) act on each image of a stack
+alone, and each image gets the arithmetic it would get on its own, so a
+caller may run them over any split of the stack and get the same bits.
+:func:`loss_c` runs the codec over blocks of at most
+:func:`~jpegkit.image.block_rows` samples, and the restorer steps its
+per-seed terms over the same blocks. The moment terms reduce over the
+samples, so they take the whole stack.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .errors import (
     MissingReference,
     TooFewSamples,
 )
-from .image import FloatImage, PixelImage, float_samples, to_float
+from .image import FloatImage, PixelImage, block_rows, float_samples, to_float
 from .quant import QuantTable, table_for_qf
 
 
@@ -52,9 +60,10 @@ class SampleBatch:
         if self.xbar is not None and self.xbar.data.shape != shape:
             raise DimMismatch("reference dims differ from y")
 
-    def stacked(self) -> np.ndarray:
-        """The samples as one float64 (K, H, W, C) stack."""
-        return np.stack([s.data for s in self.samples]).astype(np.float64, copy=False)
+    def stacked(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The samples ``start:stop`` (all by default) as one float64
+        (K, H, W, C) stack."""
+        return np.stack([s.data for s in self.samples[start:stop]]).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -92,10 +101,12 @@ def first_moment_term(states: np.ndarray, x: np.ndarray):
 
 def second_moment_term(states: np.ndarray, x: np.ndarray, xbar: np.ndarray):
     """Mean absolute gap (x - xbar)**2 - (population variance), and the
-    gap's sign times each sample's deviation from the mean. Gradient:
-    -(2 / K) * that / x.size (a subgradient at the kinks)."""
-    gap = (x - xbar) ** 2 - states.var(axis=0)
-    return float(np.mean(np.abs(gap))), np.sign(gap) * (states - states.mean(axis=0))
+    gap. Gradient per sample: -(2 / K) * sign(gap) * (sample - sample mean)
+    / x.size (a subgradient at the kinks), a whole stack that only a caller
+    descending the term builds."""
+    var = states.var(axis=0)  # first, so that its deviation stack is the only one alive
+    gap = (x - xbar) ** 2 - var
+    return float(np.mean(np.abs(gap))), gap
 
 
 def feature_term(states: np.ndarray, fx: np.ndarray):
@@ -120,11 +131,17 @@ def _sample_mean(values: np.ndarray) -> float:
 
 def loss_c(batch: SampleBatch, qf: int, table: QuantTable | None = None) -> float:
     """Mean squared recompression residual, averaged over samples; ``table``
-    overrides qf when given."""
+    overrides qf when given. The samples go through the codec one block at
+    a time (see the module docstring), so a call holds one block's stack
+    and residual, not the whole set's."""
     y = to_float(batch.y)
     table = table if table is not None else table_for_qf(qf)
     op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
-    return _sample_mean(consistency_term(op, batch.stacked(), y.data)[0])
+    rows = block_rows(y.data.size)
+    mse = [
+        consistency_term(op, batch.stacked(a, a + rows), y.data)[0] for a in range(0, len(batch.samples), rows)
+    ]
+    return _sample_mean(np.concatenate(mse))
 
 
 def loss_fm(batch: SampleBatch) -> float:

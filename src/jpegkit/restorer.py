@@ -3,19 +3,31 @@ seed, on the weighted loss terms of :mod:`~jpegkit.losses` plus a
 smoothness prior. Sweeping the consistency weight traces the empirical
 tradeoff between the pull toward recompression consistency and the prior.
 
-All seeds step together: one (n_seeds, H, W, C) state array and one
-gradient buffer, updated in place, go through the terms as one batch, and
-the scratch arrays the prior and the consistency term need are allocated
-once per run. Each loss term is the ``*_term`` function that ``loss_c`` /
+All seeds step together in one (n_seeds, H, W, C) state array and one
+gradient buffer, both updated in place. The per-seed terms (prior,
+consistency, feature) run over blocks of consecutive seeds, each of at most
+``image.BLOCK_VALUES`` (2**15) sample values and at least one image, and
+write each block's gradient into its slice of the buffer; their scratch,
+(3, block, H, W, C), is allocated once per run. So a run holds the states,
+the gradient and one block of scratch: at 128² a block is one image (384
+KiB, within a 2 MiB L2 cache), at 32² up to ten. The moment terms reduce
+over the seeds, so they, the objective, the finiteness checks and the
+update act on the whole stack. Blocks keep the bits: every image of a
+stack gets the arithmetic it would get on its own, and the objective adds
+the per-seed values seed by seed in one order, so any block bound gives
+the same outputs and loss history.
+
+Each loss term is the ``*_term`` function that ``loss_c`` /
 ``loss_fm`` / ``loss_sm`` / ``loss_p`` report; the restorer only weights
 and adds their values and gradients. The prior is an isotropic
 Huber-smoothed total variation, :func:`tv_huber`.
 
 Without the moment terms each seed's trajectory depends on (seed, k) alone,
-never on how many seeds run alongside: every image of a batch gets the
-arithmetic it would get on its own, and the per-seed terms of the
-objective are added seed by seed. The moment terms couple the seeds by
-construction; they and the feature term need the ground truth.
+never on how many seeds run alongside. The moment terms couple the seeds
+by construction; they and the feature term need the ground truth, and the
+second-moment term needs at least two seeds (:class:`TooFewSamples`
+otherwise, as :func:`~jpegkit.losses.loss_sm` raises): at one the sample
+variance is 0, and the term a constant with no gradient.
 
 Two dynamics facts worth knowing. Stability of the consistency pull needs
 step_size * 2 * lambda_c / n_values < 1 (the losses are means, so the
@@ -44,8 +56,9 @@ from .errors import (
     MissingReference,
     NonFiniteLoss,
     NotACompressedInput,
+    TooFewSamples,
 )
-from .image import FloatImage, PixelImage, to_float, to_pixels
+from .image import FloatImage, PixelImage, block_rows, to_float, to_pixels
 from .losses import (
     LossWeights,
     consistency_term,
@@ -160,16 +173,17 @@ def restore_with_history(
     x: PixelImage | None = None,
     xbar: FloatImage | None = None,
 ) -> RestoreRun:
-    table = cfg.quant_table()
-    if consistency_rmse(y, y, cfg.qf, table=table) > 1.0:
-        raise NotACompressedInput("input does not recompress to itself")
-
     w = cfg.weights
     coupled = (w.lambda_fm > 0) or (w.lambda_sm > 0) or (w.lambda_p > 0)
     if coupled and x is None:
         raise MissingGroundTruth("moment/feature terms need the ground truth")
     if w.lambda_sm > 0 and xbar is None:
         raise MissingReference("second-moment term needs the reference estimate")
+    if w.lambda_sm > 0 and cfg.n_seeds < 2:
+        raise TooFewSamples("second-moment term needs at least 2 seeds")
+    table = cfg.quant_table()
+    if consistency_rmse(y, y, cfg.qf, table=table) > 1.0:
+        raise NotACompressedInput("input does not recompress to itself")
 
     y_f = to_float(y).data
     op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
@@ -180,48 +194,55 @@ def restore_with_history(
     for k in range(n_seeds):
         states[k] = y_f + _seed_rng(cfg.seed, k).normal(0.0, cfg.init_noise_std, y_f.shape)
     grad = np.empty_like(states)
-    work = np.empty((3,) + states.shape)  # scratch for the prior and the consistency term
+    rows = block_rows(n)
+    blocks = [slice(a, min(a + rows, n_seeds)) for a in range(0, n_seeds, rows)]
+    work = np.empty((3, min(rows, n_seeds)) + y_f.shape)  # one block of scratch for the per-seed terms
 
     x_f = None if x is None else to_float(x).data
     fx = texture_band_features(x_f) if w.lambda_p > 0 else None
 
-    history = np.zeros(cfg.steps)
-    for t in range(cfg.steps):
-        # The prior goes first, so that tv_huber writes its gradient straight
-        # into grad and uses it as scratch; the other gradients are added to
-        # it in a fixed order. The objective adds its per-seed terms seed by
-        # seed, in the order consistency, prior, feature; then the moment
-        # terms.
+    def per_seed_terms(s: slice):
+        # The per-seed terms of the seeds s, with grad[s] as their gradient
+        # and work as their scratch. The prior goes first, so that tv_huber
+        # writes its gradient straight into grad[s] and uses it as scratch;
+        # the other gradients are added to it in a fixed order. Returns each
+        # seed's weighted values in the order consistency, prior, feature.
+        block, g, wk = states[s], grad[s], work[:, : s.stop - s.start]
         prior = consistency = feature = None
         if w.lambda_prior > 0:
-            tv, _ = tv_huber(states, cfg.huber_eps, out=grad, work=work)
-            grad *= w.lambda_prior
+            tv, _ = tv_huber(block, cfg.huber_eps, out=g, work=wk)
+            g *= w.lambda_prior
             prior = [w.lambda_prior * v for v in tv.tolist()]
         else:
-            grad.fill(0.0)
+            g.fill(0.0)
         if w.lambda_c > 0:
-            mse, r = consistency_term(op, states, y_f, out=work[0], work=work[1])
-            grad += np.multiply(w.lambda_c * (2.0 / n), r, out=work[1])
+            mse, r = consistency_term(op, block, y_f, out=wk[0], work=wk[1])
+            g += np.multiply(w.lambda_c * (2.0 / n), r, out=wk[1])
             consistency = [w.lambda_c * v for v in mse.tolist()]
         if w.lambda_p > 0:
-            values, gap, coef = feature_term(states, fx)
-            grad += w.lambda_p * texture_band_pullback(states.shape, (2.0 / gap[0].size) * gap, coef)
+            values, gap, coef = feature_term(block, fx)
+            g += w.lambda_p * texture_band_pullback(block.shape, (2.0 / gap[0].size) * gap, coef)
             feature = [w.lambda_p * v for v in values.tolist()]
+        return zip(*[term for term in (consistency, prior, feature) if term is not None])
 
-        terms = [term for term in (consistency, prior, feature) if term is not None]
+    history = np.zeros(cfg.steps)
+    for t in range(cfg.steps):
+        # The objective adds the per-seed terms seed by seed, then the moment
+        # terms.
         total = 0.0
-        for k in range(n_seeds):
-            for term in terms:
-                total += term[k]
+        for s in blocks:
+            for values in per_seed_terms(s):
+                for v in values:
+                    total += v
 
         if w.lambda_fm > 0:
             value, gap = first_moment_term(states, x_f)
             total += w.lambda_fm * value
             grad += w.lambda_fm * (-2.0 / (n * n_seeds)) * gap
         if w.lambda_sm > 0:
-            value, pull = second_moment_term(states, x_f, xbar.data)
+            value, gap = second_moment_term(states, x_f, xbar.data)
             total += w.lambda_sm * value
-            grad -= w.lambda_sm * (2.0 / n_seeds) * pull / n
+            grad -= w.lambda_sm * (2.0 / n_seeds) * (np.sign(gap) * (states - states.mean(axis=0))) / n
 
         if not np.isfinite(total):
             raise NonFiniteLoss(f"objective became {total} at step {t}")
@@ -230,6 +251,7 @@ def restore_with_history(
             raise NonFiniteLoss(f"gradient became non-finite at step {t}")
         grad *= cfg.step_size
         states -= grad
+    del grad, work  # the scratch goes before the outputs are built
 
     diverged = bool(np.any(np.diff(history) > MONOTONE_TOL))
     if diverged:

@@ -22,7 +22,8 @@ A sampler is block-shaped: it takes a (k, length) int array of observations
 and returns a (k, n_states) array, one distribution table over the states
 per observation. The sampler checks keep one block contract. Block
 bound: they call the sampler once per block of at most
-``max(1, 2**15 // n_states)`` observations, in row order, so no check holds
+``block_rows(n_states) = max(1, 2**15 // n_states)`` observations (the
+bound :mod:`~jpegkit.image` states once), in row order, so no check holds
 an (observations x states) table. Copy rule: they read each block where the
 sampler returned it, and copy only one that is not a writable, C-contiguous
 float64 array of its own, since they write to it. One block alive: no check
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dct import dct_matrix
 from .errors import MalformedModel, MalformedSampler, UnreachableY
-from .image import round_half_away_from_zero
+from .image import block_rows, round_half_away_from_zero
 
 ATOL = 1e-12
 
@@ -267,14 +268,6 @@ class SamplerReport:
     max_posterior_gap: float
 
 
-_BLOCK_VALUES = 1 << 15  # float64 values, 256 KiB
-
-
-def _block_rows(n_states: int) -> int:
-    """The block bound of the module docstring, in observations."""
-    return max(1, _BLOCK_VALUES // n_states)
-
-
 def _table_blocks(model: ToyModel, sampler):
     """Yield (first row, block) for each block of reachable observations,
     the block's tables as its rows, under the block contract of the module
@@ -282,7 +275,7 @@ def _table_blocks(model: ToyModel, sampler):
     the sampler propagates."""
     n = model.n_states
     ys = model._grouping.ys
-    size = _block_rows(n)
+    size = block_rows(n)
     for r0 in range(0, len(ys), size):
         k = min(size, len(ys) - r0)
         block = np.asarray(sampler(ys[r0 : r0 + k]), np.float64, order="C")
@@ -319,7 +312,7 @@ def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
     g = model._grouping
     n = model.n_states
     # flat positions in their blocks: a block's first row is a multiple of the block size
-    inside_at = g.index[g.order] % _block_rows(n) * n + g.order
+    inside_at = g.index[g.order] % block_rows(n) * n + g.order
     inside_weights = g.weights[g.order]
     ones = np.ones(n)
     marginal = np.zeros(n)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -30,6 +32,16 @@ def images_equal(a, b) -> bool:
         and a.data.dtype == b.data.dtype
         and bool(np.array_equal(a.data, b.data))
     )
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def table_from_text(line: str) -> np.ndarray:

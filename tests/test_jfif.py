@@ -7,6 +7,7 @@ import pytest
 from jpegkit.codec import CodecOptions, compress, decompress
 from jpegkit.errors import (
     BadMarker,
+    FrameTooLarge,
     HuffmanDecodeError,
     NotBaseline,
     PassthroughNotRepresentable,
@@ -19,6 +20,7 @@ from jpegkit.jfif import (
     AC_LUMA,
     DC_CHROMA,
     DC_LUMA,
+    MAX_PIXELS,
     HuffmanTable,
     parse_jfif,
     write_jfif,
@@ -229,6 +231,41 @@ def test_forged_dimensions_fail_before_allocating(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _forged_frame(rng, width, height, scan_bytes=0):
+    """An 8x8 stream whose SOF0 claims width x height, with ``scan_bytes``
+    zero bytes appended to its scan."""
+    data = bytearray(write_jfif(compress(uniform_image(rng, 8, 8), 50)))
+    i = data.find(b"\xff\xc0")
+    data[i + 5 : i + 9] = struct.pack(">HH", height, width)
+    return bytes(data[:-2]) + bytes(scan_bytes) + bytes(data[-2:])
+
+
+def test_frame_over_the_pixel_cap_is_refused_before_allocating(rng):
+    # 65535 x 1366 is one row of pixels over Pillow's decompression-bomb
+    # limit. Its scan of ~1.1 MB holds the 2 bits each of its 3 * 8192 *
+    # 171 blocks needs, so the size bound alone would let the parser
+    # allocate their coefficients (1 GiB at int32).
+    width, height = 65535, 1366
+    assert width * (height - 1) <= MAX_PIXELS < width * height
+    n_blocks = 3 * -(-width // 8) * -(-height // 8)
+    data = _forged_frame(rng, width, height, scan_bytes=2 * n_blocks // 8)
+    assert 1_000_000 < len(data) < 1_200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameTooLarge, match="65535x1366"):
+            parse_jfif(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_frame_at_the_pixel_cap_passes_the_cap(rng):
+    # a row fewer is under the cap: the scan-size bound refuses it instead
+    with pytest.raises(TruncatedStream, match="too short"):
+        parse_jfif(_forged_frame(rng, 65535, 1365))
 
 
 def _with_surplus_byte(data: bytes, marker: bytes) -> bytes:

@@ -20,7 +20,7 @@ from jpegkit.losses import (
     texture_band_features,
     texture_band_pullback,
 )
-from tests.conftest import natural_image, uniform_image
+from tests.conftest import natural_image, traced_peak, uniform_image
 
 
 def _f(img):
@@ -251,3 +251,26 @@ def test_band_features_and_pullback_take_stacks(rng):
         for k in range(3):
             assert np.array_equal(feats[k], texture_band_features(FloatImage(stack[k])))
             assert np.array_equal(pulled[k], _pullback(FloatImage(stack[k]), cot[k]))
+
+
+def _noisy_batch(size, n_samples):
+    rng = np.random.default_rng(size)
+    x = natural_image(rng, size, size)
+    y = jpeg_q(x, 10)
+    noisy = [np.clip(y.data + rng.normal(0.0, 4.0, y.data.shape), 0, 255) for _ in range(n_samples)]
+    return SampleBatch(y, tuple(PixelImage(d.astype(np.uint8)) for d in noisy), x=x, xbar=to_float(y))
+
+
+def test_loss_sm_builds_no_pull_stack():
+    # at 128² with 4 samples the float stack is 1.5 MiB and the variance
+    # makes one deviation stack; the sign-times-deviation pull that only
+    # the restorer descends would be a third (5.6 MiB peak)
+    batch = _noisy_batch(128, 4)
+    assert traced_peak(lambda: loss_sm(batch)) <= 4.5 * 2**20
+
+
+def test_loss_c_runs_one_block_of_samples_at_a_time():
+    # a 128² block is one sample: its stack, residual and color buffer are
+    # 1.1 MiB, where the whole 4-sample set took 4.9 MiB
+    batch = _noisy_batch(128, 4)
+    assert traced_peak(lambda: loss_c(batch, 10)) <= 2 * 2**20

@@ -17,7 +17,9 @@ second moment, feature), alone and all three, with and without the
 consistency term and the prior, for one and three seeds, together with
 `loss_c`, `loss_fm`, `loss_sm` (three seeds) and `loss_p` of the outputs.
 They were taken before the restorer and the loss functions came to share
-one implementation of each term.
+one implementation of each term. The restorer refuses the second-moment
+term at one seed, where it is a constant with no gradient, so those
+configurations are pinned as refusals.
 
 The JFIF digests are conformance vectors for the entropy coder, taken from
 the bit-at-a-time coder that the bit-string one replaced: the bytes
@@ -58,6 +60,7 @@ import pytest
 
 from jpegkit.codec import CodecOptions, compress, jpeg_q
 from jpegkit.diffjpeg import forward
+from jpegkit.errors import TooFewSamples
 from jpegkit.image import FloatImage, to_float
 from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
@@ -96,16 +99,12 @@ COUPLED_DIGESTS = {
     ("fm", 1, True): "58645df3fef5483d5d430091b8815f3573945b1f6717aa9aae682703c6cb9627",
     ("fm", 3, False): "10353c0e3aaa616ba4198d0a35f5b70275b840e9c443639355fe1bd6492968aa",
     ("fm", 3, True): "24e49b05274d05a70c1f288c150c910135d5e3c25baff567ee5761e9a51b748c",
-    ("sm", 1, False): "fa7a82069a68691639ac919d2791d41b30d809fa6c9f3b03090f0b7188c8aa6d",
-    ("sm", 1, True): "96a9a2dd3f5bdf9f8993efb132a9f525f54d5d0c6a0417403ae245b74c838a5c",
     ("sm", 3, False): "6b3f1bf741104405518160da56c59e62048c917e1d6f80cccf7923a7cb941b13",
     ("sm", 3, True): "dc87ed5eb1c5c693e368c12e869c3801810d45142f3edf9a65067e7c55ffde22",
     ("p", 1, False): "3e88b2bfbd1ee1fb674da2d464c6c3136158c0e0977c17594c1ef271987678f1",
     ("p", 1, True): "148253c37cf744bcd977c0cbd3353f2da08c37dcb26c0e4abc273074cdf42564",
     ("p", 3, False): "361e33b2b9e76de7aaab5f9e73d7a223ea821661c66d961a59598ead80cf3c09",
     ("p", 3, True): "e243898468cfa6afe4b24a32b701efc9d7b67661441430b17d86b512cfbe82c3",
-    ("fm+sm+p", 1, False): "f69eb8b1bbc99e35fa8d93ef413ba4146b07dace000773b7f3be897139f12b90",
-    ("fm+sm+p", 1, True): "b4643314d8a2dbb73b46ea4a5b95f2a7c1d900ae6da5eb7593ecf19900a180df",
     ("fm+sm+p", 3, False): "f3579aa9e10f65d1a08e9cb117cc5c6942dbda9537a77e4ee424b61ebfbfe2c1",
     ("fm+sm+p", 3, True): "ca9928cee26915d670f5a3bf2dcb8a6b2869ab910ab3b9b232a2020ad384211c",
 }
@@ -244,6 +243,13 @@ def test_restore_with_history_digest(case):
 @pytest.mark.parametrize("case", sorted(COUPLED_DIGESTS))
 def test_coupled_restore_digest(case):
     assert coupled_digest(*case) == COUPLED_DIGESTS[case]
+
+
+@pytest.mark.parametrize("terms", [t for t in sorted(COUPLED_TERMS) if "sm" in t])
+@pytest.mark.parametrize("with_base", [False, True])
+def test_one_seed_second_moment_is_refused(terms, with_base):
+    with pytest.raises(TooFewSamples):
+        coupled_digest(terms, 1, with_base)
 
 
 @pytest.mark.parametrize("case", sorted(FORWARD_DIGESTS))

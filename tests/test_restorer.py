@@ -7,8 +7,9 @@ from jpegkit.errors import (
     MissingReference,
     NonFiniteLoss,
     NotACompressedInput,
+    TooFewSamples,
 )
-from jpegkit.image import FloatImage, to_float, to_pixels
+from jpegkit.image import FloatImage, block_rows, to_float, to_pixels
 from jpegkit.losses import (
     LossWeights,
     SampleBatch,
@@ -30,7 +31,7 @@ from jpegkit.restorer import (
     sweep_lambda_c,
     tv_huber,
 )
-from tests.conftest import images_equal, natural_image
+from tests.conftest import images_equal, natural_image, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +201,10 @@ def test_moment_terms_require_references(pair):
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_sm=1.0), steps=2)
     with pytest.raises(MissingReference):
         restore(y, cfg, x=x)
+    # one seed has no variance to pull on; refused before any work, even
+    # before the input check that x, not a compressed input, would fail
+    with pytest.raises(TooFewSamples):
+        restore(x, cfg, x=x, xbar=to_float(y))
 
 
 def test_coupled_moment_descent_runs(pair):
@@ -275,7 +280,8 @@ def _fm_gradient(states, x):
 
 def _sm_gradient(states, x, xbar):
     # the gradient the restorer builds from the second-moment term, unweighted
-    _, pull = second_moment_term(states, x, xbar)
+    _, gap = second_moment_term(states, x, xbar)
+    pull = np.sign(gap) * (states - states.mean(axis=0))
     return -(2.0 / len(states)) * pull / x.size
 
 
@@ -398,3 +404,51 @@ def test_huber_eps_must_be_positive():
     for eps in (0.0, -0.1):
         with pytest.raises(ValueError):
             RestoreConfig(qf=5, huber_eps=eps)
+
+
+BLOCK_TERMS = {
+    "uncoupled": {},
+    "fm": dict(lambda_fm=500.0),
+    "sm": dict(lambda_sm=500.0),
+    "p": dict(lambda_p=300.0),
+    "fm+sm+p": dict(lambda_fm=500.0, lambda_sm=500.0, lambda_p=300.0),
+}
+
+
+def _block_run(terms, n_seeds):
+    x = natural_image(np.random.default_rng(11), 32, 32)
+    y = jpeg_q(x, 10)
+    weights = LossWeights(lambda_c=1.0, lambda_prior=120.0, **BLOCK_TERMS[terms])
+    cfg = RestoreConfig(qf=10, weights=weights, steps=6, step_size=2.0, n_seeds=n_seeds, seed=5)
+    run = restore_with_history(y, cfg, x=x, xbar=to_float(y))
+    return run, loss_c(SampleBatch(y, run.images), 10)
+
+
+@pytest.mark.parametrize("terms", sorted(BLOCK_TERMS))
+@pytest.mark.parametrize("n_seeds", [3, 4])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_seed_blocks_keep_the_bits(terms, n_seeds, rows, monkeypatch):
+    # at 32² every seed fits in one block; a block bound of one or two
+    # images splits the seeds (two images leave a short last block at 3
+    # seeds), and every image, loss history and loss_c must stay the same
+    import jpegkit.image as image
+
+    assert block_rows(32 * 32 * 3) >= n_seeds
+    whole, whole_c = _block_run(terms, n_seeds)
+    monkeypatch.setattr(image, "BLOCK_VALUES", rows * 32 * 32 * 3)
+    assert block_rows(32 * 32 * 3) == rows
+    split, split_c = _block_run(terms, n_seeds)
+    assert all(images_equal(a, b) for a, b in zip(whole.images, split.images))
+    assert np.array_equal(whole.loss_history, split.loss_history)
+    assert whole_c == split_c
+
+
+def test_restore_holds_the_states_the_gradient_and_one_block_of_scratch():
+    # a 128² 4-seed stack is 1.5 MiB and a block one image, 0.375 MiB:
+    # states, gradient and three scratch images are 4.125 MiB; scratch
+    # over the whole stack peaked at 9.2 MiB
+    y = jpeg_q(natural_image(np.random.default_rng(128), 128, 128), 10)
+    weights = LossWeights(lambda_c=10.0, lambda_prior=120.0)
+    cfg = RestoreConfig(qf=10, weights=weights, steps=3, step_size=4.0, n_seeds=4, seed=3)
+    assert block_rows(128 * 128 * 3) == 1
+    assert traced_peak(lambda: restore_with_history(y, cfg)) <= 5.25 * 2**20

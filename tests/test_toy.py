@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, UnreachableY
-from jpegkit.image import round_half_away_from_zero
+from jpegkit.image import block_rows, round_half_away_from_zero
 from jpegkit.toy import (
     ToyModel,
-    _block_rows,
     _conditional_means,
     _table_blocks,
     alphabet_for_size,
@@ -437,7 +436,7 @@ BLOCK_MODELS = EQUIVALENCE_MODELS[:8] + [uniform_model(2, 4, [2.0, 2.0]), fine_s
 
 def block_sizes(m):
     """The number of observations in each sampler call of a whole check."""
-    n_obs, rows = len(observations(m)[0]), _block_rows(m.n_states)
+    n_obs, rows = len(observations(m)[0]), block_rows(m.n_states)
     return [min(rows, n_obs - r0) for r0 in range(0, n_obs, rows)]
 
 
@@ -554,8 +553,8 @@ def test_all_four_oracle_calls_degrade_each_model_once(monkeypatch):
 
 def test_bad_values_raise_when_their_block_is_full():
     m = fine_step_model(7)
-    block_rows = _block_rows(m.n_states)
-    assert 1 < block_rows < len(observations(m)[0]) - block_rows
+    rows = block_rows(m.n_states)
+    assert 1 < rows < len(observations(m)[0]) - rows
     exact = posterior_sampler(m)
     for make_bad in (
         lambda t: 2.0 * t,  # sum off 1
@@ -573,12 +572,12 @@ def test_bad_values_raise_when_their_block_is_full():
 
             with pytest.raises(MalformedSampler, match="probability distribution"):
                 check(m, sampler)
-            assert calls == [block_rows, block_rows]
+            assert calls == [rows, rows]
 
 
 def test_wrong_shape_block_raises_before_any_value_check():
     m = fine_step_model(7)
-    block_rows = _block_rows(m.n_states)
+    rows = block_rows(m.n_states)
     exact = posterior_sampler(m)
     for reshape in (
         lambda t: t[:, :-1],  # tables one state short
@@ -597,7 +596,7 @@ def test_wrong_shape_block_raises_before_any_value_check():
 
             with pytest.raises(MalformedSampler, match="table block"):
                 check(m, sampler)
-            assert calls == [block_rows, block_rows]
+            assert calls == [rows, rows]
 
 
 def test_checks_read_the_samplers_own_blocks_in_place():
@@ -702,7 +701,7 @@ def _traced_peak(call):
 
 def test_checks_peak_at_one_block():
     m = coarse_4096_model()
-    block_bytes = _block_rows(m.n_states) * m.n_states * 8
+    block_bytes = block_rows(m.n_states) * m.n_states * 8
     assert block_bytes == 256 * 1024
     sampler = posterior_sampler(m)
     posterior_sampler_checks(m, sampler)  # the grouping and lookup keys, kept on the model
@@ -720,7 +719,7 @@ def _spoil_table(m, row, spoil):
     The sampler keeps every block it returns, and a copy of it as returned."""
     _, _, index = observations(m)
     exact = posterior_sampler(m)
-    rows = _block_rows(m.n_states)
+    rows = block_rows(m.n_states)
     kept, as_returned = [], []
 
     def sampler(ys):
@@ -750,7 +749,7 @@ def test_bad_entries_on_a_tables_own_states_raise(spoil):
     # min, so they are validated from the gathered entries
     m = coarse_4096_model()
     ys, _, index = observations(m)
-    rows = _block_rows(m.n_states)
+    rows = block_rows(m.n_states)
     row = 2 * rows + 3  # inside the third block
     assert np.count_nonzero(index == row) >= 2
     for check in (posterior_sampler_checks, fm_identity_check):
@@ -765,7 +764,7 @@ def test_bad_entries_on_a_tables_own_states_raise(spoil):
 def test_malformed_sampler_names_the_first_bad_table():
     m = fine_step_model(7)
     ys = observations(m)[0]
-    rows = _block_rows(m.n_states)
+    rows = block_rows(m.n_states)
     exact = posterior_sampler(m)
     sum_off, nan = (lambda t: 2.0 * t), (lambda t: np.full_like(t, np.nan))
     for first, second in ((sum_off, nan), (nan, sum_off)):
