@@ -22,7 +22,7 @@ from .losses import LossWeights
 from .metrics import MetricReport, consistency_rmse, perceptual_proxy, psnr
 from .numerics import run_numerics_study, study_to_csv
 from .pnm import read_pnm, write_pnm
-from .quant import table_to_text
+from .quant import detect_qf, table_to_text
 from .projection import project
 from .restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
 from .toy import (
@@ -102,7 +102,7 @@ def _cmd_metrics(args) -> int:
     x = _load_pnm(args.reference)
     grid, _ = _load_jfif(args.compressed)
     y = decompress(grid)
-    qf = grid.table.quality_factor
+    qf = detect_qf(grid.table.luma, grid.table.chroma)
     report = MetricReport(
         name=Path(args.xhat).name,
         qf=qf,
@@ -140,7 +140,7 @@ def _check_descent_flags(args):
 
 
 def _restore_config(args, grid) -> RestoreConfig:
-    qf = grid.table.quality_factor
+    qf = detect_qf(grid.table.luma, grid.table.chroma)
     weights = LossWeights(lambda_c=getattr(args, "lambda_c", 0.0), lambda_prior=args.lambda_prior)
     return RestoreConfig(
         qf=qf if isinstance(qf, int) else 50,

@@ -255,9 +255,7 @@ def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str
 def _requantize_plane(plane: np.ndarray, dst: np.ndarray, q: np.ndarray, step, c: int):
     """One channel of :func:`requantize`, in a function of its own so that
     its temporaries are freed before the next channel makes its own."""
-    coef = _plane_coefs(plane, q)
-    if step is not None:
-        coef = step(coef, c)
+    coef = step(_plane_coefs(plane, q), c)
     _write_plane(_plane_layout(coef, copy=False), q, dst)
 
 
@@ -265,16 +263,17 @@ def requantize(
     img: PixelImage | FloatImage | np.ndarray,
     table: QuantTable,
     opts: CodecOptions,
-    step=None,
+    step,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """``synthesis(step(analysis(img)))``, bit for bit, one channel at a time.
 
     ``step(coef, c)`` maps channel c's coefficients (in quantization steps)
-    to new ones and may work in place; None keeps them. Each plane is taken
-    from the color buffer and written back into it, so a call allocates no
-    second sample-sized array besides the result. ``out`` receives the
+    to new ones and may work in place: diffjpeg's rounding or the
+    projection's clamp. Each plane is taken from the color buffer and
+    written back into it, so a call allocates no second sample-sized array
+    besides the result. ``out`` receives the
     result and ``work`` holds the color buffer, both shaped like the
     samples, for callers that run this again and again.
     """

@@ -70,10 +70,7 @@ def split_blocks(plane: np.ndarray, pad: bool = False) -> np.ndarray:
     return tiles.swapaxes(-3, -2).copy()
 
 
-def merge_blocks(blocks: np.ndarray, width: int | None = None, height: int | None = None) -> np.ndarray:
-    """Inverse of :func:`split_blocks`; crops to (height, width) if given."""
+def merge_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`split_blocks`, without the pad's crop."""
     nby, nbx = blocks.shape[-4:-2]
-    plane = blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (nby * BLOCK, nbx * BLOCK))
-    if width is not None or height is not None:
-        plane = plane[..., : height or nby * BLOCK, : width or nbx * BLOCK]
-    return plane
+    return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (nby * BLOCK, nbx * BLOCK))

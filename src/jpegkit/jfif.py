@@ -42,7 +42,7 @@ from .errors import (
     TruncatedStream,
     UnsupportedSampling,
 )
-from .quant import ZIGZAG, QuantTable, detect_qf, zigzag_flatten, zigzag_unflatten
+from .quant import ZIGZAG, QuantTable, zigzag_flatten, zigzag_unflatten
 
 SOI, EOI, SOS, DQT, DHT, DRI, COM = 0xD8, 0xD9, 0xDA, 0xDB, 0xC4, 0xDD, 0xFE
 SOF0 = 0xC0
@@ -147,10 +147,6 @@ class JfifStructure:
     """What the container looked like, independent of the coefficients."""
 
     markers: list
-    width: int
-    height: int
-    n_components: int
-    sampling: tuple
     scan_span: tuple
     huffman_tables: list
     restart_interval: int = 0
@@ -480,7 +476,7 @@ def parse_jfif(data: bytes):
                 raise BadMarker("scan references undefined quantization table")
             luma, chroma = qtables[tq_y], qtables[tq_c]
             try:
-                table = QuantTable(luma, chroma, detect_qf(luma, chroma))
+                table = QuantTable(luma, chroma)
             except ValueError as exc:
                 raise BadMarker(f"invalid quantization table: {exc}") from exc
             scan_start = pos
@@ -531,10 +527,6 @@ def parse_jfif(data: bytes):
     )
     structure = JfifStructure(
         markers=markers,
-        width=width,
-        height=height,
-        n_components=len(comps),
-        sampling=tuple((1, 1) for _ in comps),
         scan_span=scan_span,
         huffman_tables=[t for pair in comp_tables for t in pair],
         restart_interval=restart_interval,

@@ -37,6 +37,14 @@ from .image import FloatImage, PixelImage, block_rows, float_samples, to_float
 from .quant import QuantTable, table_for_qf
 
 
+def check_references(shape: tuple, x, xbar):
+    """Raise :class:`DimMismatch` unless the ground truth x and the reference
+    estimate xbar, each when given, have the input's (H, W, C) shape."""
+    for img, what in ((x, "ground truth"), (xbar, "reference")):
+        if img is not None and img.data.shape != shape:
+            raise DimMismatch(f"{what} dims differ from y")
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Restorations of one compressed input: the input y, the sample set,
@@ -55,10 +63,7 @@ class SampleBatch:
         for s in self.samples:
             if s.data.shape != shape:
                 raise DimMismatch("sample dims differ from y")
-        if self.x is not None and self.x.data.shape != shape:
-            raise DimMismatch("ground truth dims differ from y")
-        if self.xbar is not None and self.xbar.data.shape != shape:
-            raise DimMismatch("reference dims differ from y")
+        check_references(shape, self.x, self.xbar)
 
     def stacked(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The samples ``start:stop`` (all by default) as one float64
@@ -76,8 +81,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_c", "lambda_fm", "lambda_p", "lambda_sm", "lambda_prior"):
-            if not getattr(self, name) >= 0:  # NaN included
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN included
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def consistency_term(op: DiffJpegOp, states: np.ndarray, y: np.ndarray, out=None, work=None):

@@ -5,15 +5,14 @@ after the clamp after analysis. The grid supplies the codec settings, its
 table and its colorspace, on the float color path (no 8-bit rounding of
 the converted planes), so no second copy of them can disagree with it.
 
-The clamp half-width is 0.5 minus two guards. A 1e-9 tie guard keeps
-clamped values off the rounding boundary (a coefficient exactly halfway
-re-rounds away from the cell, not into it). On top of that, the default
-"pixel" guard shrinks each position by the worst-case coefficient
-perturbation that terminal uint8 rounding can introduce (half the l1 mass
-of that DCT basis function, divided by the quantization step), so the
-projected image stays exactly consistent even after it is written out as
-8-bit pixels. With guard="tie" only the 1e-9 margin is applied, which is
-enough when consistency is checked on the float image itself.
+The clamp half-width is 0.5 minus two guards, always both. A 1e-9 tie
+guard keeps clamped values off the rounding boundary (a coefficient
+exactly halfway re-rounds away from the cell, not into it). The pixel
+guard shrinks each position by the worst-case coefficient perturbation
+that terminal uint8 rounding can introduce (half the l1 mass of that DCT
+basis function, divided by the quantization step), so the projected image
+stays exactly consistent, as floats and after it is written out as 8-bit
+pixels.
 
 Exactness preconditions: dimensions that are multiples of 8 (otherwise the
 edge-replicate pad of the cropped result differs from the padded plane the
@@ -40,16 +39,11 @@ _ROW_L1 = np.abs(DCT_M).sum(axis=1)
 BASIS_L1 = np.outer(_ROW_L1, _ROW_L1)
 
 
-def _half_width(q: np.ndarray, guard: str) -> np.ndarray:
-    half = np.full((8, 8), 0.5 - TIE_GUARD)
-    if guard == "pixel":
-        half = half - 0.5 * BASIS_L1 / q
-    elif guard != "tie":
-        raise ValueError("guard must be 'pixel' or 'tie'")
-    return np.maximum(half, 0.0)
+def _half_width(q: np.ndarray) -> np.ndarray:
+    return np.maximum(0.5 - TIE_GUARD - 0.5 * BASIS_L1 / q, 0.0)
 
 
-def project(xhat: PixelImage | FloatImage, y_grid: CoefficientGrid, guard: str = "pixel") -> FloatImage:
+def project(xhat: PixelImage | FloatImage, y_grid: CoefficientGrid) -> FloatImage:
     """Smallest change to xhat whose requantization reproduces y_grid,
     under the grid's own colorspace on the float color path."""
     if (xhat.width, xhat.height) != (y_grid.width, y_grid.height):
@@ -62,7 +56,7 @@ def project(xhat: PixelImage | FloatImage, y_grid: CoefficientGrid, guard: str =
         )
 
     kinds = channel_kinds(y_grid.n_channels, y_grid.colorspace)
-    halves = [_half_width(y_grid.table.for_channel_kind(k), guard) for k in kinds]
+    halves = [_half_width(y_grid.table.for_channel_kind(k)) for k in kinds]
 
     def clamp(coef, c):
         levels = y_grid.channels[c]

@@ -72,12 +72,11 @@ def zigzag_unflatten(vec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantTable:
-    """Luma/chroma divisor pair plus the quality factor that produced it
-    (or the string "custom")."""
+    """Luma/chroma divisor pair; :func:`detect_qf` recovers the quality
+    factor that produced it."""
 
     luma: np.ndarray
     chroma: np.ndarray
-    quality_factor: int | str = "custom"
 
     def __post_init__(self):
         for name in ("luma", "chroma"):
@@ -111,7 +110,7 @@ def table_for_qf(qf: int) -> QuantTable:
     if not isinstance(qf, (int, np.integer)) or not 1 <= int(qf) <= 100:
         raise QfOutOfRange(f"quality factor {qf!r} not in [1, 100]")
     qf = int(qf)
-    return QuantTable(_scale(BASE_LUMA, qf), _scale(BASE_CHROMA, qf), qf)
+    return QuantTable(_scale(BASE_LUMA, qf), _scale(BASE_CHROMA, qf))
 
 
 def detect_qf(luma: np.ndarray, chroma: np.ndarray) -> int | str:

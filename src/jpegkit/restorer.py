@@ -46,6 +46,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .errors import (
 from .image import FloatImage, PixelImage, block_rows, to_float, to_pixels
 from .losses import (
     LossWeights,
+    check_references,
     consistency_term,
     feature_term,
     first_moment_term,
@@ -87,7 +89,7 @@ class RestoreConfig:
     n_seeds: int = 1
     seed: int = 0
     init_noise_std: float = 4.0
-    huber_eps: float = 0.1
+    huber_eps: ClassVar[float] = 0.1  # the prior's Huber width
     table: QuantTable | None = None  # overrides qf when set
 
     def __post_init__(self):
@@ -97,8 +99,8 @@ class RestoreConfig:
             raise ValueError("step_size must be finite and positive")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
-        if self.huber_eps <= 0:
-            raise ValueError("huber_eps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 <= self.init_noise_std < np.inf:
             raise ValueError("init_noise_std must be finite and nonnegative")
 
@@ -173,6 +175,7 @@ def restore_with_history(
     x: PixelImage | None = None,
     xbar: FloatImage | None = None,
 ) -> RestoreRun:
+    check_references(y.data.shape, x, xbar)
     w = cfg.weights
     coupled = (w.lambda_fm > 0) or (w.lambda_sm > 0) or (w.lambda_p > 0)
     if coupled and x is None:
@@ -242,7 +245,12 @@ def restore_with_history(
         if w.lambda_sm > 0:
             value, gap = second_moment_term(states, x_f, xbar.data)
             total += w.lambda_sm * value
-            grad -= w.lambda_sm * (2.0 / n_seeds) * (np.sign(gap) * (states - states.mean(axis=0))) / n
+            pull = states - states.mean(axis=0)  # one stack-sized temporary, freed below
+            pull *= np.sign(gap)
+            pull *= w.lambda_sm * (2.0 / n_seeds)
+            pull /= n
+            grad -= pull
+            del pull
 
         if not np.isfinite(total):
             raise NonFiniteLoss(f"objective became {total} at step {t}")

@@ -137,11 +137,11 @@ def alphabet_for_size(a: int) -> np.ndarray:
     return np.arange(a, dtype=np.int64) - a // 2
 
 
-def random_model(rng: np.random.Generator, max_length: int = 4, max_alphabet: int = 4) -> ToyModel:
+def random_model(rng: np.random.Generator) -> ToyModel:
     """Random prior and steps; steps mix coarse and fine so observations
     range from fully merged to injective."""
-    length = int(rng.integers(1, max_length + 1))
-    a = int(rng.integers(2, max_alphabet + 1))
+    length = int(rng.integers(1, 5))  # at most 4 positions
+    a = int(rng.integers(2, 5))  # of at most 4 levels
     raw = np.exp(rng.normal(0.0, 1.0, a**length))
     prior = raw / raw.sum()
     steps = np.exp(rng.uniform(np.log(0.3), np.log(6.0), length))

@@ -20,7 +20,7 @@ def decoded_ycbcr_planes(grid):
     planes = []
     for ch, kind in zip(grid.channels, channel_kinds(grid.n_channels, grid.colorspace)):
         coef = dequantize(ch, grid.table.for_channel_kind(kind))
-        plane = dct.merge_blocks(dct.idct2(coef), grid.width, grid.height) + LEVEL_SHIFT
+        plane = dct.merge_blocks(dct.idct2(coef))[: grid.height, : grid.width] + LEVEL_SHIFT
         planes.append(np.clip(round_half_away_from_zero(plane), 0, 255))
     return np.stack(planes, axis=-1).astype(int)
 

@@ -22,12 +22,17 @@ def op_for_image(img, qf: int, options: CodecOptions = CodecOptions()) -> DiffJp
     return DiffJpegOp(table_for_qf(qf), options, img.width, img.height, img.channels)
 
 
+def identity_step(coef, c):
+    """A :func:`jpegkit.codec.requantize` step that keeps the coefficients."""
+    return coef
+
+
 def forward_no_round(op: DiffJpegOp, x):
     """The diffjpeg pipeline with rounding replaced by the identity: the map
     whose Jacobian :func:`jpegkit.diffjpeg.apply_vjp` implements. It returns
     x up to float error."""
     _check_dims(op, x)
-    result = requantize(x, op.table, op.options)
+    result = requantize(x, op.table, op.options, identity_step)
     return FloatImage(result) if isinstance(x, FloatImage) else result
 
 

@@ -14,6 +14,7 @@ from jpegkit.errors import QfOutOfRange
 from jpegkit.image import PixelImage
 from jpegkit.quant import table_for_qf
 from tests.conftest import images_equal, natural_image, uniform_image
+from tests.reference import identity_step
 
 PASSTHROUGH = CodecOptions(colorspace="rgb-passthrough")
 
@@ -164,8 +165,8 @@ def test_core_stacks_match_per_image_and_requantize_fuses(rng):
                     assert np.array_equal(
                         back[k], synthesis(one, table, width, height, opts.colorspace)
                     )
-                for step in (None, rounded):
-                    steps = coefs if step is None else [step(c, i) for i, c in enumerate(coefs)]
+                for step in (identity_step, rounded):
+                    steps = [step(c, i) for i, c in enumerate(coefs)]
                     expected = synthesis(steps, table, width, height, opts.colorspace)
                     assert np.array_equal(requantize(stack, table, opts, step), expected)
                     out, work = np.empty_like(stack), np.empty_like(stack)
@@ -190,8 +191,8 @@ def test_plane_dct_matches_block_helpers(rng):
 
 def test_requantize_stack_matches_each_image(rng):
     # a 4-image stack requantizes each image exactly as it does alone: with
-    # no step, the in-place rounding of diffjpeg, the in-place cell clamp of
-    # the projection, and a clamp that returns a new array
+    # the identity step, the in-place rounding of diffjpeg, the in-place
+    # cell clamp of the projection, and a clamp that returns a new array
     from jpegkit.codec import requantize
     from jpegkit.image import round_half_away_from_zero, to_float
 
@@ -217,7 +218,7 @@ def test_requantize_stack_matches_each_image(rng):
                 levels = grid.channels[c]
                 return levels + np.clip(coef - levels, -0.3, 0.3)
 
-            for step in (None, rounded, clamp_in_place, clamp_new):
+            for step in (identity_step, rounded, clamp_in_place, clamp_new):
                 got = requantize(stack, table, opts, step)
                 for k in range(4):
                     assert np.array_equal(got[k], requantize(stack[k], table, opts, step))
@@ -250,7 +251,7 @@ def test_non_finite_samples_rejected_on_every_path(rng):
             x[..., 5, 7, 0] = bad
             calls = (
                 lambda: analysis(x, table, opts),
-                lambda: requantize(x, table, opts),
+                lambda: requantize(x, table, opts, identity_step),
                 lambda: forward(op, x),
                 lambda: forward_no_round(op, x),
                 lambda: texture_band_features(x),
@@ -276,7 +277,7 @@ def test_entry_points_leave_the_callers_samples_unchanged(rng):
         before = samples.tobytes()
         op = DiffJpegOp(table, opts, 16, 13, samples.shape[-1])
         analysis(samples, table, opts)
-        for step in (None, rounded):
+        for step in (identity_step, rounded):
             requantize(samples, table, opts, step)
             requantize(samples, table, opts, step, out=np.empty_like(samples), work=np.empty_like(samples))
         forward(op, samples)

@@ -224,6 +224,13 @@ def test_weights_nonnegative():
         LossWeights(lambda_sm=float("nan"))
 
 
+def test_weights_must_be_finite():
+    # an infinite weight used to pass here and fail the run at step 0
+    for name in ("lambda_c", "lambda_fm", "lambda_p", "lambda_sm", "lambda_prior"):
+        with pytest.raises(ValueError, match=name):
+            LossWeights(**{name: float("inf")})
+
+
 def test_loss_c_equals_per_sample_loop(rng):
     # the stacked forward sums the per-sample means in sample order, so it
     # is bit-identical to running the samples one at a time

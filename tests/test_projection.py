@@ -72,10 +72,11 @@ def test_nonexpansive_in_coefficient_space(rng):
 
 def test_tie_guard_keeps_cells_after_clamp(rng):
     # a wildly inconsistent input clamps almost every coefficient; the tie
-    # guard still leaves every float-path requantization on the grid
+    # guard (with the pixel guard, never wider) still leaves every
+    # float-path requantization on the grid
     xhat = PixelImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8))
     g = compress(PixelImage(255 - xhat.data), 5)
-    out = project(xhat, g, guard="tie")
+    out = project(xhat, g)
     assert compress_with_table(out, g.table) == g
 
 

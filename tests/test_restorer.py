@@ -3,13 +3,14 @@ import pytest
 
 from jpegkit.codec import compress, compress_with_table, jpeg_q
 from jpegkit.errors import (
+    DimMismatch,
     MissingGroundTruth,
     MissingReference,
     NonFiniteLoss,
     NotACompressedInput,
     TooFewSamples,
 )
-from jpegkit.image import FloatImage, block_rows, to_float, to_pixels
+from jpegkit.image import FloatImage, PixelImage, block_rows, to_float, to_pixels
 from jpegkit.losses import (
     LossWeights,
     SampleBatch,
@@ -398,12 +399,43 @@ def test_init_noise_std_must_be_finite_and_nonnegative():
     assert RestoreConfig(qf=5, init_noise_std=0.0).init_noise_std == 0.0
 
 
-def test_huber_eps_must_be_positive():
-    # zero used to escape as ZeroDivisionError from the first step, and a
-    # negative width ran silently
-    for eps in (0.0, -0.1):
-        with pytest.raises(ValueError):
-            RestoreConfig(qf=5, huber_eps=eps)
+def test_seed_must_be_nonnegative():
+    # a negative seed used to run the input check and then die in numpy's
+    # seeding with a bare "expected non-negative integer"
+    with pytest.raises(ValueError, match="seed"):
+        RestoreConfig(qf=5, seed=-1)
+    assert RestoreConfig(qf=5, seed=0).seed == 0
+
+
+def test_huber_eps_is_a_constant():
+    assert RestoreConfig(qf=5).huber_eps == 0.1
+    with pytest.raises(TypeError):
+        RestoreConfig(qf=5, huber_eps=0.2)
+
+
+def test_references_of_another_shape_are_refused():
+    # a ground truth or reference estimate that differs from y in shape used
+    # to broadcast through every step; the restorer refuses it before any
+    # work, as SampleBatch does, even on an input the round-trip check
+    # would refuse
+    x = natural_image(np.random.default_rng(7), 16, 16)
+    y = jpeg_q(x, 10)
+    xbar = to_float(y)
+    bad_x = (PixelImage(x.data[..., :1]), PixelImage(x.data[:1]))
+    bad_xbar = FloatImage(xbar.data[..., :1])
+    for terms in (dict(lambda_fm=1.0), dict(lambda_sm=1.0), dict(lambda_p=1.0)):
+        cfg = RestoreConfig(qf=10, weights=LossWeights(lambda_c=1.0, **terms), steps=2, n_seeds=2)
+        for bad in bad_x:
+            with pytest.raises(DimMismatch, match="ground truth"):
+                restore_with_history(y, cfg, x=bad, xbar=xbar)
+            with pytest.raises(DimMismatch):
+                SampleBatch(y, (y,), x=bad)
+        with pytest.raises(DimMismatch, match="reference"):
+            restore_with_history(y, cfg, x=x, xbar=bad_xbar)
+        with pytest.raises(DimMismatch, match="reference"):
+            restore_with_history(x, cfg, x=x, xbar=bad_xbar)
+    with pytest.raises(DimMismatch):
+        SampleBatch(y, (y,), x=x, xbar=bad_xbar)
 
 
 BLOCK_TERMS = {
@@ -452,3 +484,14 @@ def test_restore_holds_the_states_the_gradient_and_one_block_of_scratch():
     cfg = RestoreConfig(qf=10, weights=weights, steps=3, step_size=4.0, n_seeds=4, seed=3)
     assert block_rows(128 * 128 * 3) == 1
     assert traced_peak(lambda: restore_with_history(y, cfg)) <= 5.25 * 2**20
+
+
+def test_second_moment_pull_is_built_in_one_temporary():
+    # the sm pull, (states - mean) * sign(gap) scaled, is one stack-sized
+    # temporary built in place; as one expression it made three, and the
+    # same run peaked at 9.01 MiB
+    x = natural_image(np.random.default_rng(128), 128, 128)
+    y = jpeg_q(x, 10)
+    weights = LossWeights(lambda_c=10.0, lambda_prior=120.0, lambda_sm=1.0)
+    cfg = RestoreConfig(qf=10, weights=weights, steps=3, step_size=4.0, n_seeds=4, seed=3)
+    assert traced_peak(lambda: restore_with_history(y, cfg, x=x, xbar=to_float(y))) <= 8.5 * 2**20
