@@ -17,7 +17,7 @@ from .codec import (
     decompress_float,
     jpeg_q,
 )
-from .diffjpeg import DiffJpegOp, Vjp, apply_vjp, forward
+from .diffjpeg import DiffJpegOp, apply_vjp, forward
 from .image import FloatImage, PixelImage, to_float, to_pixels
 from .jfif import parse_jfif, write_jfif
 from .losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_p, loss_sm
@@ -42,7 +42,6 @@ __all__ = [
     "RestoreConfig",
     "SampleBatch",
     "ToyModel",
-    "Vjp",
     "apply_vjp",
     "compress",
     "compress_with_table",

@@ -26,6 +26,7 @@ from .quant import detect_qf, table_to_text
 from .projection import project
 from .restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
 from .toy import (
+    ATOL,
     fm_identity_check,
     load_model,
     mmse_consistency_deviation,
@@ -233,13 +234,10 @@ def _cmd_theorem_check(args) -> int:
         worst_mass = max(worst_mass, report.inconsistent_mass)
         worst_tv = max(worst_tv, report.marginal_tv)
         worst_gap = max(worst_gap, report.max_posterior_gap)
-    ok = (
-        worst_bound <= 0.5 + 1e-12
-        and max(worst_fm, worst_mass, worst_tv, worst_gap) <= 1e-12
-    )
+    ok = worst_bound <= 0.5 + ATOL and max(worst_fm, worst_mass, worst_tv, worst_gap) <= ATOL
     print(f"models checked: {len(models)}")
     print(f"max |transform(mmse) - y|_inf = {worst_bound:.15f} (bound 0.5)")
-    print(f"max mean-vs-mmse deviation   = {worst_fm:.3e} (bound 1e-12)")
+    print(f"max mean-vs-mmse deviation   = {worst_fm:.3e} (bound {ATOL:g})")
     print(
         "posterior sampler (worst over models): "
         f"inconsistent_mass={worst_mass:.3e} "

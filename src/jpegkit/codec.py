@@ -77,6 +77,8 @@ class CoefficientGrid:
             raise ValueError(f"colorspace must be one of {COLORSPACES}")
         if len(self.channels) not in (1, 3):
             raise ValueError("grid must have 1 or 3 channels")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
+            raise ValueError(f"grid sizes must be positive integers, not {self.width!r}x{self.height!r}")
         nby = -(-self.height // dct.BLOCK)
         nbx = -(-self.width // dct.BLOCK)
         norm = []

@@ -12,7 +12,7 @@ the forward one for a single image, as a :class:`YCbCrImage` of planes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,22 +34,13 @@ _RGB_TO_YCBCR_T = np.ascontiguousarray(RGB_TO_YCBCR.T)
 _YCBCR_TO_RGB_T = np.ascontiguousarray(YCBCR_TO_RGB.T)
 
 
-@dataclass(frozen=True, eq=False)
-class YCbCrImage:
-    """Three full-resolution float planes, nominal [0, 255]."""
+class YCbCrImage(NamedTuple):
+    """Three full-resolution float planes, nominal [0, 255], as
+    :func:`rgb_to_ycbcr` cuts them from a checked :class:`FloatImage`."""
 
     y: np.ndarray
     cb: np.ndarray
     cr: np.ndarray
-
-    def __post_init__(self):
-        for name in ("y", "cb", "cr"):
-            plane = np.asarray(getattr(self, name), dtype=np.float64)
-            if plane.shape != np.shape(self.y) or plane.ndim != 2:
-                raise ValueError("planes must be 2-D and share one shape")
-            if not np.all(np.isfinite(plane)):
-                raise ValueError("planes must be finite")
-            object.__setattr__(self, name, plane)
 
 
 def _per_pixel(data: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

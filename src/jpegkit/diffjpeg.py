@@ -3,7 +3,8 @@ gradient.
 
 :func:`forward` is :func:`~jpegkit.codec.requantize` with rounding as the
 step (synthesis after rounding after analysis), with no terminal 8-bit
-step, and returns the value together with a :class:`Vjp`. It takes one
+step, and returns the value together with the operator, which is all the
+state the adjoint needs: the pipeline is linear. It takes one
 :class:`FloatImage` or an (..., H, W, C) stack of samples; a stack runs as
 one batch, and a single image is the one-image case of the same path.
 
@@ -40,14 +41,6 @@ class DiffJpegOp:
     channels: int
 
 
-@dataclass(frozen=True)
-class Vjp:
-    """Handle for the adjoint; the pipeline is linear so the operator is
-    all the state it needs."""
-
-    op: DiffJpegOp
-
-
 def _check_dims(op: DiffJpegOp, x):
     shape = np.shape(x.data if isinstance(x, FloatImage) else x)
     if shape[-3:] != (op.height, op.width, op.channels):
@@ -62,7 +55,7 @@ def _round_in_place(coef, channel):
 
 
 def forward(op: DiffJpegOp, x, out=None, work=None):
-    """Float-valued compress-decompress of x, plus the adjoint handle.
+    """Float-valued compress-decompress of x, plus ``op``, the adjoint handle.
 
     ``x`` is a :class:`FloatImage`, which gives a FloatImage back, or a
     (..., H, W, C) stack of samples, which gives a stack back. A stack is
@@ -74,15 +67,15 @@ def forward(op: DiffJpegOp, x, out=None, work=None):
     """
     _check_dims(op, x)
     result = requantize(x, op.table, op.options, _round_in_place, out=out, work=work)
-    return (FloatImage(result) if isinstance(x, FloatImage) else result), Vjp(op)
+    return (FloatImage(result) if isinstance(x, FloatImage) else result), op
 
 
-def apply_vjp(vjp: Vjp, cotangent):
+def apply_vjp(op: DiffJpegOp, cotangent):
     """Pull a cotangent (an image or a stack, as for :func:`forward`) back
     through the pipeline, rounding as identity.
 
     The no-rounding pipeline is the identity map (see the module
     docstring), so its adjoint returns the cotangent as it is.
     """
-    _check_dims(vjp.op, cotangent)
+    _check_dims(op, cotangent)
     return cotangent

@@ -51,14 +51,10 @@ def check_finite(samples: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PixelImage:
-    """Interleaved 8-bit raster, shape (height, width, channels); it holds
-    its own read-only copy of the array it is given."""
+class _Raster:
+    """An interleaved (height, width, channels) array and its geometry."""
 
     data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _normalize(self.data, np.uint8))
 
     @property
     def width(self) -> int:
@@ -74,27 +70,22 @@ class PixelImage:
 
 
 @dataclass(frozen=True, eq=False)
-class FloatImage:
+class PixelImage(_Raster):
+    """Interleaved 8-bit raster, shape (height, width, channels); it holds
+    its own read-only copy of the array it is given."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _normalize(self.data, np.uint8))
+
+
+@dataclass(frozen=True, eq=False)
+class FloatImage(_Raster):
     """Float64 raster in nominal [0, 255]; out-of-range values are allowed
     mid-optimization, non-finite values are not. It holds its own read-only
     copy of the array it is given, so its data stays finite."""
 
-    data: np.ndarray
-
     def __post_init__(self):
         object.__setattr__(self, "data", check_finite(_normalize(self.data, np.float64)))
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 def float_samples(img) -> np.ndarray:

@@ -49,6 +49,12 @@ class MetricReport:
         )
 
 
+def mse_8bit(a: PixelImage, b: PixelImage) -> float:
+    """Mean squared difference of two same-shaped 8-bit images."""
+    d = a.data.astype(np.float64) - b.data.astype(np.float64)
+    return float(np.mean(d * d))
+
+
 def consistency_rmse(
     xhat: PixelImage,
     y: PixelImage,
@@ -62,15 +68,13 @@ def consistency_rmse(
         raise DimMismatch("xhat and y dims differ")
     t = table if table is not None else table_for_qf(qf)
     z = decompress(compress_with_table(xhat, t, opts))
-    return float(
-        np.sqrt(np.mean((z.data.astype(np.float64) - y.data.astype(np.float64)) ** 2))
-    )
+    return math.sqrt(mse_8bit(z, y))
 
 
 def psnr(a: PixelImage, b: PixelImage) -> float:
     if a.data.shape != b.data.shape:
         raise DimMismatch("psnr operands differ in shape")
-    mse = float(np.mean((a.data.astype(np.float64) - b.data.astype(np.float64)) ** 2))
+    mse = mse_8bit(a, b)
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / mse)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .codec import LEVEL_SHIFT, CodecOptions, planes_for_compress, samples_from_planes
 from .errors import EmptySet, WrongChannelCount
 from .image import FloatImage, PixelImage, float_samples, round_half_away_from_zero, to_pixels
+from .metrics import mse_8bit
 
 _PATH_OPTIONS = {
     "ycbcr-rounded": CodecOptions(round_chroma=True),
@@ -68,9 +70,7 @@ def run_numerics_study(images) -> list:
     for path in STUDY_PATHS:
         errs = []
         for img in images:
-            out = lossless_roundtrip(img, path)
-            d = out.data.astype(np.float64) - img.data.astype(np.float64)
-            errs.append(float(np.sqrt(np.mean(d * d))))
+            errs.append(math.sqrt(mse_8bit(lossless_roundtrip(img, path), img)))
         rows.append(StudyRow(path, float(np.mean(errs)), len(images)))
     return rows
 

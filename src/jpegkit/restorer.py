@@ -23,11 +23,8 @@ and adds their values and gradients. The prior is an isotropic
 Huber-smoothed total variation, :func:`tv_huber`.
 
 Without the moment terms each seed's trajectory depends on (seed, k) alone,
-never on how many seeds run alongside. The moment terms couple the seeds
-by construction; they and the feature term need the ground truth, and the
-second-moment term needs at least two seeds (:class:`TooFewSamples`
-otherwise, as :func:`~jpegkit.losses.loss_sm` raises): at one the sample
-variance is 0, and the term a constant with no gradient.
+never on how many seeds run alongside; the moment terms couple the seeds
+by construction.
 
 Two dynamics facts worth knowing. Stability of the consistency pull needs
 step_size * 2 * lambda_c / n_values < 1 (the losses are means, so the
@@ -175,6 +172,23 @@ def restore_with_history(
     x: PixelImage | None = None,
     xbar: FloatImage | None = None,
 ) -> RestoreRun:
+    """``cfg.n_seeds`` restorations of ``y``, the 8-bit decode of the
+    compressed input, with every step's objective. The moment and feature
+    terms need ``x``, the ground truth, and the second-moment term also
+    ``xbar``, the reference estimate, and two seeds, as ``loss_sm`` does.
+
+    Refused before any work, in this order: an x or xbar not shaped as y
+    (DimMismatch), no x (MissingGroundTruth), no xbar (MissingReference),
+    lambda_sm at one seed, where the term is a constant with no gradient
+    (TooFewSamples), then a y that does not recompress to itself within 1
+    gray level RMSE (NotACompressedInput).
+
+    Returns ``images``, each seed's output in seed order; ``loss_history``,
+    each step's objective before its update; and ``diverged``, whether that
+    ever rose by over MONOTONE_TOL. The objective adds, seed by seed, each
+    seed's weighted consistency, prior and feature values, then the
+    weighted first- and second-moment terms.
+    """
     check_references(y.data.shape, x, xbar)
     w = cfg.weights
     coupled = (w.lambda_fm > 0) or (w.lambda_sm > 0) or (w.lambda_p > 0)
@@ -230,8 +244,6 @@ def restore_with_history(
 
     history = np.zeros(cfg.steps)
     for t in range(cfg.steps):
-        # The objective adds the per-seed terms seed by seed, then the moment
-        # terms.
         total = 0.0
         for s in blocks:
             for values in per_seed_terms(s):

@@ -15,8 +15,9 @@ become finite computations:
   the prior invariant, checkable entry by entry.
 
 Each model groups its states by observation once, on the first check that
-needs it, and keeps the grouping on itself as read-only arrays; every later
-check, and the exact posterior sampler, reads it.
+needs it, and keeps the grouping, every conditional mean E[X | y] included,
+on itself as read-only arrays; every later check, and the exact posterior
+sampler, reads it.
 
 A sampler is block-shaped: it takes a (k, length) int array of observations
 and returns a (k, n_states) array, one distribution table over the states
@@ -50,6 +51,7 @@ from .errors import MalformedModel, MalformedSampler, UnreachableY
 from .image import block_rows, round_half_away_from_zero
 
 ATOL = 1e-12
+SUM_ATOL = 1e-9  # how far a sampler table's sum may sit from 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +173,12 @@ class _Grouping:
     weights: np.ndarray  # (n_states,) p(x | y(x))
     order: np.ndarray  # the states with index >= 0, stably sorted by row
     starts: np.ndarray  # (n_obs + 1,) where each row's states begin in order
+    means: np.ndarray  # (n_obs, length) E[X | y] per row
 
 
 def _group(model: ToyModel) -> _Grouping:
-    """Group the states by observation: one degradation, one lexsort.
+    """Group the states by observation: one degradation, one lexsort, and
+    one O(states * length) pass that yields every conditional mean.
 
     The rows come out in the order, and with the masses, that
     ``np.unique(axis=0)`` over the degraded states would give them.
@@ -194,13 +198,18 @@ def _group(model: ToyModel) -> _Grouping:
     remap[keep] = np.arange(int(keep.sum()))
     ys, probs, index = d[first][keep], probs_all[keep], remap[group]
     order = order[index[order] >= 0]
+    weights = model.prior / probs[index]  # 0 where index is -1: no prior there
+    # E[X | y] in one bincount over (row, position) bins, each summed in state order
+    bins = (index[order, None] * model.length + np.arange(model.length)).ravel()
+    means = np.bincount(bins, (weights[order, None] * model.signals[order]).ravel(), len(ys) * model.length)
     g = _Grouping(
         ys=ys,
         probs=probs,
         index=index,
-        weights=model.prior / probs[index],  # 0 where index is -1: no prior there
+        weights=weights,
         order=order,
         starts=np.searchsorted(index[order], np.arange(len(ys) + 1)),
+        means=means.reshape(len(ys), model.length),
     )
     for arr in vars(g).values():
         arr.setflags(write=False)
@@ -233,30 +242,17 @@ def _rows_of(model: ToyModel, ys) -> np.ndarray:
     return rows
 
 
-def _conditional_means(model: ToyModel, weights: np.ndarray, index: np.ndarray, n_obs: int) -> np.ndarray:
-    """E[X | y] for every reachable observation, shape (n_obs, length), from
-    one pass over the states grouped by ``index``."""
-    kept = index >= 0
-    rows, w = index[kept], weights[kept]
-    signals = model.signals[kept].astype(np.float64)
-    return np.stack(
-        [np.bincount(rows, weights=w * signals[:, j], minlength=n_obs) for j in range(model.length)],
-        axis=1,
-    )
-
-
 def mmse_consistency_deviation(model: ToyModel) -> float:
     """max over reachable y of ||transform(E[X|y]) - y||_inf.
 
     At most 0.5 (plus float noise): every consistent state's transform
     lies in the half-step box around y and the box is convex.
 
-    Cost: the model's cached grouping and one O(states * length) pass that
-    yields every conditional mean.
+    Cost: the model's cached grouping, which holds every conditional mean,
+    and one transform of the means.
     """
     g = model._grouping
-    means = _conditional_means(model, g.weights, g.index, len(g.ys))
-    return float(np.abs(model.transform(means) - g.ys).max())
+    return float(np.abs(model.transform(g.means) - g.ys).max())
 
 
 @dataclass(frozen=True)
@@ -291,7 +287,7 @@ def _not_a_distribution(ys: np.ndarray, block: np.ndarray, sums: np.ndarray) -> 
     """The error for a block that failed validation, naming the observation
     of its first table with a negative or NaN entry or a sum off 1; ``ys``
     and ``sums`` are the block's observations and row sums."""
-    ok = (block.min(axis=1) >= -ATOL) & (np.abs(sums - 1.0) <= 1e-9)
+    ok = (block.min(axis=1) >= -ATOL) & (np.abs(sums - 1.0) <= SUM_ATOL)
     y = ys[int(np.argmin(ok))].tolist()
     return MalformedSampler(f"sampler table for observation {y} is not a probability distribution")
 
@@ -326,7 +322,7 @@ def posterior_sampler_checks(model: ToyModel, sampler) -> SamplerReport:
         lo, hi, outside = block.min(), block.max(), block @ ones
         block.put(at, inside)
         sums = outside + np.add.reduceat(inside, g.starts[r0:r1] - s0)
-        if not (lo >= -ATOL and inside.min() >= -ATOL and np.abs(sums - 1.0).max() <= 1e-9):
+        if not (lo >= -ATOL and inside.min() >= -ATOL and np.abs(sums - 1.0).max() <= SUM_ATOL):
             raise _not_a_distribution(g.ys[r0:r1], block, sums)
         py = g.probs[r0:r1]
         inconsistent += float(py @ outside)
@@ -377,14 +373,12 @@ def fm_identity_check(model: ToyModel, sampler=None) -> float:
     contract of the module docstring; the product with the signals and a
     column of ones gives each table's mean and its sum together.
 
-    Cost: the model's cached grouping, one O(states * length) pass for
-    every conditional mean, then one sampler call and the block passes per
-    block of tables.
+    Cost: the model's cached grouping, which holds every conditional mean,
+    then one sampler call and the block passes per block of tables.
     """
     g = model._grouping
     if sampler is None:
         sampler = posterior_sampler(model)
-    means = _conditional_means(model, g.weights, g.index, len(g.ys))
     length = model.length
     signals = np.ones((model.n_states, length + 1))
     signals[:, :length] = model.signals
@@ -392,10 +386,10 @@ def fm_identity_check(model: ToyModel, sampler=None) -> float:
     for r0, block in _table_blocks(model, sampler):
         out = sampled[r0 : r0 + len(block)]
         np.matmul(block, signals, out=out)
-        if not (block.min() >= -ATOL and np.abs(out[:, length] - 1.0).max() <= 1e-9):
+        if not (block.min() >= -ATOL and np.abs(out[:, length] - 1.0).max() <= SUM_ATOL):
             raise _not_a_distribution(g.ys[r0 : r0 + len(block)], block, out[:, length])
         del block  # before the sampler fills the next one
-    return float(np.abs(sampled[:, :length] - means).max())
+    return float(np.abs(sampled[:, :length] - g.means).max())
 
 
 # --- text fixtures ---------------------------------------------------------

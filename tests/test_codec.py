@@ -134,6 +134,24 @@ def test_grid_validates_block_shape():
         CoefficientGrid((np.zeros((1, 1, 8, 8), np.int32),), t, 20, 8, "ycbcr")
 
 
+@pytest.mark.parametrize(
+    "blocks, width, height",
+    [
+        ((0, 0), 0, 0),
+        ((1, 0), 0, 8),
+        ((0, 1), 8, -1),
+        ((2, 2), 16.0, 16.0),
+        ((2, 2), 16, 16.0),
+    ],
+)
+def test_grid_refuses_sizes_that_are_not_positive_integers(blocks, width, height):
+    # a 0x0 grid used to reach write_jfif and decompress, and a 16.0x16.0
+    # one to fail there with struct.error or TypeError
+    channel = np.zeros(blocks + (8, 8), np.int32)
+    with pytest.raises(ValueError, match="positive integers"):
+        CoefficientGrid((channel,) * 3, table_for_qf(50), width, height)
+
+
 def test_float_input_accepted(rng):
     from jpegkit.image import to_float
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jpegkit.codec import CodecOptions, compress, decompress_float, jpeg_q
-from jpegkit.diffjpeg import DiffJpegOp, Vjp, apply_vjp, forward
+from jpegkit.diffjpeg import DiffJpegOp, apply_vjp, forward
 from jpegkit.errors import DimMismatch
 from jpegkit.image import FloatImage, to_float, to_pixels
 from tests.conftest import natural_image, uniform_image
@@ -118,8 +118,11 @@ def test_dim_mismatch(rng):
 def test_vjp_dataclass_holds_operator(rng):
     x = to_float(uniform_image(rng, 8, 8))
     op = op_for_image(x, 50)
-    _, vjp = forward(op, x)
-    assert isinstance(vjp, Vjp) and vjp.op == op
+    assert forward(op, x)[1] is op
+    assert forward(op, x.data[None])[1] is op
+    for shape in ((8, 8, 1), (1, 8, 8, 1), (8, 16, 3)):
+        with pytest.raises(DimMismatch):
+            apply_vjp(op, np.zeros(shape))
 
 
 def test_forward_stack_matches_per_image(rng):

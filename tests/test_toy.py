@@ -10,7 +10,6 @@ from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, Unrea
 from jpegkit.image import block_rows, round_half_away_from_zero
 from jpegkit.toy import (
     ToyModel,
-    _conditional_means,
     _table_blocks,
     alphabet_for_size,
     fm_identity_check,
@@ -261,8 +260,7 @@ EQUIVALENCE_MODELS = [random_model(np.random.default_rng(3000 + i)) for i in ran
 
 
 def _grouped_means(m):
-    ys, probs, index = observations(m)
-    return ys, _conditional_means(m, m.prior / probs[index], index, len(ys))
+    return m._grouping.ys, m._grouping.means
 
 
 @pytest.mark.parametrize("m", EQUIVALENCE_MODELS + [fine_step_model(7)])
@@ -549,6 +547,25 @@ def test_all_four_oracle_calls_degrade_each_model_once(monkeypatch):
         fm_identity_check(m)
         posterior_sampler_checks(m, posterior_sampler(m))
     assert calls == models
+
+
+def test_conditional_means_are_built_once_per_model(monkeypatch):
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    for first, then in (
+        (mmse_consistency_deviation, fm_identity_check),
+        (fm_identity_check, mmse_consistency_deviation),
+    ):
+        for m in (uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7), random_model(np.random.default_rng(3000))):
+            first(m)
+            assert calls
+            calls.clear()
+            for check in (then, first, then):
+                check(m)
+            assert calls == []
+            with pytest.raises(ValueError):
+                m._grouping.means[0, 0] = 0.0
 
 
 def test_bad_values_raise_when_their_block_is_full():
