@@ -50,13 +50,6 @@ def _expand_gray(img: PixelImage) -> PixelImage:
     return PixelImage(np.repeat(img.data, 3, axis=2))
 
 
-def _opts(args) -> CodecOptions:
-    return CodecOptions(
-        colorspace="rgb-passthrough" if getattr(args, "passthrough", False) else "ycbcr",
-        round_chroma=getattr(args, "round_chroma", False),
-    )
-
-
 def _cmd_encode(args) -> int:
     img = _expand_gray(_load_pnm(args.input))
     grid = compress(img, args.quality)
@@ -74,8 +67,10 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    if args.passthrough and args.round_chroma:
+        raise UsageError("--passthrough and --round-chroma exclude each other")
     img = _load_pnm(args.input)
-    opts = _opts(args)
+    opts = CodecOptions("rgb-passthrough" if args.passthrough else "ycbcr", args.round_chroma)
     y = jpeg_q(img, args.quality, opts)
     report = MetricReport(
         name=Path(args.input).name,

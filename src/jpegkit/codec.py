@@ -60,6 +60,8 @@ class CodecOptions:
     def __post_init__(self):
         if self.colorspace not in COLORSPACES:
             raise ValueError(f"colorspace must be one of {COLORSPACES}")
+        if self.round_chroma and self.colorspace != "ycbcr":
+            raise ValueError("round_chroma rounds color-converted planes, which rgb-passthrough has none of")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +144,6 @@ def samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | N
     return planes
 
 
-def _block_view(coef: np.ndarray) -> np.ndarray:
-    """(..., H', W') coefficients in plane layout as their
-    (..., n_by, n_bx, 8, 8) blocks; a view, not a copy."""
-    height, width = coef.shape[-2:]
-    tiles = coef.reshape(coef.shape[:-2] + (height // dct.BLOCK, dct.BLOCK, width // dct.BLOCK, dct.BLOCK))
-    return tiles.swapaxes(-3, -2)
-
-
 def _block_rows(plane: np.ndarray) -> np.ndarray:
     """A C-contiguous (..., H', W') plane as its (..., n_by, 8, W') rows of
     blocks; a view."""
@@ -197,13 +191,13 @@ def plane_dct(plane: np.ndarray) -> np.ndarray:
     """Edge-pad and level-shift a (..., h, w) plane and DCT every block;
     returns (..., n_by, n_bx, 8, 8), a block view of the coefficients in
     plane layout."""
-    return _block_view(_dct_plane(plane))
+    return dct.block_view(_dct_plane(plane))
 
 
 def _plane_coefs(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
     coef = _dct_plane(plane)
     _scale(coef, q, np.divide)
-    return _block_view(coef)
+    return dct.block_view(coef)
 
 
 def _write_plane(plane: np.ndarray, q: np.ndarray, dst: np.ndarray):

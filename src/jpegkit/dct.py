@@ -56,18 +56,24 @@ def fold_pad(plane: np.ndarray, height: int, width: int) -> np.ndarray:
     return out2
 
 
+def block_view(plane: np.ndarray) -> np.ndarray:
+    """The (..., n_by, n_bx, 8, 8) blocks, in raster order, of a (..., h, w)
+    array whose h and w are multiples of 8; a view, not a copy."""
+    h, w = plane.shape[-2:]
+    tiles = plane.reshape(plane.shape[:-2] + (h // BLOCK, BLOCK, w // BLOCK, BLOCK))
+    return tiles.swapaxes(-3, -2)
+
+
 def split_blocks(plane: np.ndarray, pad: bool = False) -> np.ndarray:
     """Tile the last two axes of a (..., h, w) array into
-    (..., n_by, n_bx, 8, 8) blocks in raster order."""
+    (..., n_by, n_bx, 8, 8) blocks in raster order, as a copy."""
     plane = np.asarray(plane, dtype=np.float64)
     h, w = plane.shape[-2:]
     if h % BLOCK or w % BLOCK:
         if not pad:
             raise NonMultipleOf8WithoutPadFlag(f"plane is {w}x{h}")
         plane = pad_to_block_multiple(plane)
-        h, w = plane.shape[-2:]
-    tiles = plane.reshape(plane.shape[:-2] + (h // BLOCK, BLOCK, w // BLOCK, BLOCK))
-    return tiles.swapaxes(-3, -2).copy()
+    return block_view(plane).copy()
 
 
 def merge_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -110,14 +110,10 @@ class HuffmanTable:
     `symbol_of` maps the code back; both are built once, here.
     """
 
-    table_class: str  # "dc" | "ac"
-    table_id: int
     counts: tuple
     symbols: tuple
 
     def __post_init__(self):
-        if self.table_class not in ("dc", "ac"):
-            raise ValueError("table_class must be 'dc' or 'ac'")
         if len(self.counts) != 16:
             raise ValueError("counts must have 16 entries")
         if sum(self.counts) != len(self.symbols) or len(self.symbols) > 256:
@@ -136,10 +132,12 @@ class HuffmanTable:
         object.__setattr__(self, "symbol_of", {bits: sym for sym, bits in code_of.items()})
 
 
-DC_LUMA = HuffmanTable("dc", 0, DC_LUMA_BITS, DC_LUMA_VALS)
-AC_LUMA = HuffmanTable("ac", 0, AC_LUMA_BITS, AC_LUMA_VALS)
-DC_CHROMA = HuffmanTable("dc", 1, DC_CHROMA_BITS, DC_CHROMA_VALS)
-AC_CHROMA = HuffmanTable("ac", 1, AC_CHROMA_BITS, AC_CHROMA_VALS)
+DC_LUMA = HuffmanTable(DC_LUMA_BITS, DC_LUMA_VALS)
+AC_LUMA = HuffmanTable(AC_LUMA_BITS, AC_LUMA_VALS)
+DC_CHROMA = HuffmanTable(DC_CHROMA_BITS, DC_CHROMA_VALS)
+AC_CHROMA = HuffmanTable(AC_CHROMA_BITS, AC_CHROMA_VALS)
+# each standard table with its DHT slot, Tc << 4 | Th (T.81 B.2.4.2)
+_DHT_TABLES = ((0x00, DC_LUMA), (0x10, AC_LUMA), (0x01, DC_CHROMA), (0x11, AC_CHROMA))
 
 
 @dataclass
@@ -148,8 +146,7 @@ class JfifStructure:
 
     markers: list
     scan_span: tuple
-    huffman_tables: list
-    restart_interval: int = 0
+    restart_interval: int
 
 
 # --- encoder ---------------------------------------------------------------
@@ -211,11 +208,7 @@ def write_jfif(grid: CoefficientGrid) -> bytes:
     for cid, tq in ((1, 0), (2, 1), (3, 1)):
         sof += bytes((cid, 0x11, tq))
     _segment(out, SOF0, sof)
-    dht = b""
-    for t in (DC_LUMA, AC_LUMA, DC_CHROMA, AC_CHROMA):
-        cls = 0 if t.table_class == "dc" else 1
-        dht += bytes([(cls << 4) | t.table_id]) + bytes(t.counts) + bytes(t.symbols)
-    _segment(out, DHT, dht)
+    _segment(out, DHT, b"".join(bytes((slot, *t.counts, *t.symbols)) for slot, t in _DHT_TABLES))
     _segment(out, SOS, bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]))
 
     # every block's zigzag vector at once, MCU-major, DC as differences
@@ -414,10 +407,9 @@ def parse_jfif(data: bytes):
                     raise TruncatedStream("DHT symbols truncated")
                 symbols = tuple(body[i + 17 : i + 17 + nsym])
                 try:
-                    table = HuffmanTable("dc" if cls == 0 else "ac", tid, counts, symbols)
+                    htables[(cls, tid)] = HuffmanTable(counts, symbols)
                 except ValueError as exc:
                     raise HuffmanDecodeError(str(exc)) from exc
-                htables[(cls, tid)] = table
                 i += 17 + nsym
         elif marker == DRI:
             _check_length(name, body, 2)
@@ -528,7 +520,6 @@ def parse_jfif(data: bytes):
     structure = JfifStructure(
         markers=markers,
         scan_span=scan_span,
-        huffman_tables=[t for pair in comp_tables for t in pair],
         restart_interval=restart_interval,
     )
     return grid, structure

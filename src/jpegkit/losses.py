@@ -14,7 +14,8 @@ caller may run them over any split of the stack and get the same bits.
 :func:`loss_c` runs the codec over blocks of at most
 :func:`~jpegkit.image.block_rows` samples, and the restorer steps its
 per-seed terms over the same blocks. The moment terms reduce over the
-samples, so they take the whole stack.
+samples, so they take the whole stack; the second-moment term takes it
+minus its mean, which its caller forms once and reuses.
 """
 
 from __future__ import annotations
@@ -104,14 +105,19 @@ def first_moment_term(states: np.ndarray, x: np.ndarray):
     return float(np.mean(gap * gap)), gap
 
 
-def second_moment_term(states: np.ndarray, x: np.ndarray, xbar: np.ndarray):
+def second_moment_term(dev: np.ndarray, x: np.ndarray, xbar: np.ndarray):
     """Mean absolute gap (x - xbar)**2 - (population variance), and the
-    gap. Gradient per sample: -(2 / K) * sign(gap) * (sample - sample mean)
-    / x.size (a subgradient at the kinks), a whole stack that only a caller
-    descending the term builds."""
-    var = states.var(axis=0)  # first, so that its deviation stack is the only one alive
-    gap = (x - xbar) ** 2 - var
-    return float(np.mean(np.abs(gap))), gap
+    gap, given ``dev``, the samples minus their mean; the variance sums
+    dev**2 seed by seed, as ``np.var`` does. Gradient per sample: -(2 / K)
+    * sign(gap) * dev / x.size (a subgradient at the kinks)."""
+    var = dev[0] ** 2
+    for d in dev[1:]:
+        var += d**2
+    var /= len(dev)
+    gap = x - xbar
+    np.square(gap, out=gap)
+    gap -= var
+    return float(np.mean(np.abs(gap, out=var))), gap
 
 
 def feature_term(states: np.ndarray, fx: np.ndarray):
@@ -170,7 +176,9 @@ def loss_sm(batch: SampleBatch) -> float:
         raise MissingReference("second-moment loss needs the reference estimate")
     if len(batch.samples) < 2:
         raise TooFewSamples("second-moment loss needs at least 2 samples")
-    return second_moment_term(batch.stacked(), to_float(batch.x).data, batch.xbar.data)[0]
+    dev = batch.stacked()
+    dev -= dev.mean(axis=0)
+    return second_moment_term(dev, to_float(batch.x).data, batch.xbar.data)[0]
 
 
 # radial bands over the 8x8 coefficient positions: DC alone, then rings of

@@ -46,8 +46,8 @@ def read_pnm(data: bytes) -> PixelImage:
     fields = []
     for _ in range(3):
         tok, pos = _read_token(data, pos)
-        if not tok.isdigit():
-            raise TruncatedPayload(f"non-numeric header field {tok!r}")
+        if not tok.isdigit() or len(tok) > 20:  # int() refuses strings past 4300 digits
+            raise TruncatedPayload(f"header field {tok[:20]!r} is not a number of at most 20 digits")
         fields.append(int(tok))
     width, height, maxval = fields
     if maxval != 255:

@@ -12,7 +12,9 @@ write each block's gradient into its slice of the buffer; their scratch,
 the gradient and one block of scratch: at 128² a block is one image (384
 KiB, within a 2 MiB L2 cache), at 32² up to ten. The moment terms reduce
 over the seeds, so they, the objective, the finiteness checks and the
-update act on the whole stack. Blocks keep the bits: every image of a
+update act on the whole stack. A second-moment step takes the seed mean
+once: its deviation stack is the term's input, then, scaled in place, the
+term's pull on the gradient. Blocks keep the bits: every image of a
 stack gets the arithmetic it would get on its own, and the objective adds
 the per-seed values seed by seed in one order, so any block bound gives
 the same outputs and loss history.
@@ -255,9 +257,9 @@ def restore_with_history(
             total += w.lambda_fm * value
             grad += w.lambda_fm * (-2.0 / (n * n_seeds)) * gap
         if w.lambda_sm > 0:
-            value, gap = second_moment_term(states, x_f, xbar.data)
+            pull = states - states.mean(axis=0)  # the deviation stack, one temporary freed below
+            value, gap = second_moment_term(pull, x_f, xbar.data)
             total += w.lambda_sm * value
-            pull = states - states.mean(axis=0)  # one stack-sized temporary, freed below
             pull *= np.sign(gap)
             pull *= w.lambda_sm * (2.0 / n_seeds)
             pull /= n

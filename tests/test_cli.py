@@ -131,6 +131,22 @@ def test_encode_past_16_bit_frame_is_a_domain_error(tmp_path, capsys):
     assert not (tmp_path / "w.jpg").exists()
 
 
+def test_encode_overlong_pnm_field_is_a_domain_error(tmp_path, capsys):
+    (tmp_path / "long.ppm").write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n")
+    code, _, err = _usage_error(capsys, ["encode", str(tmp_path / "long.ppm"), "-q", "50", "-o", str(tmp_path / "l.jpg")])
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("TruncatedPayload:")
+    assert not (tmp_path / "l.jpg").exists()
+
+
+def test_roundtrip_passthrough_with_round_chroma_is_usage_error(tmp_path, capsys):
+    # refused before the input is read: the file does not exist
+    argv = ["roundtrip", str(tmp_path / "missing.ppm"), "-q", "50", "--passthrough", "--round-chroma"]
+    code, out, err = _usage_error(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err) == 1 and "--passthrough" in err[0] and "--round-chroma" in err[0]
+
+
 def test_sweep_input_errors_write_no_csv(tmp_path, rng, capsys):
     argv = ["sweep", str(tmp_path), "--lambdas", "0,10", "--steps", "1", "-o", str(tmp_path / "s.csv")]
     x = natural_image(rng)

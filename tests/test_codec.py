@@ -152,6 +152,12 @@ def test_grid_refuses_sizes_that_are_not_positive_integers(blocks, width, height
         CoefficientGrid((channel,) * 3, table_for_qf(50), width, height)
 
 
+def test_options_refuse_round_chroma_without_color_conversion():
+    # rgb-passthrough has no converted planes for round_chroma to round
+    with pytest.raises(ValueError, match="round_chroma"):
+        CodecOptions(colorspace="rgb-passthrough", round_chroma=True)
+
+
 def test_float_input_accepted(rng):
     from jpegkit.image import to_float
 

@@ -328,7 +328,7 @@ def test_huffman_tables_prefix_free():
 
 def test_huffman_overflow_rejected():
     with pytest.raises(ValueError):
-        HuffmanTable("dc", 0, (3,) + (0,) * 15, (0, 1, 2))
+        HuffmanTable((3,) + (0,) * 15, (0, 1, 2))
 
 
 def test_garbage_entropy_data_raises(rng):

@@ -17,6 +17,7 @@ from jpegkit.losses import (
     loss_fm,
     loss_p,
     loss_sm,
+    second_moment_term,
     texture_band_features,
     texture_band_pullback,
 )
@@ -274,6 +275,25 @@ def test_loss_sm_builds_no_pull_stack():
     # the restorer descends would be a third (5.6 MiB peak)
     batch = _noisy_batch(128, 4)
     assert traced_peak(lambda: loss_sm(batch)) <= 4.5 * 2**20
+
+
+def test_loss_sm_subtracts_the_mean_in_its_own_stack():
+    # the float stack is 1.5 MiB; the term adds image-sized buffers only
+    batch = _noisy_batch(128, 4)
+    assert traced_peak(lambda: loss_sm(batch)) <= 3 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(17, 13, 1), (128, 128, 3)])
+@pytest.mark.parametrize("n_samples", [2, 3, 4, 7])
+def test_second_moment_gap_is_exactly_the_np_var_gap(shape, n_samples):
+    rng = np.random.default_rng(n_samples)
+    stack = rng.normal(128.0, 20.0, (n_samples,) + shape)
+    x = rng.normal(128.0, 20.0, shape)
+    xbar = x + rng.normal(0.0, 3.0, shape)
+    value, gap = second_moment_term(stack - stack.mean(axis=0), x, xbar)
+    expected = (x - xbar) ** 2 - stack.var(axis=0)
+    assert np.array_equal(gap, expected)
+    assert value == float(np.mean(np.abs(expected)))
 
 
 def test_loss_c_runs_one_block_of_samples_at_a_time():

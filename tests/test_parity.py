@@ -9,8 +9,8 @@ over whole planes and gives the same digests. That OpenBLAS is built for
 many CPUs (DYNAMIC_ARCH) and picks its kernel at load time: the digests
 are those of its SkylakeX kernel, which it picks on an AVX-512 Xeon. A
 kernel that rounds its matrix products differently gives other float
-digests: with OPENBLAS_CORETYPE=Haswell, 15 of the restorer and forward
-digest tests fail (ROADMAP item 1).
+digests: with OPENBLAS_CORETYPE=Haswell, 11 of the restorer and forward
+digest tests fail, and with Sandybridge 25 (ROADMAP item 1).
 
 The coupled-term restorer digests pin the seed-coupling terms (first and
 second moment, feature), alone and all three, with and without the

@@ -79,3 +79,17 @@ def test_truncated_payload():
 def test_truncated_header():
     with pytest.raises(TruncatedPayload):
         read_pnm(b"P5\n1")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P6\n" + b"9" * 5000 + b" 1\n255\n",  # past int()'s 4300-digit limit
+        b"P6\n1 1\n" + b"2" * 5000 + b"\n\x00\x00\x00",
+        b"P6\n" + b"0" * (8 << 20) + b"1 1\n255\n\x00\x00\x00",  # a 1 behind 8 MB of zeros
+    ],
+    ids=["width", "maxval", "zero-padded-width"],
+)
+def test_header_field_past_20_digits_is_truncated_payload(data):
+    with pytest.raises(TruncatedPayload, match="at most 20 digits"):
+        read_pnm(data)

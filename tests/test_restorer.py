@@ -279,9 +279,14 @@ def _fm_gradient(states, x):
     return (-2.0 / (x.size * len(states))) * gap
 
 
+def _deviations(states):
+    # the samples minus their mean, which second_moment_term takes
+    return states - states.mean(axis=0)
+
+
 def _sm_gradient(states, x, xbar):
     # the gradient the restorer builds from the second-moment term, unweighted
-    _, gap = second_moment_term(states, x, xbar)
+    _, gap = second_moment_term(_deviations(states), x, xbar)
     pull = np.sign(gap) * (states - states.mean(axis=0))
     return -(2.0 / len(states)) * pull / x.size
 
@@ -301,7 +306,7 @@ def test_moment_gradients_match_central_differences(rng):
             continue
         # away from the kinks of |gap|, where the value is differentiable
         assert np.min(np.abs((x - xbar) ** 2 - states.var(axis=0))) > 1e-3
-        sm = [second_moment_term(states + e * v, x, xbar)[0] for e in (h, -h)]
+        sm = [second_moment_term(_deviations(states + e * v), x, xbar)[0] for e in (h, -h)]
         fd = (sm[0] - sm[1]) / (2 * h)
         assert abs(fd - float(np.sum(_sm_gradient(states, x, xbar) * v))) <= 1e-6 * max(1.0, abs(fd))
 
@@ -322,7 +327,7 @@ def test_restorer_steps_along_the_moment_gradients(pair):
             expected = weights.lambda_fm * first_moment_term(s1, x_f)[0]
         else:
             s1 = s0 - cfg.step_size * weights.lambda_sm * _sm_gradient(s0, x_f, xbar.data)
-            expected = weights.lambda_sm * second_moment_term(s1, x_f, xbar.data)[0]
+            expected = weights.lambda_sm * second_moment_term(_deviations(s1), x_f, xbar.data)[0]
         assert run.loss_history[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert run.loss_history[1] < run.loss_history[0]
 
