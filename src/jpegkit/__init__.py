@@ -15,7 +15,6 @@ from .codec import (
     compress_with_table,
     decompress,
     decompress_float,
-    jpeg_q,
 )
 from .diffjpeg import DiffJpegOp, apply_vjp, forward
 from .image import FloatImage, PixelImage, to_float, to_pixels
@@ -25,7 +24,7 @@ from .metrics import MetricReport, consistency_rmse, perceptual_proxy, psnr, std
 from .pnm import read_pnm, write_pnm
 from .projection import project
 from .quant import QuantTable, table_for_qf
-from .restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
+from .restorer import RestoreConfig, restore_with_history, sweep_lambda_c
 from .toy import ToyModel, posterior_sampler_checks
 
 __version__ = "0.1.0"
@@ -49,7 +48,6 @@ __all__ = [
     "decompress",
     "decompress_float",
     "forward",
-    "jpeg_q",
     "loss_c",
     "loss_fm",
     "loss_p",
@@ -60,8 +58,7 @@ __all__ = [
     "project",
     "psnr",
     "read_pnm",
-    "restore",
-    "restore_project",
+    "restore_with_history",
     "std_map",
     "sweep_lambda_c",
     "table_for_qf",

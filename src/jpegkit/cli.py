@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecOptions, compress, decompress, jpeg_q
-from .errors import JpegkitError
+from .codec import CodecOptions, compress, decompress
+from .errors import JpegkitError, WrongChannelCount
 from .image import PixelImage, to_pixels
 from .jfif import parse_jfif, write_jfif
 from .losses import LossWeights
@@ -24,7 +24,7 @@ from .numerics import run_numerics_study, study_to_csv
 from .pnm import read_pnm, write_pnm
 from .quant import detect_qf, table_to_text
 from .projection import project
-from .restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
+from .restorer import RestoreConfig, restore_with_history, sweep_lambda_c
 from .toy import (
     ATOL,
     fm_identity_check,
@@ -70,8 +70,10 @@ def _cmd_roundtrip(args) -> int:
     if args.passthrough and args.round_chroma:
         raise UsageError("--passthrough and --round-chroma exclude each other")
     img = _load_pnm(args.input)
+    if args.round_chroma and img.channels != 3:
+        raise WrongChannelCount("--round-chroma rounds color-converted planes, which a gray input has none of")
     opts = CodecOptions("rgb-passthrough" if args.passthrough else "ycbcr", args.round_chroma)
-    y = jpeg_q(img, args.quality, opts)
+    y = decompress(compress(img, args.quality, opts))
     report = MetricReport(
         name=Path(args.input).name,
         qf=args.quality,
@@ -156,7 +158,9 @@ def _cmd_restore(args) -> int:
     grid, _ = _load_jfif(args.input)
     y = decompress(grid)
     cfg = _restore_config(args, grid)
-    outs = restore_project(y, cfg, grid) if args.project else restore(y, cfg)
+    outs = restore_with_history(y, cfg).images
+    if args.project:
+        outs = [to_pixels(project(img, grid)) for img in outs]
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for k, img in enumerate(outs):

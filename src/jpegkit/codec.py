@@ -4,7 +4,8 @@ Everything rests on one pair of maps. :func:`analysis` runs pixels ->
 (YCbCr) -> level shift -> edge pad -> 8x8 blocks -> DCT -> divide by the
 quantization table, giving each channel's coefficients in units of its
 step; :func:`synthesis` is its exact inverse. `compress` is rounding after
-analysis and `decompress_float` is synthesis. :func:`requantize` is
+analysis, `decompress_float` is synthesis, and a round trip is
+``decompress(compress(img, qf, opts))``. :func:`requantize` is
 synthesis after a per-channel step after analysis, computed one channel at
 a time in one color buffer; :mod:`~jpegkit.diffjpeg` uses it with rounding
 as the step and :mod:`~jpegkit.projection` with a cell clamp.
@@ -19,7 +20,7 @@ layout; callers see (..., n_by, n_bx, 8, 8) block views of them.
 
 The grid is the codec's native currency: every module that needs "the
 compressed input" takes a :class:`CoefficientGrid`, never a .jpg byte
-string.
+string. Its blocks are one read-only int32 (C, n_by, n_bx, 8, 8) array.
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ class CodecOptions:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientGrid:
-    """Per-channel quantized DCT blocks plus the table that made them."""
+    """Quantized DCT blocks, one read-only int32 (C, n_by, n_bx, 8, 8)
+    array with C = 1 or 3, plus the table that made them. A writable input
+    is copied, so a caller's array is never frozen or shared; a read-only
+    one (the parser's) is kept as it is."""
 
-    channels: tuple
+    channels: np.ndarray
     table: QuantTable
     width: int
     height: int
@@ -77,23 +81,24 @@ class CoefficientGrid:
     def __post_init__(self):
         if self.colorspace not in COLORSPACES:
             raise ValueError(f"colorspace must be one of {COLORSPACES}")
-        if len(self.channels) not in (1, 3):
+        levels = self.channels
+        if not (
+            isinstance(levels, np.ndarray)
+            and levels.dtype == np.int32
+            and levels.flags.c_contiguous
+            and not levels.flags.writeable
+            and not (isinstance(levels.base, np.ndarray) and levels.base.flags.writeable)
+        ):
+            levels = np.array(levels, dtype=np.int32, order="C")
+            levels.setflags(write=False)
+        if levels.ndim != 5 or len(levels) not in (1, 3):
             raise ValueError("grid must have 1 or 3 channels")
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
             raise ValueError(f"grid sizes must be positive integers, not {self.width!r}x{self.height!r}")
-        nby = -(-self.height // dct.BLOCK)
-        nbx = -(-self.width // dct.BLOCK)
-        norm = []
-        for ch in self.channels:
-            arr = np.asarray(ch, dtype=np.int32)
-            if arr.shape != (nby, nbx, 8, 8):
-                raise ValueError(
-                    f"channel blocks {arr.shape} do not tile {self.width}x{self.height}"
-                )
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            norm.append(arr)
-        object.__setattr__(self, "channels", tuple(norm))
+        tiling = (-(-self.height // dct.BLOCK), -(-self.width // dct.BLOCK), 8, 8)
+        if levels.shape[1:] != tiling:
+            raise ValueError(f"channel blocks {levels.shape[1:]} do not tile {self.width}x{self.height}")
+        object.__setattr__(self, "channels", levels)
 
     def __eq__(self, other):
         return (
@@ -102,8 +107,7 @@ class CoefficientGrid:
             and self.height == other.height
             and self.colorspace == other.colorspace
             and self.table == other.table
-            and len(self.channels) == len(other.channels)
-            and all(np.array_equal(a, b) for a, b in zip(self.channels, other.channels))
+            and np.array_equal(self.channels, other.channels)
         )
 
     @property
@@ -293,8 +297,8 @@ def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOp
 def compress_with_table(
     img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
 ) -> CoefficientGrid:
-    levels = [round_half_away_from_zero(c).astype(np.int32) for c in analysis(img, table, opts)]
-    return CoefficientGrid(tuple(levels), table, img.width, img.height, opts.colorspace)
+    levels = [round_half_away_from_zero(c) for c in analysis(img, table, opts)]
+    return CoefficientGrid(levels, table, img.width, img.height, opts.colorspace)
 
 
 def decompress_float(grid: CoefficientGrid) -> FloatImage:
@@ -305,8 +309,3 @@ def decompress_float(grid: CoefficientGrid) -> FloatImage:
 def decompress(grid: CoefficientGrid) -> PixelImage:
     """Pixel half of the codec: dequantize, invert, round to uint8."""
     return to_pixels(decompress_float(grid))
-
-
-def jpeg_q(img: PixelImage, qf: int, opts: CodecOptions = CodecOptions()) -> PixelImage:
-    """Full compress-decompress round trip; output dims equal input dims."""
-    return decompress(compress(img, qf, opts))

@@ -189,13 +189,12 @@ def write_jfif(grid: CoefficientGrid) -> bytes:
         )
     if max(grid.width, grid.height) > 0xFFFF:  # SOF0's X and Y are 16-bit (T.81 B.2.2)
         raise PassthroughNotRepresentable(f"a {grid.width}x{grid.height} frame exceeds 65535 samples a side")
-    for ch in grid.channels:
-        # baseline codes reach DC differences of +-2047 and AC of +-1023;
-        # DC in [-1024, 1023] keeps every difference representable
-        dc = ch[:, :, 0, 0]
-        ac = ch.reshape(-1, 64)[:, 1:]
-        if dc.max() > 1023 or dc.min() < -1024 or ac.max() > 1023 or ac.min() < -1023:
-            raise PassthroughNotRepresentable("coefficient outside the baseline code range")
+    # baseline codes reach DC differences of +-2047 and AC of +-1023;
+    # DC in [-1024, 1023] keeps every difference representable
+    dc = grid.channels[..., 0, 0]
+    ac = grid.channels.reshape(-1, 64)[:, 1:]
+    if dc.max() > 1023 or dc.min() < -1024 or ac.max() > 1023 or ac.min() < -1023:
+        raise PassthroughNotRepresentable("coefficient outside the baseline code range")
     out = bytearray(b"\xff" + bytes([SOI]))
     _segment(out, APP0, b"JFIF\x00" + bytes((1, 1, 0)) + struct.pack(">HHBB", 1, 1, 0, 0))
     _segment(
@@ -212,7 +211,7 @@ def write_jfif(grid: CoefficientGrid) -> bytes:
     _segment(out, SOS, bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]))
 
     # every block's zigzag vector at once, MCU-major, DC as differences
-    nby, nbx = grid.channels[0].shape[:2]
+    nby, nbx = grid.channels.shape[1:3]
     zz = np.empty((nby * nbx, 3, 64), dtype=np.int32)
     for c, ch in enumerate(grid.channels):
         zz[:, c] = ch.reshape(-1, 64)[:, ZIGZAG]
@@ -496,8 +495,9 @@ def parse_jfif(data: bytes):
     if 8 * sum(map(len, segments)) < 2 * n_mcu * len(comps):
         raise TruncatedStream(f"scan is too short for {n_mcu} MCUs")
     maps = [(d.symbol_of, a.symbol_of) for d, a in comp_tables]
-    # raster order, contiguous per channel: the grid keeps it as it is
-    coefs = np.zeros((len(comps), n_mcu, 64), dtype=np.int32)
+    # the grid's own layout: it keeps this array, read-only, without a copy
+    levels = np.zeros((len(comps), nby, nbx, 8, 8), dtype=np.int32)
+    coefs = levels.reshape(len(comps), n_mcu, 64)
     mcu = 0
     for seg in segments:
         bits = format(int.from_bytes(seg, "big"), f"0{8 * len(seg)}b") if seg else ""
@@ -510,13 +510,8 @@ def parse_jfif(data: bytes):
     if mcu != n_mcu:
         raise TruncatedStream(f"decoded {mcu} of {n_mcu} MCUs")
 
-    grid = CoefficientGrid(
-        tuple(c.reshape(nby, nbx, 8, 8) for c in coefs),
-        table,
-        width,
-        height,
-        "ycbcr",
-    )
+    levels.setflags(write=False)
+    grid = CoefficientGrid(levels, table, width, height, "ycbcr")
     structure = JfifStructure(
         markers=markers,
         scan_span=scan_span,

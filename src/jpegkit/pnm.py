@@ -8,29 +8,27 @@ write(read(f)) == f for canonical f.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import MaxvalNot255, TruncatedPayload, UnsupportedMagic
 from .image import PixelImage
 
 
+# A header field starts at the first byte of a line, after blanks, that is
+# neither whitespace nor "#" (which opens a comment to the line's end); the
+# first line starts where the previous field ended. A field runs to the next
+# whitespace, cut at 21 bytes: one past the longest number read_pnm accepts.
+_FIELD_HERE = re.compile(rb"[ \t\v\f]*([^\s#]\S{0,20})")
+_FIELD_NEXT = re.compile(rb"[\n\r][ \t\v\f]*([^\s#]\S{0,20})")
+
+
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
+    m = _FIELD_HERE.match(data, pos) or _FIELD_NEXT.search(data, pos)
+    if m is None:
         raise TruncatedPayload("header ended before all fields were read")
-    return data[start:pos], pos
+    return m.group(1), m.end()
 
 
 def read_pnm(data: bytes) -> PixelImage:

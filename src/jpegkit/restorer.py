@@ -1,7 +1,8 @@
-"""Stochastic restorer: gradient descent on pixels, one trajectory per
-seed, on the weighted loss terms of :mod:`~jpegkit.losses` plus a
-smoothness prior. Sweeping the consistency weight traces the empirical
-tradeoff between the pull toward recompression consistency and the prior.
+"""Stochastic restorer: :func:`restore_with_history`, gradient descent on
+pixels, one trajectory per seed, on the weighted loss terms of
+:mod:`~jpegkit.losses` plus a smoothness prior. Sweeping the consistency
+weight traces the empirical tradeoff between the pull toward recompression
+consistency and the prior.
 
 All seeds step together in one (n_seeds, H, W, C) state array and one
 gradient buffer, both updated in place. The per-seed terms (prior,
@@ -35,8 +36,8 @@ oscillates, which the divergence report flags. And because the residual is
 measured against the 8-bit input, it never vanishes exactly even in the
 right cells, so a pure consistency descent drifts slowly and cycles near a
 cell boundary instead of parking: expect a small consistency floor
-(~1 gray level) rather than zero, and use the projection when exact
-consistency is the goal.
+(~1 gray level) rather than zero, and :func:`~jpegkit.projection.project`
+each output when exact consistency is the goal.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .codec import CodecOptions, CoefficientGrid
+from .codec import CodecOptions
 from .diffjpeg import DiffJpegOp
 from .errors import (
     MissingGroundTruth,
@@ -70,7 +71,6 @@ from .losses import (
     texture_band_pullback,
 )
 from .metrics import consistency_rmse, perceptual_proxy, psnr
-from .projection import project
 from .quant import QuantTable, table_for_qf
 
 MONOTONE_TOL = 1e-9
@@ -281,22 +281,6 @@ def restore_with_history(
     return RestoreRun([to_pixels(FloatImage(s)) for s in states], history, diverged)
 
 
-def restore(
-    y: PixelImage,
-    cfg: RestoreConfig,
-    x: PixelImage | None = None,
-    xbar: FloatImage | None = None,
-) -> list:
-    """n_seeds restorations of one compressed input, deterministic in cfg."""
-    return restore_with_history(y, cfg, x, xbar).images
-
-
-def restore_project(y: PixelImage, cfg: RestoreConfig, grid: CoefficientGrid) -> list:
-    """Restore, then clamp every output into the cells of ``grid``, the
-    compressed input that y was decoded from."""
-    return [to_pixels(project(img, grid)) for img in restore(y, cfg)]
-
-
 @dataclass(frozen=True)
 class SweepRow:
     lambda_c: float
@@ -340,7 +324,7 @@ def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
         restored = []
         cons, fid = [], []
         for y, x in zip(y_set, x_set):
-            outs = restore(y, run_cfg)
+            outs = restore_with_history(y, run_cfg).images
             restored.extend(outs)
             cons.extend(consistency_rmse(o, y, cfg.qf, table=table) for o in outs)
             fid.extend(psnr(o, x) for o in outs)

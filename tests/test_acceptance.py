@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jpegkit.codec import compress, compress_with_table, decompress, decompress_float, jpeg_q
+from jpegkit.codec import compress, compress_with_table, decompress, decompress_float
 from jpegkit.diffjpeg import apply_vjp, forward
 from jpegkit.image import FloatImage, PixelImage, to_float, to_pixels
 from jpegkit.jfif import parse_jfif, write_jfif
@@ -16,7 +16,7 @@ from jpegkit.losses import LossWeights, SampleBatch, loss_c, loss_fm, loss_sm
 from jpegkit.metrics import consistency_rmse, perceptual_proxy
 from jpegkit.numerics import run_numerics_study
 from jpegkit.projection import project
-from jpegkit.restorer import RestoreConfig, restore, restore_project, sweep_lambda_c
+from jpegkit.restorer import RestoreConfig, restore_with_history, sweep_lambda_c
 from jpegkit.toy import (
     fm_identity_check,
     mmse_consistency_deviation,
@@ -39,7 +39,7 @@ def _report(num, ok, budget_s, elapsed, detail):
 def sweep_fixture():
     rng = np.random.default_rng(99)
     xs = [natural_image(rng) for _ in range(10)]
-    ys = [jpeg_q(x, 5) for x in xs]
+    ys = [decompress(compress(x, 5)) for x in xs]
     return xs, ys
 
 
@@ -228,7 +228,7 @@ def test_criterion_09_loss_fixed_points():
     t0 = time.perf_counter()
     rng = np.random.default_rng(91)
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     delta = rng.normal(0, 5, x.data.shape)
     fm = loss_fm(
         SampleBatch(y, (FloatImage(x.data + delta), FloatImage(x.data - delta)), x=x)
@@ -263,8 +263,9 @@ def test_criterion_10_projection_perceptual_impact(sweep_fixture):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for y in ys:
-            plain.extend(restore(y, cfg))
-            projected.extend(restore_project(y, cfg, compress(y, 5)))
+            outs = restore_with_history(y, cfg).images
+            plain.extend(outs)
+            projected.extend(to_pixels(project(o, compress(y, 5))) for o in outs)
     pu = perceptual_proxy(plain, xs)
     pp = perceptual_proxy(projected, xs)
     rel = abs(pp - pu) / pu

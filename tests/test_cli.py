@@ -147,6 +147,14 @@ def test_roundtrip_passthrough_with_round_chroma_is_usage_error(tmp_path, capsys
     assert len(err) == 1 and "--passthrough" in err[0] and "--round-chroma" in err[0]
 
 
+def test_roundtrip_round_chroma_on_gray_is_a_domain_error(tmp_path, rng, capsys):
+    # a gray input has no color-converted planes for --round-chroma to round
+    (tmp_path / "g.pgm").write_bytes(write_pnm(natural_image(rng, channels=1)))
+    code, out, err = _usage_error(capsys, ["roundtrip", str(tmp_path / "g.pgm"), "-q", "50", "--round-chroma"])
+    assert code == 1 and out == ""
+    assert len(err) == 1 and err[0].startswith("WrongChannelCount:")
+
+
 def test_sweep_input_errors_write_no_csv(tmp_path, rng, capsys):
     argv = ["sweep", str(tmp_path), "--lambdas", "0,10", "--steps", "1", "-o", str(tmp_path / "s.csv")]
     x = natural_image(rng)

@@ -8,12 +8,12 @@ from jpegkit.codec import (
     compress_with_table,
     decompress,
     decompress_float,
-    jpeg_q,
 )
 from jpegkit.errors import QfOutOfRange
 from jpegkit.image import PixelImage
+from jpegkit.jfif import parse_jfif, write_jfif
 from jpegkit.quant import table_for_qf
-from tests.conftest import images_equal, natural_image, uniform_image
+from tests.conftest import images_equal, natural_image, traced_peak, uniform_image
 from tests.reference import identity_step
 
 PASSTHROUGH = CodecOptions(colorspace="rgb-passthrough")
@@ -87,20 +87,20 @@ def test_pixel_path_rounding_flips_unit_cells(rng):
 def test_jpeg_q_near_idempotent(rng):
     x = natural_image(rng)
     for qf in (5, 50):
-        y = jpeg_q(x, qf)
-        z = jpeg_q(y, qf)
+        y = decompress(compress(x, qf))
+        z = decompress(compress(y, qf))
         rmse = np.sqrt(np.mean((z.data.astype(float) - y.data.astype(float)) ** 2))
         assert rmse <= 1.0
 
 
 def test_jpeg_q_gray_fixed_point():
     img = PixelImage(np.full((24, 16, 3), 128, dtype=np.uint8))
-    assert images_equal(jpeg_q(img, 10), img)
+    assert images_equal(decompress(compress(img, 10)), img)
 
 
 def test_jpeg_q_preserves_dims(rng):
     x = PixelImage(rng.integers(0, 256, size=(17, 13, 3), dtype=np.uint8))
-    y = jpeg_q(x, 40)
+    y = decompress(compress(x, 40))
     assert (y.width, y.height, y.channels) == (x.width, x.height, x.channels)
 
 
@@ -109,11 +109,11 @@ def test_qf100_passthrough_nearly_exact(rng):
     # trip is close but NOT the identity on generic images: |err| <= 1 and
     # small RMSE; images already on the lattice reproduce exactly
     x = uniform_image(rng, 16, 16)
-    y = jpeg_q(x, 100, PASSTHROUGH)
+    y = decompress(compress(x, 100, PASSTHROUGH))
     err = np.abs(y.data.astype(int) - x.data.astype(int))
     assert err.max() <= 1
     assert np.sqrt(np.mean(err.astype(float) ** 2)) <= 0.5
-    assert images_equal(jpeg_q(y, 100, PASSTHROUGH), jpeg_q(y, 100, PASSTHROUGH))
+    assert images_equal(decompress(compress(y, 100, PASSTHROUGH)), decompress(compress(y, 100, PASSTHROUGH)))
     lattice = decompress(compress(x, 100, PASSTHROUGH))
     g1 = compress(lattice, 100, PASSTHROUGH)
     assert compress_with_table(decompress_float(g1), g1.table, PASSTHROUGH) == g1
@@ -150,6 +150,25 @@ def test_grid_refuses_sizes_that_are_not_positive_integers(blocks, width, height
     channel = np.zeros(blocks + (8, 8), np.int32)
     with pytest.raises(ValueError, match="positive integers"):
         CoefficientGrid((channel,) * 3, table_for_qf(50), width, height)
+
+
+def test_grid_owns_one_array_and_never_freezes_or_shares_a_callers():
+    t = table_for_qf(50)
+    stacked, viewed = np.zeros((2, 3, 1, 1, 8, 8), np.int32)
+    split = [np.zeros((1, 1, 8, 8), np.int32) for _ in range(3)]
+    for levels, owners in ((stacked, [stacked]), (tuple(viewed), [viewed]), (tuple(split), split)):
+        g = CoefficientGrid(levels, t, 8, 8)
+        assert g.channels.shape == (3, 1, 1, 8, 8) and g.channels.dtype == np.int32
+        assert not g.channels.flags.writeable
+        for arr in owners:
+            arr += 1  # raises if the grid froze the caller's array
+        assert not g.channels.any()
+    # a parsed stream's array is handed over as it is: no second copy while
+    # parsing (a flat image codes in a few bits per block, so the grid's
+    # array is nearly all of the parse's memory)
+    data = write_jfif(compress(PixelImage(np.full((256, 256, 3), 128, np.uint8)), 50))
+    g = parse_jfif(data)[0]
+    assert traced_peak(lambda: parse_jfif(data)) < 1.25 * g.channels.nbytes
 
 
 def test_options_refuse_round_chroma_without_color_conversion():
@@ -348,3 +367,13 @@ def test_forward_and_project_scan_samples_once(rng, monkeypatch):
             assert scans(lambda: forward(op, img)) == 1
             for xhat in (img, PixelImage(np.clip(samples, 0, 255).astype(np.uint8))):
                 assert scans(lambda: project(xhat, grid)) == 1
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks the star
+    # import
+    import jpegkit
+
+    namespace = {}
+    exec("from jpegkit import *", namespace)
+    assert set(jpegkit.__all__) <= namespace.keys()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jpegkit.codec import compress, decompress, decompress_float, jpeg_q, plane_dct
+from jpegkit.codec import compress, decompress, decompress_float, plane_dct
 from jpegkit.color import luma
 from jpegkit.errors import (
     DimMismatch,
@@ -44,7 +44,7 @@ def test_loss_c_lattice_samples_small(rng):
 
 def test_loss_c_input_itself_near_zero(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     batch = SampleBatch(y, (to_float(y),))
     assert loss_c(batch, 10) <= 1.0
 
@@ -72,7 +72,7 @@ def test_loss_c_quadratic_in_residual(rng):
 
 def test_loss_fm_exact_samples(rng):
     x = natural_image(rng)
-    batch = SampleBatch(jpeg_q(x, 10), (to_float(x), to_float(x)), x=x)
+    batch = SampleBatch(decompress(compress(x, 10)), (to_float(x), to_float(x)), x=x)
     assert loss_fm(batch) == 0.0
 
 
@@ -80,7 +80,7 @@ def test_loss_fm_symmetric_pair_cancels(rng):
     x = natural_image(rng)
     delta = rng.normal(0, 5, x.data.shape)
     batch = SampleBatch(
-        jpeg_q(x, 10),
+        decompress(compress(x, 10)),
         (FloatImage(x.data + delta), FloatImage(x.data - delta)),
         x=x,
     )
@@ -92,19 +92,19 @@ def test_loss_fm_symmetric_pair_cancels(rng):
 def test_loss_fm_constant_offset(rng):
     x = natural_image(rng)
     delta = rng.normal(0, 3, x.data.shape)
-    batch = SampleBatch(jpeg_q(x, 10), (FloatImage(x.data + delta),), x=x)
+    batch = SampleBatch(decompress(compress(x, 10)), (FloatImage(x.data + delta),), x=x)
     assert abs(loss_fm(batch) - float(np.mean(delta**2))) < 1e-12
 
 
 def test_loss_fm_needs_ground_truth(rng):
-    batch = SampleBatch(jpeg_q(natural_image(rng), 10), (to_float(natural_image(rng)),))
+    batch = SampleBatch(decompress(compress(natural_image(rng), 10)), (to_float(natural_image(rng)),))
     with pytest.raises(MissingGroundTruth):
         loss_fm(batch)
 
 
 def test_loss_sm_matched_variance_zero(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     # two samples at xbar +- d have population variance d^2; choosing
     # d = |x - xbar| matches the target exactly
     xbar = FloatImage(x.data.astype(float) + 2.0)
@@ -115,7 +115,7 @@ def test_loss_sm_matched_variance_zero(rng):
 
 def test_loss_sm_mode_collapse_full_penalty(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     xbar = FloatImage(x.data.astype(float) + 3.0)
     s = to_float(x)
     batch = SampleBatch(y, (s, s), x=x, xbar=xbar)
@@ -135,7 +135,7 @@ def test_loss_sm_hand_case():
 
 def test_loss_sm_permutation_invariant(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     xbar = FloatImage(x.data.astype(float))
     samples = [FloatImage(x.data + rng.normal(0, 2, x.data.shape)) for _ in range(4)]
     b1 = SampleBatch(y, tuple(samples), x=x, xbar=xbar)
@@ -145,7 +145,7 @@ def test_loss_sm_permutation_invariant(rng):
 
 def test_loss_sm_errors(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     s = to_float(x)
     with pytest.raises(MissingGroundTruth):
         loss_sm(SampleBatch(y, (s, s)))
@@ -157,7 +157,7 @@ def test_loss_sm_errors(rng):
 
 def test_loss_p_zero_at_ground_truth(rng):
     x = natural_image(rng)
-    batch = SampleBatch(jpeg_q(x, 10), (to_float(x),), x=x)
+    batch = SampleBatch(decompress(compress(x, 10)), (to_float(x),), x=x)
     assert loss_p(batch) == 0.0
 
 
@@ -180,8 +180,8 @@ def test_loss_p_blur_increases(rng):
             for j in range(3):
                 acc += k[i, j] * p[i : i + x.height, j : j + x.width]
         blurred[:, :, c] = acc
-    sharp = SampleBatch(jpeg_q(x, 10), (to_float(x),), x=x)
-    soft = SampleBatch(jpeg_q(x, 10), (FloatImage(blurred),), x=x)
+    sharp = SampleBatch(decompress(compress(x, 10)), (to_float(x),), x=x)
+    soft = SampleBatch(decompress(compress(x, 10)), (FloatImage(blurred),), x=x)
     assert loss_p(soft) > loss_p(sharp)
 
 
@@ -201,7 +201,7 @@ def test_band_pullback_matches_finite_differences(rng):
 
 def test_all_losses_nonnegative_on_random_batch(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     samples = tuple(FloatImage(x.data + rng.normal(0, 6, x.data.shape)) for _ in range(3))
     batch = SampleBatch(y, samples, x=x, xbar=FloatImage(x.data.astype(float) + 1.0))
     assert loss_c(batch, 10) >= 0.0
@@ -239,7 +239,7 @@ def test_loss_c_equals_per_sample_loop(rng):
     from tests.reference import op_for_image
 
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     samples = (x, *(FloatImage(x.data + rng.normal(0, 6, x.data.shape)) for _ in range(3)))
     batch = SampleBatch(y, samples)
     op = op_for_image(y, 10)
@@ -264,7 +264,7 @@ def test_band_features_and_pullback_take_stacks(rng):
 def _noisy_batch(size, n_samples):
     rng = np.random.default_rng(size)
     x = natural_image(rng, size, size)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     noisy = [np.clip(y.data + rng.normal(0.0, 4.0, y.data.shape), 0, 255) for _ in range(n_samples)]
     return SampleBatch(y, tuple(PixelImage(d.astype(np.uint8)) for d in noisy), x=x, xbar=to_float(y))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jpegkit.codec import compress, decompress, jpeg_q
+from jpegkit.codec import compress, decompress
 from jpegkit.errors import DimMismatch, EmptySet, TooFewSamples
 from jpegkit.image import FloatImage, PixelImage
 from jpegkit.losses import SampleBatch
@@ -29,13 +29,13 @@ def test_consistency_of_decompressed_input(rng):
 
 def test_consistency_of_decompress_vs_jpeg(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     assert consistency_rmse(decompress(compress(x, 10)), y, 10) <= 1.0
 
 
 def test_consistency_noise_direction(rng):
     x = natural_image(rng)
-    y = jpeg_q(x, 5)
+    y = decompress(compress(x, 5))
     noise = uniform_image(rng)
     assert consistency_rmse(noise, y, 5) > 1.0
 
@@ -69,8 +69,8 @@ def test_psnr_hand_case():
 
 def test_psnr_symmetric_and_monotone(rng):
     a = natural_image(rng)
-    b = jpeg_q(a, 50)
-    c = jpeg_q(a, 5)
+    b = decompress(compress(a, 50))
+    c = decompress(compress(a, 5))
     assert psnr(a, b) == psnr(b, a)
     assert psnr(a, b) > psnr(a, c)
 
@@ -102,7 +102,7 @@ def test_proxy_direction_compression_hurts(natural_set, rng):
         )
         for x in natural_set
     ]
-    compressed = [jpeg_q(x, 5) for x in natural_set]
+    compressed = [decompress(compress(x, 5)) for x in natural_set]
     baseline = perceptual_proxy(natural_set, twins)
     degraded = perceptual_proxy(compressed, natural_set)
     assert degraded > baseline

@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jpegkit.codec import CodecOptions, compress, jpeg_q
+from jpegkit.codec import CodecOptions, compress, decompress
 from jpegkit.diffjpeg import forward
 from jpegkit.errors import TooFewSamples
 from jpegkit.image import FloatImage, to_float
@@ -165,7 +165,7 @@ NUMERICS_RMSES = [0.5775242976761853, 0.5776230432886426, 0.0]
 
 
 def restore_digest(size, lam_c, n_seeds):
-    y = jpeg_q(natural_image(np.random.default_rng(size), size, size), 10)
+    y = decompress(compress(natural_image(np.random.default_rng(size), size, size), 10))
     cfg = RestoreConfig(
         qf=10,
         weights=LossWeights(lambda_c=lam_c, lambda_prior=120.0),
@@ -186,7 +186,7 @@ def restore_digest(size, lam_c, n_seeds):
 
 def coupled_digest(terms, n_seeds, with_base):
     x = natural_image(np.random.default_rng(11), 32, 32)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     xbar = to_float(y)
     base = dict(lambda_c=1.0, lambda_prior=120.0) if with_base else {}
     cfg = RestoreConfig(

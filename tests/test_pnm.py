@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -93,3 +95,35 @@ def test_truncated_header():
 def test_header_field_past_20_digits_is_truncated_payload(data):
     with pytest.raises(TruncatedPayload, match="at most 20 digits"):
         read_pnm(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P51 1 255\n\x7f", b"P5#c\r1\t1\x0b#c\n255\x0c\x7f"],
+    ids=["field-behind-magic", "comments-after-blanks"],
+)
+def test_header_layouts_accepted(data):
+    img = read_pnm(data)
+    assert (img.width, img.height, img.channels) == (1, 1, 1)
+    assert img.data[0, 0, 0] == 127
+
+
+def test_comment_sign_inside_a_field_is_part_of_it():
+    with pytest.raises(TruncatedPayload, match="1#x"):
+        read_pnm(b"P5 1#x 1 255\n\x00")
+
+
+def test_long_field_refused_in_bounded_time():
+    data = b"P6\n" + b"0" * (8 << 20) + b"1 1\n255\n\x00\x00\x00"
+    t0 = time.perf_counter()
+    with pytest.raises(TruncatedPayload, match="at most 20 digits"):
+        read_pnm(data)
+    assert time.perf_counter() - t0 < 0.2
+
+
+def test_long_comment_read_in_bounded_time():
+    data = b"P6\n#" + b"c" * (8 << 20) + b"\n1 1\n255\n\x01\x02\x03"
+    t0 = time.perf_counter()
+    img = read_pnm(data)
+    assert time.perf_counter() - t0 < 0.2
+    assert img.data.reshape(-1).tolist() == [1, 2, 3]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jpegkit.codec import compress, compress_with_table, jpeg_q
+from jpegkit.codec import compress, compress_with_table, decompress
 from jpegkit.errors import (
     DimMismatch,
     MissingGroundTruth,
@@ -22,12 +22,11 @@ from jpegkit.losses import (
     second_moment_term,
 )
 from jpegkit.metrics import consistency_rmse, std_map
+from jpegkit.projection import project
 from jpegkit.restorer import (
     RestoreConfig,
     RestoreRun,
     _seed_rng,
-    restore,
-    restore_project,
     restore_with_history,
     sweep_lambda_c,
     tv_huber,
@@ -39,13 +38,13 @@ from tests.conftest import images_equal, natural_image, traced_peak
 def pair():
     rng = np.random.default_rng(42)
     x = natural_image(rng)
-    return x, jpeg_q(x, 5)
+    return x, decompress(compress(x, 5))
 
 
 def test_zero_weights_returns_initialization(pair):
     _, y = pair
     cfg = RestoreConfig(qf=5, weights=LossWeights(), steps=10, n_seeds=2, seed=3)
-    outs = restore(y, cfg)
+    outs = restore_with_history(y, cfg).images
     for k, out in enumerate(outs):
         rng = _seed_rng(3, k)
         init = to_float(y).data + rng.normal(0.0, cfg.init_noise_std, out.data.shape)
@@ -57,16 +56,16 @@ def test_deterministic(pair):
     cfg = RestoreConfig(
         qf=5, weights=LossWeights(lambda_c=10, lambda_prior=20), steps=20, step_size=2.0, n_seeds=2
     )
-    a = restore(y, cfg)
-    b = restore(y, cfg)
+    a = restore_with_history(y, cfg).images
+    b = restore_with_history(y, cfg).images
     assert all(images_equal(p, q) for p, q in zip(a, b))
 
 
 def test_seed_outputs_independent_of_n_seeds(pair):
     _, y = pair
     base = dict(qf=5, weights=LossWeights(lambda_c=10, lambda_prior=20), steps=15, step_size=2.0, seed=7)
-    one = restore(y, RestoreConfig(n_seeds=1, **base))
-    three = restore(y, RestoreConfig(n_seeds=3, **base))
+    one = restore_with_history(y, RestoreConfig(n_seeds=1, **base)).images
+    three = restore_with_history(y, RestoreConfig(n_seeds=3, **base)).images
     assert images_equal(one[0], three[0])
 
 
@@ -82,11 +81,11 @@ def test_consistency_force_reduces_inconsistency(pair):
         step_size=4.0,
         seed=1,
     )
-    drifted = restore(y, drift)[0]
+    drifted = restore_with_history(y, drift).images[0]
     # at this large step the objective of this deterministic run rises at
     # some step, which restore reports
     with pytest.warns(UserWarning, match="objective increased"):
-        pulled = restore(y, pull)[0]
+        pulled = restore_with_history(y, pull).images[0]
     c_drift = consistency_rmse(drifted, y, 5)
     c_pull = consistency_rmse(pulled, y, 5)
     assert c_drift > 1.0
@@ -100,7 +99,7 @@ def test_large_weight_beats_noised_init(rng):
     import warnings
 
     x = natural_image(rng)
-    y = jpeg_q(x, 50)
+    y = decompress(compress(x, 50))
     std = 12.0
     cfg = RestoreConfig(
         qf=50, weights=LossWeights(lambda_c=1000.0), steps=400, step_size=0.1,
@@ -110,7 +109,7 @@ def test_large_weight_beats_noised_init(rng):
     c0 = consistency_rmse(init, y, 50)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = restore(y, cfg)[0]
+        out = restore_with_history(y, cfg).images[0]
     assert c0 > 1.0
     assert consistency_rmse(out, y, 50) < c0
 
@@ -125,11 +124,11 @@ def test_seeds_differ_but_stay_consistent(pair):
         n_seeds=2,
         seed=5,
     )
-    outs = restore(y, cfg)
+    outs = restore_with_history(y, cfg).images
     spread = std_map(SampleBatch(y, tuple(FloatImage(o.data.astype(float)) for o in outs)))
     assert float(np.mean(spread.data)) > 0.0
     lam0 = RestoreConfig(qf=5, weights=LossWeights(lambda_prior=60.0), steps=100, step_size=4.0, seed=5)
-    unpulled = restore(y, lam0)[0]
+    unpulled = restore_with_history(y, lam0).images[0]
     bar = consistency_rmse(unpulled, y, 5)
     for o in outs:
         assert consistency_rmse(o, y, 5) <= bar
@@ -156,7 +155,7 @@ def test_non_finite_loss_raises(pair):
     _, y = pair
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0), steps=4, step_size=1e200)
     with pytest.raises(NonFiniteLoss):
-        restore(y, cfg)
+        restore_with_history(y, cfg)
 
 
 def test_divergence_is_reported(pair):
@@ -180,7 +179,7 @@ def test_not_a_compressed_input(pair):
     x, _ = pair
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0), steps=1)
     with pytest.raises(NotACompressedInput):
-        restore(x, cfg)
+        restore_with_history(x, cfg)
 
 
 def test_restore_project_exactly_consistent(pair):
@@ -189,7 +188,8 @@ def test_restore_project_exactly_consistent(pair):
     cfg = RestoreConfig(
         qf=5, weights=LossWeights(lambda_c=10.0, lambda_prior=60.0), steps=80, step_size=4.0, n_seeds=2
     )
-    for out in restore_project(y, cfg, g):
+    for restored in restore_with_history(y, cfg).images:
+        out = to_pixels(project(restored, g))
         assert compress_with_table(out, g.table) == g
         assert consistency_rmse(out, y, 5) <= 1.0
 
@@ -198,14 +198,14 @@ def test_moment_terms_require_references(pair):
     x, y = pair
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_fm=1.0), steps=2)
     with pytest.raises(MissingGroundTruth):
-        restore(y, cfg)
+        restore_with_history(y, cfg)
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_sm=1.0), steps=2)
     with pytest.raises(MissingReference):
-        restore(y, cfg, x=x)
+        restore_with_history(y, cfg, x=x)
     # one seed has no variance to pull on; refused before any work, even
     # before the input check that x, not a compressed input, would fail
     with pytest.raises(TooFewSamples):
-        restore(x, cfg, x=x, xbar=to_float(y))
+        restore_with_history(x, cfg, x=x, xbar=to_float(y))
 
 
 def test_coupled_moment_descent_runs(pair):
@@ -217,7 +217,7 @@ def test_coupled_moment_descent_runs(pair):
         step_size=1.0,
         n_seeds=2,
     )
-    outs = restore(y, cfg, x=x, xbar=to_float(y))
+    outs = restore_with_history(y, cfg, x=x, xbar=to_float(y)).images
     assert len(outs) == 2
 
 
@@ -229,7 +229,7 @@ def test_feature_term_takes_one_dct_per_step(pair, monkeypatch):
     monkeypatch.setattr(losses, "plane_dct", lambda *a: calls.append(1) or plane_dct(*a))
     x, y = pair
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_p=0.1), steps=10, step_size=1.0, n_seeds=2)
-    restore(y, cfg, x=x)
+    restore_with_history(y, cfg, x=x)
     assert len(calls) == 10 + 1  # one per step, plus one for the ground truth's features
 
 
@@ -241,7 +241,7 @@ def test_feature_term_checks_the_states_finite_once_per_step(pair, monkeypatch):
     monkeypatch.setattr(image, "check_finite", lambda a: shapes.append(np.shape(a)) or check_finite(a))
     x, y = pair
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_c=1.0, lambda_p=0.1), steps=10, step_size=1.0, n_seeds=2)
-    restore(y, cfg, x=x)
+    restore_with_history(y, cfg, x=x)
     stack = (cfg.n_seeds,) + to_float(y).data.shape
     assert shapes.count(stack) == cfg.steps  # diffjpeg.forward's, as the stack enters the codec
 
@@ -424,7 +424,7 @@ def test_references_of_another_shape_are_refused():
     # work, as SampleBatch does, even on an input the round-trip check
     # would refuse
     x = natural_image(np.random.default_rng(7), 16, 16)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     xbar = to_float(y)
     bad_x = (PixelImage(x.data[..., :1]), PixelImage(x.data[:1]))
     bad_xbar = FloatImage(xbar.data[..., :1])
@@ -454,7 +454,7 @@ BLOCK_TERMS = {
 
 def _block_run(terms, n_seeds):
     x = natural_image(np.random.default_rng(11), 32, 32)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     weights = LossWeights(lambda_c=1.0, lambda_prior=120.0, **BLOCK_TERMS[terms])
     cfg = RestoreConfig(qf=10, weights=weights, steps=6, step_size=2.0, n_seeds=n_seeds, seed=5)
     run = restore_with_history(y, cfg, x=x, xbar=to_float(y))
@@ -484,7 +484,7 @@ def test_restore_holds_the_states_the_gradient_and_one_block_of_scratch():
     # a 128² 4-seed stack is 1.5 MiB and a block one image, 0.375 MiB:
     # states, gradient and three scratch images are 4.125 MiB; scratch
     # over the whole stack peaked at 9.2 MiB
-    y = jpeg_q(natural_image(np.random.default_rng(128), 128, 128), 10)
+    y = decompress(compress(natural_image(np.random.default_rng(128), 128, 128), 10))
     weights = LossWeights(lambda_c=10.0, lambda_prior=120.0)
     cfg = RestoreConfig(qf=10, weights=weights, steps=3, step_size=4.0, n_seeds=4, seed=3)
     assert block_rows(128 * 128 * 3) == 1
@@ -496,7 +496,7 @@ def test_second_moment_pull_is_built_in_one_temporary():
     # temporary built in place; as one expression it made three, and the
     # same run peaked at 9.01 MiB
     x = natural_image(np.random.default_rng(128), 128, 128)
-    y = jpeg_q(x, 10)
+    y = decompress(compress(x, 10))
     weights = LossWeights(lambda_c=10.0, lambda_prior=120.0, lambda_sm=1.0)
     cfg = RestoreConfig(qf=10, weights=weights, steps=3, step_size=4.0, n_seeds=4, seed=3)
     assert traced_peak(lambda: restore_with_history(y, cfg, x=x, xbar=to_float(y))) <= 8.5 * 2**20
