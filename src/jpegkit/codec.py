@@ -69,8 +69,9 @@ class CodecOptions:
 class CoefficientGrid:
     """Quantized DCT blocks, one read-only int32 (C, n_by, n_bx, 8, 8)
     array with C = 1 or 3, plus the table that made them. A writable input
-    is copied, so a caller's array is never frozen or shared; a read-only
-    one (the parser's) is kept as it is."""
+    is copied, so a caller's array is never frozen or shared, and a level
+    that is not an integer within int32 raises ValueError; a read-only int32
+    one (the parser's) is kept as it is, unchecked."""
 
     channels: np.ndarray
     table: QuantTable
@@ -89,8 +90,7 @@ class CoefficientGrid:
             and not levels.flags.writeable
             and not (isinstance(levels.base, np.ndarray) and levels.base.flags.writeable)
         ):
-            levels = np.array(levels, dtype=np.int32, order="C")
-            levels.setflags(write=False)
+            levels = _int32_levels(levels)
         if levels.ndim != 5 or len(levels) not in (1, 3):
             raise ValueError("grid must have 1 or 3 channels")
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
@@ -113,6 +113,23 @@ class CoefficientGrid:
     @property
     def n_channels(self) -> int:
         return len(self.channels)
+
+
+def _int32_levels(levels) -> np.ndarray:
+    """A read-only int32 C-contiguous copy of ``levels``; ValueError unless
+    every level is an integer within int32, so nothing is truncated or wraps."""
+    try:
+        with np.errstate(invalid="ignore"):  # a NaN, infinite or too large float is refused below
+            out = np.array(levels, dtype=np.int32, order="C")
+        # a level that the cast truncated or wrapped no longer equals its int32
+        # copy; compared channel by channel, so a list of channels is not stacked
+        exact = out.ndim == 0 or all(np.array_equal(got, given) for got, given in zip(out, levels))
+    except OverflowError:  # a Python int past int32
+        exact = False
+    if not exact:
+        raise ValueError("grid levels must be finite integers within int32")
+    out.setflags(write=False)
+    return out
 
 
 def _color_converted(n_channels: int, colorspace: str) -> bool:
@@ -297,7 +314,7 @@ def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOp
 def compress_with_table(
     img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
 ) -> CoefficientGrid:
-    levels = [round_half_away_from_zero(c) for c in analysis(img, table, opts)]
+    levels = [round_half_away_from_zero(c, out=c) for c in analysis(img, table, opts)]
     return CoefficientGrid(levels, table, img.width, img.height, opts.colorspace)
 
 

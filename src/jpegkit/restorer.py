@@ -7,11 +7,11 @@ consistency and the prior.
 All seeds step together in one (n_seeds, H, W, C) state array and one
 gradient buffer, both updated in place. The per-seed terms (prior,
 consistency, feature) run over blocks of consecutive seeds, each of at most
-``image.BLOCK_VALUES`` (2**15) sample values and at least one image, and
+``image.BLOCK_VALUES`` sample values and at least one image, and
 write each block's gradient into its slice of the buffer; their scratch,
 (3, block, H, W, C), is allocated once per run. So a run holds the states,
 the gradient and one block of scratch: at 128² a block is one image (384
-KiB, within a 2 MiB L2 cache), at 32² up to ten. The moment terms reduce
+KiB, within a 2 MiB L2 cache), at 32² several. The moment terms reduce
 over the seeds, so they, the objective, the finiteness checks and the
 update act on the whole stack. A second-moment step takes the seed mean
 once: its deviation stack is the term's input, then, scaled in place, the

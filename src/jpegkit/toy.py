@@ -23,8 +23,8 @@ A sampler is block-shaped: it takes a (k, length) int array of observations
 and returns a (k, n_states) array, one distribution table over the states
 per observation. The sampler checks keep one block contract. Block
 bound: they call the sampler once per block of at most
-``block_rows(n_states) = max(1, 2**15 // n_states)`` observations (the
-bound :mod:`~jpegkit.image` states once), in row order, so no check holds
+``block_rows(n_states)`` observations (the one bound, which
+:data:`~jpegkit.image.BLOCK_VALUES` states), in row order, so no check holds
 an (observations x states) table. Copy rule: they read each block where the
 sampler returned it, and copy only one that is not a writable, C-contiguous
 float64 array of its own, since they write to it. One block alive: no check

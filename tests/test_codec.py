@@ -171,6 +171,48 @@ def test_grid_owns_one_array_and_never_freezes_or_shares_a_callers():
     assert traced_peak(lambda: parse_jfif(data)) < 1.25 * g.channels.nbytes
 
 
+@pytest.mark.parametrize(
+    "level",
+    [
+        np.float64(0.7),  # a cast truncates it to 0, where the one rounding rule gives 1
+        np.float64(3e9),  # a cast wraps it, with a RuntimeWarning alone
+        np.float64(np.nan),
+        np.float64(-np.inf),
+        np.int64(2**31),  # a cast wraps it to -2**31 without a warning
+        np.int64(-(2**31) - 1),
+        np.uint64(2**63),
+    ],
+    ids=["fraction", "3e9", "nan", "-inf", "int64-2**31", "int64-below", "uint64"],
+)
+def test_grid_refuses_levels_that_are_not_int32_integers(level):
+    levels = np.zeros((1, 1, 1, 8, 8), dtype=level.dtype)
+    levels[0, 0, 0, 3, 5] = level
+    with pytest.raises(ValueError, match="finite integers within int32"):
+        CoefficientGrid(levels, table_for_qf(50), 8, 8)
+
+
+def test_grid_refuses_a_python_int_past_int32():
+    levels = np.zeros((1, 1, 1, 8, 8), np.int64).tolist()
+    levels[0][0][0][3][5] = 2**31  # numpy raises OverflowError for it
+    with pytest.raises(ValueError, match="finite integers within int32"):
+        CoefficientGrid(levels, table_for_qf(50), 8, 8)
+
+
+def test_grid_keeps_integral_levels_at_the_int32_ends():
+    ends = np.array([-(2**31), 2**31 - 1, -0.0, 1023.0])
+    for dtype in (np.float64, np.int64):
+        levels = np.zeros((1, 1, 1, 8, 8), dtype=dtype)
+        levels.flat[: len(ends)] = ends
+        g = CoefficientGrid(levels, table_for_qf(50), 8, 8)
+        assert g.channels.flat[: len(ends)].tolist() == [-(2**31), 2**31 - 1, 0, 1023]
+
+
+def test_grid_keeps_a_read_only_int32_array_uncopied_and_unchecked():
+    levels = np.zeros((1, 1, 1, 8, 8), np.int32)
+    levels.setflags(write=False)
+    assert CoefficientGrid(levels, table_for_qf(50), 8, 8).channels is levels
+
+
 def test_options_refuse_round_chroma_without_color_conversion():
     # rgb-passthrough has no converted planes for round_chroma to round
     with pytest.raises(ValueError, match="round_chroma"):

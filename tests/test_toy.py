@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from jpegkit import image
 from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, UnreachableY
 from jpegkit.image import block_rows, round_half_away_from_zero
 from jpegkit.toy import (
@@ -428,7 +429,7 @@ SAMPLERS = {
     "malformed-at-last": _malformed_at_last,
 }
 
-# 1024 states take 32 tables per block, so the fine-step model spans many blocks
+# 1024 states take 64 tables per block, so the fine-step model spans many blocks
 BLOCK_MODELS = EQUIVALENCE_MODELS[:8] + [uniform_model(2, 4, [2.0, 2.0]), fine_step_model(7)]
 
 
@@ -476,11 +477,11 @@ def test_blocked_checks_match_per_observation_loop(name):
 
 
 def test_sampler_is_called_once_per_block_in_row_order():
-    # 6**6 = 46656 states is more than 2**15 values: one observation per call
-    big = uniform_model(6, 6, [6.0] * 6)
+    # 5**7 = 78125 states is more than 2**16 values: one observation per call
+    big = uniform_model(7, 5, [6.0] * 7)
     for m in BLOCK_MODELS + [big]:
         ys = observations(m)[0]
-        rows = max(1, 2**15 // m.n_states)
+        rows = max(1, 2**16 // m.n_states)
         exact = posterior_sampler(m)
         for check in (posterior_sampler_checks, fm_identity_check):
             blocks = []
@@ -488,6 +489,27 @@ def test_sampler_is_called_once_per_block_in_row_order():
             assert len(blocks) == -(-len(ys) // rows)
             assert max(len(b) for b in blocks) <= rows
             assert np.array_equal(np.concatenate(blocks), ys)
+
+
+def test_oracle_values_do_not_depend_on_the_block_bound(monkeypatch):
+    # each column of the exact posterior's tables has one nonzero entry, so
+    # every block's sums add zeros alone to it and no bound moves a bit; the
+    # fm check's products may sum in another order in another block shape
+    assert block_rows(32 * 32 * 3) >= 4  # the bench's 4 seeds at 32² stay one restorer block
+    models = BLOCK_MODELS + [coarse_4096_model()]
+
+    def values(m):
+        rep = posterior_sampler_checks(m, posterior_sampler(m))
+        exact = [mmse_consistency_deviation(m), rep.inconsistent_mass, rep.marginal_tv, rep.max_posterior_gap]
+        return exact, fm_identity_check(m)
+
+    want = [values(m) for m in models]
+    for bits in range(12, 18):
+        monkeypatch.setattr(image, "BLOCK_VALUES", 2**bits)
+        for m, (exact, fm) in zip(models, want):
+            got_exact, got_fm = values(m)
+            assert np.array(got_exact).tobytes() == np.array(exact).tobytes()
+            assert abs(got_fm - fm) <= 1e-15
 
 
 def test_grouping_matches_np_unique():
@@ -687,12 +709,12 @@ def test_sampler_unreachable_y_propagates():
 
 def coarse_4096_model():
     """The 4096-state coarse-step model of the parity digests: 197
-    observations, 8 tables per block."""
+    observations, 16 tables per block."""
     return coarse_step_model(6, 4, (1.8, 2.16, 2.52, 2.88, 3.24, 3.6), 41)
 
 
 def test_no_block_is_alive_while_the_sampler_fills_the_next():
-    m = fine_step_model(7)  # 1024 observations, 32 per block
+    m = fine_step_model(7)  # 1024 observations, 64 per block
     exact = posterior_sampler(m)
     for check in (posterior_sampler_checks, fm_identity_check):
         returned = []
@@ -704,7 +726,7 @@ def test_no_block_is_alive_while_the_sampler_fills_the_next():
             return block
 
         check(m, sampler)
-        assert len(returned) == len(block_sizes(m)) == 32
+        assert len(returned) == len(block_sizes(m)) == 16
 
 
 def _traced_peak(call):
@@ -719,13 +741,14 @@ def _traced_peak(call):
 def test_checks_peak_at_one_block():
     m = coarse_4096_model()
     block_bytes = block_rows(m.n_states) * m.n_states * 8
-    assert block_bytes == 256 * 1024
+    assert block_bytes == 512 * 1024
     sampler = posterior_sampler(m)
     posterior_sampler_checks(m, sampler)  # the grouping and lookup keys, kept on the model
-    # one block, and the call's O(states) arrays; two blocks alive read 566 KiB
-    assert _traced_peak(lambda: posterior_sampler_checks(m, sampler)) < 512 * 1024
-    # one block, the signals with their column of ones, and the rest; two
-    # blocks alive read 741 KiB
+    # one block, and the call's O(states) arrays; one block alive reads 681
+    # KiB, two read 1182 KiB
+    assert _traced_peak(lambda: posterior_sampler_checks(m, sampler)) < block_bytes + 256 * 1024
+    # one block, the signals with their column of ones, and the rest; one
+    # block alive reads 774 KiB, two read 1286 KiB
     signals_bytes = m.n_states * (m.length + 1) * 8
     assert _traced_peak(lambda: fm_identity_check(m, sampler)) < block_bytes + signals_bytes + 64 * 1024
 
