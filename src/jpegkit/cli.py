@@ -14,15 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecOptions, compress, decompress
-from .errors import JpegkitError, WrongChannelCount
+from .codec import CodecOptions, compress_with_table, decompress
+from .errors import JpegkitError, QfOutOfRange, WrongChannelCount
 from .image import PixelImage, to_pixels
 from .jfif import parse_jfif, write_jfif
 from .losses import LossWeights
 from .metrics import MetricReport, consistency_rmse, perceptual_proxy, psnr
 from .numerics import run_numerics_study, study_to_csv
 from .pnm import read_pnm, write_pnm
-from .quant import detect_qf, table_to_text
+from .quant import detect_qf, table_for_qf, table_to_text
 from .projection import project
 from .restorer import RestoreConfig, restore_with_history, sweep_lambda_c
 from .toy import (
@@ -50,9 +50,24 @@ def _expand_gray(img: PixelImage) -> PixelImage:
     return PixelImage(np.repeat(img.data, 3, axis=2))
 
 
+def _quality_table(args):
+    try:
+        return table_for_qf(args.quality)  # the one owner of the range
+    except QfOutOfRange as exc:
+        raise UsageError(f"--quality: {exc}") from None
+
+
+def _print_report(path: str, qf, rmse: float, a: PixelImage, b: PixelImage) -> int:
+    """Print the CSV header and the one-sample report of ``a`` against ``b``."""
+    report = MetricReport(Path(path).name, qf, rmse, psnr(a, b), perceptual_proxy([a], [b]), n_samples=1)
+    print(MetricReport.CSV_HEADER)
+    print(report.to_csv_row(), end="")
+    return 0
+
+
 def _cmd_encode(args) -> int:
-    img = _expand_gray(_load_pnm(args.input))
-    grid = compress(img, args.quality)
+    table = _quality_table(args)
+    grid = compress_with_table(_expand_gray(_load_pnm(args.input)), table)
     Path(args.output).write_bytes(write_jfif(grid))
     return 0
 
@@ -69,22 +84,13 @@ def _cmd_decode(args) -> int:
 def _cmd_roundtrip(args) -> int:
     if args.passthrough and args.round_chroma:
         raise UsageError("--passthrough and --round-chroma exclude each other")
+    table = _quality_table(args)
     img = _load_pnm(args.input)
     if args.round_chroma and img.channels != 3:
         raise WrongChannelCount("--round-chroma rounds color-converted planes, which a gray input has none of")
     opts = CodecOptions("rgb-passthrough" if args.passthrough else "ycbcr", args.round_chroma)
-    y = decompress(compress(img, args.quality, opts))
-    report = MetricReport(
-        name=Path(args.input).name,
-        qf=args.quality,
-        consistency_rmse=consistency_rmse(y, y, args.quality, opts),
-        psnr=psnr(img, y),
-        perceptual_proxy=perceptual_proxy([img], [y]),
-        n_samples=1,
-    )
-    print(MetricReport.CSV_HEADER)
-    print(report.to_csv_row())
-    return 0
+    y = decompress(compress_with_table(img, table, opts))
+    return _print_report(args.input, args.quality, consistency_rmse(y, y, args.quality, opts, table=table), img, y)
 
 
 def _cmd_project(args) -> int:
@@ -101,17 +107,7 @@ def _cmd_metrics(args) -> int:
     grid, _ = _load_jfif(args.compressed)
     y = decompress(grid)
     qf = detect_qf(grid.table.luma, grid.table.chroma)
-    report = MetricReport(
-        name=Path(args.xhat).name,
-        qf=qf,
-        consistency_rmse=consistency_rmse(xhat, y, qf, table=grid.table),
-        psnr=psnr(xhat, x),
-        perceptual_proxy=perceptual_proxy([xhat], [x]),
-        n_samples=1,
-    )
-    print(MetricReport.CSV_HEADER)
-    print(report.to_csv_row())
-    return 0
+    return _print_report(args.xhat, qf, consistency_rmse(xhat, y, qf, table=grid.table), xhat, x)
 
 
 class UsageError(Exception):
@@ -138,10 +134,8 @@ def _check_descent_flags(args):
 
 
 def _restore_config(args, grid) -> RestoreConfig:
-    qf = detect_qf(grid.table.luma, grid.table.chroma)
     weights = LossWeights(lambda_c=getattr(args, "lambda_c", 0.0), lambda_prior=args.lambda_prior)
     return RestoreConfig(
-        qf=qf if isinstance(qf, int) else 50,
         table=grid.table,
         weights=weights,
         steps=args.steps,
@@ -165,7 +159,7 @@ def _cmd_restore(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for k, img in enumerate(outs):
         (outdir / f"restored_{k:02d}.ppm").write_bytes(write_pnm(img))
-        rmse = consistency_rmse(img, y, cfg.qf, table=grid.table)
+        rmse = consistency_rmse(img, y, cfg.qf, table=cfg.table)
         print(f"seed {k}: consistency_rmse={rmse:.4f}")
     return 0
 

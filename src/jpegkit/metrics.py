@@ -14,6 +14,8 @@ orderings and trends are meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -43,10 +45,11 @@ class MetricReport:
     CSV_HEADER = "name,qf,consistency_rmse,psnr,perceptual_proxy,n"
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.name},{self.qf},{self.consistency_rmse:.6f},"
-            f"{self.psnr:.6f},{self.perceptual_proxy:.6f},{self.n_samples}"
-        )
+        """The row and its newline; a name with a comma, quote or line break is quoted."""
+        buf = io.StringIO()
+        scores = (f"{v:.6f}" for v in (self.consistency_rmse, self.psnr, self.perceptual_proxy))
+        csv.writer(buf).writerow([self.name, self.qf, *scores, self.n_samples])
+        return buf.getvalue()[:-2] + "\n"  # the writer quotes a \r or \n in its "\r\n" terminator
 
 
 def mse_8bit(a: PixelImage, b: PixelImage) -> float:

@@ -79,9 +79,11 @@ MONOTONE_TOL = 1e-9
 @dataclass(frozen=True)
 class RestoreConfig:
     """Everything a run needs; identical configs give bitwise identical
-    outputs."""
+    outputs. ``table`` is the input's quantization table, the one codec
+    setting a run reads; ``qf`` only names a standard table, which sets
+    ``table`` when none is given (``QfOutOfRange`` here if it names none)."""
 
-    qf: int
+    qf: int | None = None
     weights: LossWeights = field(default_factory=lambda: LossWeights(lambda_c=1.0))
     steps: int = 200
     step_size: float = 0.1
@@ -89,7 +91,7 @@ class RestoreConfig:
     seed: int = 0
     init_noise_std: float = 4.0
     huber_eps: ClassVar[float] = 0.1  # the prior's Huber width
-    table: QuantTable | None = None  # overrides qf when set
+    table: QuantTable | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -102,9 +104,8 @@ class RestoreConfig:
             raise ValueError("seed must be >= 0")
         if not 0 <= self.init_noise_std < np.inf:
             raise ValueError("init_noise_std must be finite and nonnegative")
-
-    def quant_table(self) -> QuantTable:
-        return self.table if self.table is not None else table_for_qf(self.qf)
+        if self.table is None:
+            object.__setattr__(self, "table", table_for_qf(self.qf))
 
 
 def tv_huber(x: np.ndarray, eps: float, out: np.ndarray | None = None, work: np.ndarray | None = None):
@@ -200,12 +201,11 @@ def restore_with_history(
         raise MissingReference("second-moment term needs the reference estimate")
     if w.lambda_sm > 0 and cfg.n_seeds < 2:
         raise TooFewSamples("second-moment term needs at least 2 seeds")
-    table = cfg.quant_table()
-    if consistency_rmse(y, y, cfg.qf, table=table) > 1.0:
+    if consistency_rmse(y, y, cfg.qf, table=cfg.table) > 1.0:
         raise NotACompressedInput("input does not recompress to itself")
 
     y_f = to_float(y).data
-    op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
+    op = DiffJpegOp(cfg.table, CodecOptions(), y.width, y.height, y.channels)
     n = y_f.size
     n_seeds = cfg.n_seeds
 
@@ -213,6 +213,7 @@ def restore_with_history(
     for k in range(n_seeds):
         states[k] = y_f + _seed_rng(cfg.seed, k).normal(0.0, cfg.init_noise_std, y_f.shape)
     grad = np.empty_like(states)
+    values = np.zeros((n_seeds, 3))  # each seed's weighted consistency, prior and feature values
     rows = block_rows(n)
     blocks = [slice(a, min(a + rows, n_seeds)) for a in range(0, n_seeds, rows)]
     work = np.empty((3, min(rows, n_seeds)) + y_f.shape)  # one block of scratch for the per-seed terms
@@ -221,36 +222,34 @@ def restore_with_history(
     fx = texture_band_features(x_f) if w.lambda_p > 0 else None
 
     def per_seed_terms(s: slice):
-        # The per-seed terms of the seeds s, with grad[s] as their gradient
-        # and work as their scratch. The prior goes first, so that tv_huber
-        # writes its gradient straight into grad[s] and uses it as scratch;
-        # the other gradients are added to it in a fixed order. Returns each
-        # seed's weighted values in the order consistency, prior, feature.
+        # The per-seed terms of the seeds s, with grad[s] as their gradient,
+        # values[s] as their weighted values and work as their scratch. The
+        # prior goes first, so that tv_huber writes its gradient straight
+        # into grad[s] and uses it as scratch; the other gradients are added
+        # to it in a fixed order. A term with weight 0 keeps its +0.0 values.
         block, g, wk = states[s], grad[s], work[:, : s.stop - s.start]
-        prior = consistency = feature = None
         if w.lambda_prior > 0:
             tv, _ = tv_huber(block, cfg.huber_eps, out=g, work=wk)
             g *= w.lambda_prior
-            prior = [w.lambda_prior * v for v in tv.tolist()]
+            values[s, 1] = w.lambda_prior * tv
         else:
             g.fill(0.0)
         if w.lambda_c > 0:
             mse, r = consistency_term(op, block, y_f, out=wk[0], work=wk[1])
             g += np.multiply(w.lambda_c * (2.0 / n), r, out=wk[1])
-            consistency = [w.lambda_c * v for v in mse.tolist()]
+            values[s, 0] = w.lambda_c * mse
         if w.lambda_p > 0:
-            values, gap, coef = feature_term(block, fx)
+            feature, gap, coef = feature_term(block, fx)
             g += w.lambda_p * texture_band_pullback(block.shape, (2.0 / gap[0].size) * gap, coef)
-            feature = [w.lambda_p * v for v in values.tolist()]
-        return zip(*[term for term in (consistency, prior, feature) if term is not None])
+            values[s, 2] = w.lambda_p * feature
 
     history = np.zeros(cfg.steps)
     for t in range(cfg.steps):
-        total = 0.0
         for s in blocks:
-            for values in per_seed_terms(s):
-                for v in values:
-                    total += v
+            per_seed_terms(s)
+        total = 0.0  # every value is >= 0, so a weight-0 term's +0.0 leaves its bits
+        for v in values.ravel().tolist():
+            total += v
 
         if w.lambda_fm > 0:
             value, gap = first_moment_term(states, x_f)
@@ -317,7 +316,6 @@ def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
     lambdas = sorted(float(v) for v in lambdas)
     if len(lambdas) < 2:
         raise ValueError("need at least two weights to sweep")
-    table = cfg.quant_table()
     rows = []
     for lam in lambdas:
         run_cfg = replace(cfg, weights=replace(cfg.weights, lambda_c=lam))
@@ -326,7 +324,7 @@ def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
         for y, x in zip(y_set, x_set):
             outs = restore_with_history(y, run_cfg).images
             restored.extend(outs)
-            cons.extend(consistency_rmse(o, y, cfg.qf, table=table) for o in outs)
+            cons.extend(consistency_rmse(o, y, cfg.qf, table=cfg.table) for o in outs)
             fid.extend(psnr(o, x) for o in outs)
         rows.append(
             SweepRow(

@@ -15,9 +15,9 @@ become finite computations:
   the prior invariant, checkable entry by entry.
 
 Each model groups its states by observation once, on the first check that
-needs it, and keeps the grouping, every conditional mean E[X | y] included,
-on itself as read-only arrays; every later check, and the exact posterior
-sampler, reads it.
+needs it, and keeps the grouping, every conditional mean E[X | y] and the
+observations' lookup keys included, on itself as read-only arrays; every
+later check, and the exact posterior sampler, reads it.
 
 A sampler is block-shaped: it takes a (k, length) int array of observations
 and returns a (k, n_states) array, one distribution table over the states
@@ -125,14 +125,6 @@ class ToyModel:
         """The states grouped by observation, computed on first use and kept."""
         return _group(self)
 
-    @cached_property
-    def _row_keys(self) -> np.ndarray:
-        """Sorted, read-only lookup keys of the grouping's observations, kept
-        apart so that the checks, which never look one up, do not pay for them."""
-        keys = _observation_keys(self._grouping.ys)
-        keys.setflags(write=False)
-        return keys
-
 
 def alphabet_for_size(a: int) -> np.ndarray:
     """Level-shifted integer alphabet: 0..a-1 minus a//2."""
@@ -174,11 +166,13 @@ class _Grouping:
     order: np.ndarray  # the states with index >= 0, stably sorted by row
     starts: np.ndarray  # (n_obs + 1,) where each row's states begin in order
     means: np.ndarray  # (n_obs, length) E[X | y] per row
+    keys: np.ndarray  # (n_obs,) sorted lookup keys of ys, one per row
 
 
 def _group(model: ToyModel) -> _Grouping:
-    """Group the states by observation: one degradation, one lexsort, and
-    one O(states * length) pass that yields every conditional mean.
+    """Group the states by observation: one degradation, one lexsort, one
+    O(states * length) pass that yields every conditional mean, and the
+    rows' lookup keys.
 
     The rows come out in the order, and with the masses, that
     ``np.unique(axis=0)`` over the degraded states would give them.
@@ -210,6 +204,7 @@ def _group(model: ToyModel) -> _Grouping:
         order=order,
         starts=np.searchsorted(index[order], np.arange(len(ys) + 1)),
         means=means.reshape(len(ys), model.length),
+        keys=_observation_keys(ys),
     )
     for arr in vars(g).values():
         arr.setflags(write=False)
@@ -234,7 +229,7 @@ def _rows_of(model: ToyModel, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.int64)
     if ys.ndim != 2 or ys.shape[1] != model.length:
         raise ValueError(f"observations must be a (k, {model.length}) array")
-    keys, wanted = model._row_keys, _observation_keys(ys)
+    keys, wanted = model._grouping.keys, _observation_keys(ys)
     rows = keys.searchsorted(wanted)
     found = keys.take(rows, mode="clip") == wanted
     if not found.all():
@@ -338,9 +333,9 @@ def posterior_sampler(model: ToyModel):
     """The exact posterior as a block sampler: a (k, length) int array of
     observations in, their (k, n_states) posterior tables out.
 
-    A call costs one binary search per observation over the model's
-    cached lookup keys and one scatter of the posterior weights into a zero
-    block, O(states) per observation. An observation that no state with
+    A call costs one binary search per observation over the lookup keys of
+    the model's cached grouping and one scatter of the posterior weights
+    into a zero block, O(states) per observation. An observation that no state with
     prior mass reaches raises :class:`UnreachableY`, which names it.
     """
     g = model._grouping

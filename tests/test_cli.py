@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,10 @@ from jpegkit.cli import main
 from jpegkit.codec import compress, compress_with_table, decompress
 from jpegkit.image import PixelImage
 from jpegkit.jfif import parse_jfif, write_jfif
+from jpegkit.losses import LossWeights
 from jpegkit.pnm import read_pnm, write_pnm
+from jpegkit.quant import QuantTable, detect_qf, table_for_qf
+from jpegkit.restorer import RestoreConfig, restore_with_history
 from tests.conftest import fine_step_model, images_equal, natural_image, table_from_text
 
 
@@ -83,6 +89,43 @@ def test_metrics_command(workdir, capsys):
     assert out[1].split(",")[1] == "25"
 
 
+def test_metrics_and_roundtrip_quote_a_name_with_a_comma(workdir, capsys):
+    d, x = workdir
+    (d / "a,b.ppm").write_bytes(write_pnm(x))
+    main(["encode", str(d / "img.ppm"), "-q", "25", "-o", str(d / "img.jpg")])
+    for argv in (
+        ["roundtrip", str(d / "a,b.ppm"), "-q", "25"],
+        ["metrics", str(d / "a,b.ppm"), str(d / "img.ppm"), str(d / "img.jpg")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(header) == len(row) == 6
+        assert row[0] == "a,b.ppm" and row[1] == "25"
+
+
+def test_restore_on_a_custom_table_gives_the_library_images(workdir, capsys):
+    # the config takes the file's table alone: no quality factor stands in for it
+    d, x = workdir
+    standard = table_for_qf(30)
+    luma = standard.luma.copy()
+    luma[0, 1] += 1
+    table = QuantTable(luma, standard.chroma)
+    assert detect_qf(table.luma, table.chroma) == "custom"
+    grid = compress_with_table(x, table)
+    (d / "custom.jpg").write_bytes(write_jfif(grid))
+    argv = ["restore", str(d / "custom.jpg"), "--steps", "5", "--step-size", "2.0", "--seeds", "2", "--seed", "1"]
+    assert main([*argv, "-o", str(d / "restored")]) == 0
+    cfg = RestoreConfig(
+        table=table, weights=LossWeights(lambda_c=10.0, lambda_prior=20.0), steps=5, step_size=2.0, n_seeds=2, seed=1
+    )
+    want = restore_with_history(decompress(grid), cfg).images
+    files = sorted((d / "restored").glob("restored_*.ppm"))
+    assert len(files) == 2
+    assert all(images_equal(read_pnm(f.read_bytes()), w) for f, w in zip(files, want))
+    assert capsys.readouterr().out.startswith("seed 0: consistency_rmse=")
+
+
 def test_restore_command(workdir, capsys):
     d, _ = workdir
     main(["encode", str(d / "img.ppm"), "-q", "5", "-o", str(d / "img.jpg")])
@@ -145,6 +188,19 @@ def test_roundtrip_passthrough_with_round_chroma_is_usage_error(tmp_path, capsys
     code, out, err = _usage_error(capsys, argv)
     assert code == 2 and out == ""
     assert len(err) == 1 and "--passthrough" in err[0] and "--round-chroma" in err[0]
+
+
+def test_quality_out_of_range_is_usage_error(tmp_path, capsys):
+    # refused before the input is read: the file does not exist
+    for command in ("encode", "roundtrip"):
+        for quality in ("0", "101"):
+            argv = [command, str(tmp_path / "missing.ppm"), "-q", quality]
+            if command == "encode":
+                argv += ["-o", str(tmp_path / "out.jpg")]
+            code, out, err = _usage_error(capsys, argv)
+            assert code == 2 and out == "", (command, quality)
+            assert len(err) == 1 and "--quality" in err[0], err
+    assert not (tmp_path / "out.jpg").exists()
 
 
 def test_roundtrip_round_chroma_on_gray_is_a_domain_error(tmp_path, rng, capsys):

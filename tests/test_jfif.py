@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from jpegkit.jfif import (
     write_jfif,
 )
 from jpegkit.quant import detect_qf
-from tests.conftest import natural_image, restart_stream, uniform_image
+from tests.conftest import natural_image, restart_stream, traced_peak, uniform_image
 
 
 def test_roundtrip_random_images(rng):
@@ -223,14 +222,12 @@ def test_forged_dimensions_fail_before_allocating(rng):
     data = bytearray(write_jfif(compress(uniform_image(rng, 8, 8), 50)))
     i = data.find(b"\xff\xc0")
     data[i + 5 : i + 9] = struct.pack(">HH", 4096, 4096)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(TruncatedStream):
             parse_jfif(bytes(data))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(refused) < 1 << 20
 
 
 def _forged_frame(rng, width, height, scan_bytes=0):
@@ -252,14 +249,12 @@ def test_frame_over_the_pixel_cap_is_refused_before_allocating(rng):
     n_blocks = 3 * -(-width // 8) * -(-height // 8)
     data = _forged_frame(rng, width, height, scan_bytes=2 * n_blocks // 8)
     assert 1_000_000 < len(data) < 1_200_000
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(FrameTooLarge, match="65535x1366"):
             parse_jfif(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 16
+
+    assert traced_peak(refused) < 1 << 16
 
 
 def test_frame_at_the_pixel_cap_passes_the_cap(rng):
@@ -305,14 +300,9 @@ def test_parse_keeps_one_coefficient_array():
     # parse peaks under twice the grid's coefficient bytes
     g = compress(natural_image(np.random.default_rng(256), 256, 256), 90)
     data = write_jfif(g)
-    tracemalloc.start()
-    try:
-        g2, _ = parse_jfif(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g2 == g
-    assert peak < 2 * sum(ch.nbytes for ch in g.channels)
+    parsed = []
+    assert traced_peak(lambda: parsed.append(parse_jfif(data)[0])) < 2 * sum(ch.nbytes for ch in g.channels)
+    assert parsed == [g]
 
 
 def test_huffman_tables_prefix_free():

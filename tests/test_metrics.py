@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -184,4 +186,9 @@ def test_std_map_needs_two_samples(rng):
 def test_metric_report_csv():
     rep = MetricReport("img.ppm", 5, 0.25, 30.0, 12.5, 3)
     assert MetricReport.CSV_HEADER == "name,qf,consistency_rmse,psnr,perceptual_proxy,n"
-    assert rep.to_csv_row().startswith("img.ppm,5,0.250000,30.000000,12.500000,3")
+    assert rep.to_csv_row() == "img.ppm,5,0.250000,30.000000,12.500000,3\n"
+    # a name that holds the delimiter, a quote or a line break is quoted,
+    # so the row still reads back as six fields
+    for name in ("a,b.ppm", 'say "hi".ppm', "two\nlines.ppm", "cr\rname.ppm"):
+        row = MetricReport(name, 5, 0.25, 30.0, 12.5, 3).to_csv_row()
+        assert list(csv.reader(io.StringIO(row))) == [[name, "5", "0.250000", "30.000000", "12.500000", "3"]]

@@ -8,6 +8,7 @@ from jpegkit.errors import (
     MissingReference,
     NonFiniteLoss,
     NotACompressedInput,
+    QfOutOfRange,
     TooFewSamples,
 )
 from jpegkit.image import FloatImage, PixelImage, block_rows, to_float, to_pixels
@@ -23,6 +24,7 @@ from jpegkit.losses import (
 )
 from jpegkit.metrics import consistency_rmse, std_map
 from jpegkit.projection import project
+from jpegkit.quant import table_for_qf
 from jpegkit.restorer import (
     RestoreConfig,
     RestoreRun,
@@ -410,6 +412,30 @@ def test_seed_must_be_nonnegative():
     with pytest.raises(ValueError, match="seed"):
         RestoreConfig(qf=5, seed=-1)
     assert RestoreConfig(qf=5, seed=0).seed == 0
+
+
+def test_config_resolves_its_table_at_construction():
+    # qf only names a standard table; one it cannot name, or none at all, is
+    # refused with the other field checks, before any run
+    for kwargs in ({"qf": 0}, {"qf": 101}, {}):
+        with pytest.raises(QfOutOfRange):
+            RestoreConfig(**kwargs)
+    assert RestoreConfig(qf=5).table == table_for_qf(5)
+    given = table_for_qf(7)
+    assert RestoreConfig(qf=5, table=given).table is given
+    assert RestoreConfig(table=given).qf is None
+
+
+def test_table_alone_restores_as_qf_with_that_table(pair):
+    x, y = pair
+    t = table_for_qf(5)
+    base = dict(weights=LossWeights(lambda_c=10.0, lambda_prior=20.0), steps=5, step_size=2.0, n_seeds=2, seed=3)
+    alone = restore_with_history(y, RestoreConfig(table=t, **base))
+    named = restore_with_history(y, RestoreConfig(qf=5, table=t, **base))
+    assert alone.loss_history.tobytes() == named.loss_history.tobytes()
+    assert all(images_equal(a, b) for a, b in zip(alone.images, named.images))
+    sweeps = [sweep_lambda_c([y], [x], [0.0, 10.0], RestoreConfig(**qf, table=t, **base)) for qf in ({}, {"qf": 5})]
+    assert sweeps[0].to_csv() == sweeps[1].to_csv()
 
 
 def test_huber_eps_is_a_constant():

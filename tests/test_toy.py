@@ -1,6 +1,5 @@
 import itertools
 import re
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +10,7 @@ from jpegkit.errors import JpegkitError, MalformedModel, MalformedSampler, Unrea
 from jpegkit.image import block_rows, round_half_away_from_zero
 from jpegkit.toy import (
     ToyModel,
+    _rows_of,
     _table_blocks,
     alphabet_for_size,
     fm_identity_check,
@@ -22,7 +22,7 @@ from jpegkit.toy import (
     random_model,
     save_model,
 )
-from tests.conftest import block_sampler, coarse_step_model, fine_step_model
+from tests.conftest import block_sampler, coarse_step_model, fine_step_model, traced_peak
 from tests.reference import enumerate_posterior, mmse_estimate, uniform_model
 
 
@@ -519,6 +519,17 @@ def test_grouping_matches_np_unique():
             assert np.array_equal(got, want)
 
 
+def test_grouping_keys_are_read_only_sorted_and_one_per_observation():
+    for m in EQUIVALENCE_MODELS + [fine_step_model(7), uniform_model(1, 2, [100.0])]:
+        g = m._grouping
+        assert g.keys.shape == (len(g.ys),)
+        raw = [k.tobytes() for k in g.keys]
+        assert all(a < b for a, b in zip(raw, raw[1:]))  # strictly ascending, as the rows are
+        assert np.array_equal(_rows_of(m, g.ys), np.arange(len(g.ys)))
+        with pytest.raises(ValueError):
+            g.keys[0] = g.keys[-1]
+
+
 def test_grouping_is_cached_and_read_only():
     m = uniform_model(2, 4, [2.0, 2.0])
     first = observations(m)
@@ -729,15 +740,6 @@ def test_no_block_is_alive_while_the_sampler_fills_the_next():
         assert len(returned) == len(block_sizes(m)) == 16
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_checks_peak_at_one_block():
     m = coarse_4096_model()
     block_bytes = block_rows(m.n_states) * m.n_states * 8
@@ -746,11 +748,11 @@ def test_checks_peak_at_one_block():
     posterior_sampler_checks(m, sampler)  # the grouping and lookup keys, kept on the model
     # one block, and the call's O(states) arrays; one block alive reads 681
     # KiB, two read 1182 KiB
-    assert _traced_peak(lambda: posterior_sampler_checks(m, sampler)) < block_bytes + 256 * 1024
+    assert traced_peak(lambda: posterior_sampler_checks(m, sampler)) < block_bytes + 256 * 1024
     # one block, the signals with their column of ones, and the rest; one
     # block alive reads 774 KiB, two read 1286 KiB
     signals_bytes = m.n_states * (m.length + 1) * 8
-    assert _traced_peak(lambda: fm_identity_check(m, sampler)) < block_bytes + signals_bytes + 64 * 1024
+    assert traced_peak(lambda: fm_identity_check(m, sampler)) < block_bytes + signals_bytes + 64 * 1024
 
 
 def _spoil_table(m, row, spoil):
