@@ -77,7 +77,7 @@ def run_numerics_study(images) -> list:
 
 def study_to_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "rmse", "n_images"])
     for r in rows:
         writer.writerow([r.path, f"{r.rmse:.6f}", r.n_images])

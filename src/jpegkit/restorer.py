@@ -298,7 +298,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_HEADER.split(","))
         for r in self.rows:
             writer.writerow(

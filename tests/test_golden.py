@@ -95,8 +95,8 @@ PINS = {
     "restore-37x21-project": "d638c6fc19e05489",
     "restore-custom-project": "ee394645f84cf55a",
     "restore-missing": "c1d2934233f108ac",
-    "sweep": "b245ce654e263c1a",
-    "numerics-study": "88c249edbb426607",
+    "sweep": "6466f6fa34e628bd",
+    "numerics-study": "b86de2168e430888",
     "theorem-check": "57c010a444e42d0b",
     "theorem-check-fixture": "fb54c4fe68f70f8a",
 }

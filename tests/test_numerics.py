@@ -41,6 +41,7 @@ def test_every_path_is_a_fixed_point_twice(rng):
 
 def test_csv_format(natural_set):
     text = study_to_csv(run_numerics_study(natural_set[:2]))
+    assert "\r" not in text  # one line ending, as the other CLI reports
     lines = text.strip().splitlines()
     assert lines[0] == "path,rmse,n_images"
     assert len(lines) == 4

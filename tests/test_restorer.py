@@ -385,6 +385,7 @@ def test_sweep_csv_header(pair):
     cfg = RestoreConfig(qf=5, weights=LossWeights(lambda_prior=20.0), steps=5, step_size=2.0)
     res = sweep_lambda_c([y], [x], [0.0, 10.0], cfg)
     assert res.to_csv().splitlines()[0] == "lambda_c,consistency_rmse,perceptual_proxy,psnr"
+    assert "\r" not in res.to_csv()  # one line ending, as the other CLI reports
     assert res.rows[0].lambda_c == 0.0  # ascending
 
 
