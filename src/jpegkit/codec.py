@@ -2,21 +2,23 @@
 
 Everything rests on one pair of maps. :func:`analysis` runs pixels ->
 (YCbCr) -> level shift -> edge pad -> 8x8 blocks -> DCT -> divide by the
-quantization table, giving each channel's coefficients in units of its
+quantization table, giving every channel's coefficients in units of its
 step; :func:`synthesis` is its exact inverse. `compress` is rounding after
 analysis, `decompress_float` is synthesis, and a round trip is
-``decompress(compress(img, qf, opts))``. :func:`requantize` is
-synthesis after a per-channel step after analysis, computed one channel at
-a time in one color buffer; :mod:`~jpegkit.diffjpeg` uses it with rounding
-as the step and :mod:`~jpegkit.projection` with a cell clamp.
+``decompress(compress(img, qf, opts))``. :func:`requantize` is synthesis
+after a step after analysis; :mod:`~jpegkit.diffjpeg` uses it with
+rounding as the step and :mod:`~jpegkit.projection` with a cell clamp.
 
-All three take an image or an (..., H, W, C) stack of float samples, and
-every image of a stack gets exactly the arithmetic it would get alone, so a
-batch never changes a result: the color matrix runs as one matmul per
-image, and the 8x8 DCT runs on whole planes as strided GEMMs (one per row
-of blocks, then one over every 8-sample run of the stack), in which each
-output sums over its own block alone. The coefficients stay in that plane
-layout; callers see (..., n_by, n_bx, 8, 8) block views of them.
+All three take an image or an (..., H, W, C) stack of float samples and
+work on one planar (..., C, H', W') float array, every channel at once:
+one color product per image writes the interleaved samples straight into
+that layout (and the inverse writes them back), the 8x8 DCT runs on the
+whole array as strided GEMMs (one per row of blocks, then one over every
+8-sample run), in which each output sums over its own block alone, and
+each channel's steps divide and multiply as one broadcast. Every image of
+a stack gets exactly the arithmetic it would get alone, so a batch never
+changes a result. The coefficients stay in that plane layout; callers see
+(..., C, n_by, n_bx, 8, 8) block views of them.
 
 The grid is the codec's native currency: every module that needs "the
 compressed input" takes a :class:`CoefficientGrid`, never a .jpg byte
@@ -32,13 +34,7 @@ import numpy as np
 
 from . import dct
 from .color import rgb_to_ycbcr_data, ycbcr_to_rgb_data
-from .image import (
-    FloatImage,
-    PixelImage,
-    float_samples,
-    round_half_away_from_zero,
-    to_pixels,
-)
+from .image import FloatImage, PixelImage, float_samples, round_half_away_from_zero, to_pixels
 from .quant import QuantTable, table_for_qf
 
 COLORSPACES = ("ycbcr", "rgb-passthrough")
@@ -121,9 +117,8 @@ def _int32_levels(levels) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore"):  # a NaN, infinite or too large float is refused below
             out = np.array(levels, dtype=np.int32, order="C")
-        # a level that the cast truncated or wrapped no longer equals its int32
-        # copy; compared channel by channel, so a list of channels is not stacked
-        exact = out.ndim == 0 or all(np.array_equal(got, given) for got, given in zip(out, levels))
+        # a level that the cast truncated or wrapped no longer equals its int32 copy
+        exact = np.array_equal(out, levels)
     except OverflowError:  # a Python int past int32
         exact = False
     if not exact:
@@ -144,24 +139,16 @@ def channel_kinds(n_channels: int, colorspace: str) -> list[str]:
 
 
 def planes_for_compress(data: np.ndarray, opts: CodecOptions, out: np.ndarray | None = None) -> np.ndarray:
-    """The (..., H, W, C) planes the DCT sees. Three-channel YCbCr samples
-    are color-converted into one buffer (``out`` if given) and, with
-    ``round_chroma``, rounded in place; other samples pass as they are.
-    ``data`` must be finite samples, as :func:`~jpegkit.image.float_samples`
-    hands them out; they are not checked again here."""
+    """The (..., C, h, w) planes the DCT sees, of finite (..., h, w, C)
+    samples, which are not checked again. Three-channel YCbCr samples are
+    color-converted into C-contiguous planes (in ``out``, of the samples'
+    size, if given) and, with ``round_chroma``, rounded in place; other
+    samples come back as a planar view of themselves."""
     if not _color_converted(data.shape[-1], opts.colorspace):
-        return data
+        return np.moveaxis(data, -1, -3)
     planes = rgb_to_ycbcr_data(data, out=out)
     if opts.round_chroma:
-        np.clip(round_half_away_from_zero(planes), 0.0, 255.0, out=planes)
-    return planes
-
-
-def samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`planes_for_compress`, in ``out`` if given; YCbCr
-    planes lose their chroma offset in place."""
-    if _color_converted(planes.shape[-1], colorspace):
-        return ycbcr_to_rgb_data(planes, out=out)
+        np.clip(round_half_away_from_zero(planes, out=planes), 0.0, 255.0, out=planes)
     return planes
 
 
@@ -181,54 +168,45 @@ def _transform(plane: np.ndarray, left: np.ndarray, right: np.ndarray):
 
 
 @lru_cache(maxsize=32)
-def _tiled_steps(steps: bytes, width: int) -> np.ndarray:
-    """An 8x8 int64 table (as bytes) tiled across a row of blocks W' wide,
-    as read-only float64 (8, W')."""
-    tiled = np.tile(np.frombuffer(steps, dtype=np.int64).reshape(8, 8).astype(np.float64), (1, width // dct.BLOCK))
+def _tiled_steps(luma: bytes, chroma: bytes, kinds: tuple, width: int) -> np.ndarray:
+    """Each channel's 8x8 int64 table (luma or chroma, as bytes, by its
+    kind) tiled across a row of blocks W' wide, as read-only float64
+    (C, 1, 8, W') steps that broadcast over every row of blocks."""
+    steps = np.stack([np.frombuffer(luma if kind == "luma" else chroma, dtype=np.int64) for kind in kinds])
+    tiled = np.tile(steps.reshape(-1, 8, 8).astype(np.float64), (1, width // dct.BLOCK))[:, None]
     tiled.setflags(write=False)
     return tiled
 
 
-def _scale(plane: np.ndarray, q: np.ndarray, op):
-    """``op(block, q, out=block)`` for every block of a C-contiguous
-    (..., H', W') plane, as one broadcast over its rows of blocks."""
-    rows = _block_rows(plane)
-    op(rows, _tiled_steps(q.tobytes(), plane.shape[-1]), out=rows)
+def _scale(coef: np.ndarray, table: QuantTable, colorspace: str, op):
+    """``op(block, q, out=block)`` for every block of C-contiguous
+    (..., C, H', W') coefficient planes, q being each channel's steps, as
+    one broadcast over their rows of blocks."""
+    rows = _block_rows(coef)
+    kinds = tuple(channel_kinds(coef.shape[-3], colorspace))
+    op(rows, _tiled_steps(table.luma.tobytes(), table.chroma.tobytes(), kinds, coef.shape[-1]), out=rows)
 
 
-def _dct_plane(plane: np.ndarray) -> np.ndarray:
-    """Level-shift and edge-pad a (..., h, w) plane into a new C-contiguous
-    (..., H', W') array, and DCT every 8x8 block of it in place."""
+def _padded(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Level-shift and edge-pad a (..., h, w) plane to whole blocks, into
+    ``out``, a C-contiguous (..., H', W') array (new if None; the plane
+    itself may be it at whole-block sizes)."""
     height, width = plane.shape[-2:]
-    coef = np.empty(plane.shape[:-2] + (height + (-height) % dct.BLOCK, width + (-width) % dct.BLOCK))
-    np.subtract(plane, LEVEL_SHIFT, out=coef[..., :height, :width])
-    coef[..., height:, :width] = coef[..., height - 1 : height, :width]
-    coef[..., width:] = coef[..., width - 1 : width]
-    _transform(coef, dct.DCT_M, _DCT_MT)
-    return coef
+    if out is None:
+        out = np.empty(plane.shape[:-2] + (height + (-height) % dct.BLOCK, width + (-width) % dct.BLOCK))
+    np.subtract(plane, LEVEL_SHIFT, out=out[..., :height, :width])
+    out[..., height:, :width] = out[..., height - 1 : height, :width]
+    out[..., width:] = out[..., width - 1 : width]
+    return out
 
 
 def plane_dct(plane: np.ndarray) -> np.ndarray:
     """Edge-pad and level-shift a (..., h, w) plane and DCT every block;
     returns (..., n_by, n_bx, 8, 8), a block view of the coefficients in
     plane layout."""
-    return dct.block_view(_dct_plane(plane))
-
-
-def _plane_coefs(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
-    coef = _dct_plane(plane)
-    _scale(coef, q, np.divide)
+    coef = _padded(plane)
+    _transform(coef, dct.DCT_M, _DCT_MT)
     return dct.block_view(coef)
-
-
-def _write_plane(plane: np.ndarray, q: np.ndarray, dst: np.ndarray):
-    """Scale a C-contiguous (..., H', W') float plane of coefficients by
-    the steps q and invert the DCT of every block, both in place; then crop
-    to dst and undo the level shift into it."""
-    height, width = dst.shape[-2:]
-    _scale(plane, q, np.multiply)
-    _transform(plane, _DCT_MT, dct.DCT_M)
-    np.add(plane[..., :height, :width], LEVEL_SHIFT, out=dst)
 
 
 def _plane_layout(coef, copy: bool) -> np.ndarray:
@@ -242,38 +220,60 @@ def _plane_layout(coef, copy: bool) -> np.ndarray:
     return plane.reshape(coef.shape[:-4] + (nby * dct.BLOCK, nbx * dct.BLOCK))
 
 
+def _synthesize(coef, table, width, height, colorspace, out=None, work=None) -> np.ndarray:
+    """:func:`synthesis` in place on C-contiguous (..., C, H', W') planes,
+    into ``out`` if given; ``work`` as in :func:`requantize`."""
+    _scale(coef, table, colorspace, np.multiply)
+    _transform(coef, _DCT_MT, dct.DCT_M)
+    crop = coef[..., :height, :width]
+    if not _color_converted(coef.shape[-3], colorspace):
+        out = np.empty(crop.shape[:-3] + (height, width, coef.shape[-3])) if out is None else out
+        np.add(crop, LEVEL_SHIFT, out=np.moveaxis(out, -1, -3))
+        return out
+    planes = crop  # the color product needs C-contiguous planes: ragged ones are copied
+    if not crop.flags.c_contiguous:
+        planes = np.empty(crop.shape) if work is None else work.reshape(crop.shape, copy=False)
+    np.add(crop, LEVEL_SHIFT, out=planes)
+    return ycbcr_to_rgb_data(planes, out=out)
+
+
 def analysis(
     img: PixelImage | FloatImage | np.ndarray,
     table: QuantTable,
     opts: CodecOptions = CodecOptions(),
-) -> list[np.ndarray]:
-    """Each channel's DCT coefficients in units of its quantization step.
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every channel's DCT coefficients in units of its quantization step.
 
     ``img`` is an image or a float (..., H, W, C) stack (ValueError if not
-    finite); channel c comes back as (..., n_by, n_bx, 8, 8), and every
-    image of a stack gets the arithmetic it would get on its own.
+    finite). The coefficients come back as one (..., C, n_by, n_bx, 8, 8)
+    block view of C-contiguous (..., C, H', W') planes, and every image of
+    a stack gets the arithmetic it would get on its own. ``work`` is as in
+    :func:`requantize`.
     """
-    planes = planes_for_compress(float_samples(img), opts)
-    kinds = channel_kinds(planes.shape[-1], opts.colorspace)
-    return [_plane_coefs(planes[..., c], table.for_channel_kind(k)) for c, k in enumerate(kinds)]
+    samples = float_samples(img)
+    height, width, channels = samples.shape[-3:]
+    planes = planes_for_compress(samples, opts, out=work)
+    del samples  # samples made for this call go before the row products
+    if height % dct.BLOCK or width % dct.BLOCK:
+        coef = None
+    elif _color_converted(channels, opts.colorspace):
+        coef = planes
+    else:  # the planes are a view of the samples
+        coef = None if work is None else work.reshape(planes.shape, copy=False)
+    coef = _padded(planes, out=coef)
+    del planes
+    _transform(coef, dct.DCT_M, _DCT_MT)
+    _scale(coef, table, opts.colorspace, np.divide)
+    return dct.block_view(coef)
 
 
 def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str) -> np.ndarray:
-    """Inverse of :func:`analysis`: scale by the steps, invert the DCT,
-    crop, undo the level shift into one (..., H, W, C) buffer, and undo the
-    color transform."""
-    kinds = channel_kinds(len(coefs), colorspace)
-    planes = np.empty(np.shape(coefs[0])[:-4] + (height, width, len(coefs)))
-    for c, (coef, kind) in enumerate(zip(coefs, kinds)):
-        _write_plane(_plane_layout(coef, copy=True), table.for_channel_kind(kind), planes[..., c])
-    return samples_from_planes(planes, colorspace)
-
-
-def _requantize_plane(plane: np.ndarray, dst: np.ndarray, q: np.ndarray, step, c: int):
-    """One channel of :func:`requantize`, in a function of its own so that
-    its temporaries are freed before the next channel makes its own."""
-    coef = step(_plane_coefs(plane, q), c)
-    _write_plane(_plane_layout(coef, copy=False), q, dst)
+    """Inverse of :func:`analysis` on (..., C, n_by, n_bx, 8, 8)
+    coefficients, which it leaves as they are: scale by the steps, invert
+    the DCT, crop, and undo the level shift and the color transform into
+    (..., H, W, C) samples."""
+    return _synthesize(_plane_layout(coefs, copy=True), table, width, height, colorspace)
 
 
 def requantize(
@@ -284,25 +284,21 @@ def requantize(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``synthesis(step(analysis(img)))``, bit for bit, one channel at a time.
+    """``synthesis(step(analysis(img)))``, bit for bit, over every channel
+    at once.
 
-    ``step(coef, c)`` maps channel c's coefficients (in quantization steps)
-    to new ones and may work in place: diffjpeg's rounding or the
-    projection's clamp. Each plane is taken from the color buffer and
-    written back into it, so a call allocates no second sample-sized array
-    besides the result. ``out`` receives the
-    result and ``work`` holds the color buffer, both shaped like the
-    samples, for callers that run this again and again.
+    ``step(coef)`` maps the (..., C, n_by, n_bx, 8, 8) coefficients (in
+    quantization steps) to new ones and may work in place: diffjpeg's
+    rounding or the projection's clamp. ``out`` receives the result.
+    ``work``, a C-contiguous float64 array of the samples' size, is
+    scratch: it holds the coefficients at whole-block sizes, and the color
+    planes before the pad and after the crop at ragged ones. With both, a
+    call allocates no sample-sized array but the transform's row products
+    and the step's own temporaries.
     """
-    samples = float_samples(img)
-    src = planes_for_compress(samples, opts, out=work)
-    if _color_converted(samples.shape[-1], opts.colorspace):
-        dst = src
-    else:  # the planes are the samples themselves: write to the result
-        dst = np.empty_like(samples) if out is None else out
-    for c, kind in enumerate(channel_kinds(samples.shape[-1], opts.colorspace)):
-        _requantize_plane(src[..., c], dst[..., c], table.for_channel_kind(kind), step, c)
-    return samples_from_planes(dst, opts.colorspace, out=out)
+    height, width = np.shape(img.data if isinstance(img, (PixelImage, FloatImage)) else img)[-3:-1]
+    coef = _plane_layout(step(analysis(img, table, opts, work)), copy=False)
+    return _synthesize(coef, table, width, height, opts.colorspace, out=out, work=work)
 
 
 def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOptions()) -> CoefficientGrid:
@@ -314,8 +310,8 @@ def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOp
 def compress_with_table(
     img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
 ) -> CoefficientGrid:
-    levels = [round_half_away_from_zero(c, out=c) for c in analysis(img, table, opts)]
-    return CoefficientGrid(levels, table, img.width, img.height, opts.colorspace)
+    coef = analysis(img, table, opts)
+    return CoefficientGrid(round_half_away_from_zero(coef, out=coef), table, img.width, img.height, opts.colorspace)
 
 
 def decompress_float(grid: CoefficientGrid) -> FloatImage:

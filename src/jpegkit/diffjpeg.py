@@ -6,7 +6,8 @@ step (synthesis after rounding after analysis), with no terminal 8-bit
 step, and returns the value together with the operator, which is all the
 state the adjoint needs: the pipeline is linear. It takes one
 :class:`FloatImage` or an (..., H, W, C) stack of samples; a stack runs as
-one batch, and a single image is the one-image case of the same path.
+one batch, every channel of it in one planar pass with one rounding call,
+and a single image is the one-image case of the same path.
 
 Straight-through means the gradient is that of the same pipeline with
 rounding replaced by the identity, and that pipeline is itself the
@@ -50,7 +51,7 @@ def _check_dims(op: DiffJpegOp, x):
         )
 
 
-def _round_in_place(coef, channel):
+def _round_in_place(coef):
     return round_half_away_from_zero(coef, out=coef)
 
 
@@ -61,8 +62,9 @@ def forward(op: DiffJpegOp, x, out=None, work=None):
     (..., H, W, C) stack of samples, which gives a stack back. A stack is
     checked finite once, as it enters (ValueError if not); it runs as one
     batch, and each of its images comes out bit for bit as it would on its
-    own. ``out`` and ``work``, arrays shaped like the stack, receive the
-    result and hold the color planes, so that a caller stepping a stack
+    own. ``out`` and ``work``, C-contiguous arrays shaped like the stack,
+    receive the result and hold the coefficients (see
+    :func:`~jpegkit.codec.requantize`), so that a caller stepping a stack
     again and again allocates neither.
     """
     _check_dims(op, x)

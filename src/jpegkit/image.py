@@ -15,7 +15,9 @@ def round_half_away_from_zero(x, out=None):
     quantization and coefficient quantization both use it.
     """
     x = np.asarray(x, dtype=np.float64)
-    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
+    half = np.copysign(0.5, x)
+    out = half if out is None and x.ndim else out  # an array's result goes in its one temporary
+    return np.trunc(np.add(x, half, out=out), out=out)
 
 
 # float64 values, 512 KiB. A toy oracle block pays a fixed count of numpy
@@ -113,4 +115,4 @@ def to_float(img: PixelImage) -> FloatImage:
 def to_pixels(img: FloatImage) -> PixelImage:
     """Round half-away-from-zero, clamp to [0, 255], narrow to uint8."""
     r = round_half_away_from_zero(img.data)
-    return PixelImage(np.clip(r, 0.0, 255.0).astype(np.uint8))
+    return PixelImage(np.clip(r, 0.0, 255.0, out=r).astype(np.uint8))

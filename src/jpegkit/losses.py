@@ -88,9 +88,11 @@ class LossWeights:
 
 def consistency_term(op: DiffJpegOp, states: np.ndarray, y: np.ndarray, out=None, work=None):
     """Per-sample mean squared recompression residual against y, and the
-    residual forward(states) - y, written into ``out`` (``work`` is
-    scratch; both allocated when None). Gradient: (2 / y.size) * residual,
-    as the straight-through adjoint is the identity."""
+    residual forward(states) - y, written into ``out``. ``work``, shaped
+    like states, is scratch: forward's coefficients, then the squared
+    residual. Both are allocated when None. Gradient: (2 / y.size) *
+    residual, as the straight-through adjoint is the identity."""
+    work = np.empty_like(states) if work is None else work
     r, _ = forward(op, states, out=out, work=work)
     with np.errstate(over="ignore", invalid="ignore"):
         r -= y

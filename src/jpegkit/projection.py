@@ -1,9 +1,11 @@
 """Consistency projection: clamp a restoration's DCT coefficients into the
 half-step cells of a compressed input. :func:`project` is
 :func:`~jpegkit.codec.requantize` with that clamp as the step: synthesis
-after the clamp after analysis. The grid supplies the codec settings, its
-table and its colorspace, on the float color path (no 8-bit rounding of
-the converted planes), so no second copy of them can disagree with it.
+after the clamp after analysis, the clamp taking every channel at once
+against the grid's whole level array, with a (C, 1, 1, 8, 8) array of
+per-channel half-widths. The grid supplies the codec settings, its table
+and its colorspace, on the float color path (no 8-bit rounding of the
+converted planes), so no second copy of them can disagree with it.
 
 The clamp half-width is 0.5 minus two guards, always both. A 1e-9 tie
 guard keeps clamped values off the rounding boundary (a coefficient
@@ -56,13 +58,12 @@ def project(xhat: PixelImage | FloatImage, y_grid: CoefficientGrid) -> FloatImag
         )
 
     kinds = channel_kinds(y_grid.n_channels, y_grid.colorspace)
-    halves = [_half_width(y_grid.table.for_channel_kind(k)) for k in kinds]
+    halves = np.stack([_half_width(y_grid.table.for_channel_kind(k)) for k in kinds])[:, None, None]
 
-    def clamp(coef, c):
-        levels = y_grid.channels[c]
-        coef -= levels
-        np.clip(coef, -halves[c], halves[c], out=coef)
-        coef += levels
+    def clamp(coef):
+        coef -= y_grid.channels
+        np.clip(coef, -halves, halves, out=coef)
+        coef += y_grid.channels
         return coef
 
     return FloatImage(requantize(xhat, y_grid.table, CodecOptions(colorspace=y_grid.colorspace), clamp))

@@ -1,18 +1,21 @@
 """Reference implementations that tests compare the library against.
 
 Each is the plain, per-case form of something the library computes in a
-faster or batched way, or a convenience only tests need: the diffjpeg
-pipeline with rounding as the identity, an operator built from a quality
-factor, and the toy oracle's posterior and conditional mean by direct
-enumeration of one observation.
+faster or batched way, or a convenience only tests need: the codec's
+requantize one channel at a time, the diffjpeg pipeline with rounding as
+the identity, an operator built from a quality factor, and the toy
+oracle's posterior and conditional mean by direct enumeration of one
+observation.
 """
 
 import numpy as np
 
-from jpegkit.codec import CodecOptions, requantize
+from jpegkit import dct
+from jpegkit.codec import LEVEL_SHIFT, CodecOptions, channel_kinds, requantize
+from jpegkit.color import CHROMA_OFFSET, RGB_TO_YCBCR, YCBCR_TO_RGB
 from jpegkit.diffjpeg import DiffJpegOp, _check_dims
 from jpegkit.errors import UnreachableY
-from jpegkit.image import FloatImage
+from jpegkit.image import FloatImage, float_samples, round_half_away_from_zero
 from jpegkit.quant import table_for_qf
 from jpegkit.toy import ToyModel, alphabet_for_size
 
@@ -22,9 +25,55 @@ def op_for_image(img, qf: int, options: CodecOptions = CodecOptions()) -> DiffJp
     return DiffJpegOp(table_for_qf(qf), options, img.width, img.height, img.channels)
 
 
-def identity_step(coef, c):
+def identity_step(coef):
     """A :func:`jpegkit.codec.requantize` step that keeps the coefficients."""
     return coef
+
+
+def _per_pixel(data: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``data @ matrix.T`` over the last axis of (..., h, w, 3) data, one
+    matmul per image."""
+    h, w = data.shape[-3:-1]
+    flat = np.matmul(data.reshape(-1, h * w, 3), np.ascontiguousarray(matrix.T))
+    return flat.reshape(data.shape)
+
+
+def _transform(plane: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """``left @ block @ right`` for every 8x8 block of a C-contiguous
+    (..., H', W') plane, in place, as the codec's strided GEMMs."""
+    height, width = plane.shape[-2:]
+    rows = np.matmul(left, plane.reshape(plane.shape[:-2] + (height // 8, 8, width)))
+    np.matmul(rows.reshape(-1, 8), right, out=plane.reshape(-1, 8))
+
+
+def requantize_per_channel(img, table, opts: CodecOptions, step) -> np.ndarray:
+    """:func:`jpegkit.codec.requantize` as it ran one channel at a time on
+    interleaved (..., H, W, C) color planes: ``step(coef, c)`` gets channel
+    c's (..., n_by, n_bx, 8, 8) coefficients in units of its steps."""
+    samples = float_samples(img)
+    height, width, channels = samples.shape[-3:]
+    color = channels == 3 and opts.colorspace == "ycbcr"
+    planes = samples
+    if color:
+        planes = _per_pixel(samples, RGB_TO_YCBCR)
+        for c in (1, 2):
+            planes[..., c] += CHROMA_OFFSET
+        if opts.round_chroma:
+            planes = np.clip(round_half_away_from_zero(planes), 0.0, 255.0)
+    out = np.empty_like(samples)
+    for c, kind in enumerate(channel_kinds(channels, opts.colorspace)):
+        q = table.for_channel_kind(kind)
+        padded = dct.pad_to_block_multiple(planes[..., c]) - LEVEL_SHIFT
+        _transform(padded, dct.DCT_M, dct.DCT_M.T.copy())
+        coef = step(dct.block_view(padded) / q, c)
+        plane = dct.merge_blocks(np.asarray(coef) * q)
+        _transform(plane, dct.DCT_M.T.copy(), dct.DCT_M)
+        out[..., c] = plane[..., :height, :width] + LEVEL_SHIFT
+    if color:
+        for c in (1, 2):
+            out[..., c] -= CHROMA_OFFSET
+        out = _per_pixel(out, YCBCR_TO_RGB)
+    return out
 
 
 def forward_no_round(op: DiffJpegOp, x):

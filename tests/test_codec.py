@@ -232,7 +232,7 @@ def test_core_stacks_match_per_image_and_requantize_fuses(rng):
     from jpegkit.codec import analysis, requantize, synthesis
     from jpegkit.image import round_half_away_from_zero, to_float
 
-    def rounded(coef, c):
+    def rounded(coef):
         return round_half_away_from_zero(coef)
 
     table = table_for_qf(40)
@@ -246,13 +246,12 @@ def test_core_stacks_match_per_image_and_requantize_fuses(rng):
                 back = synthesis(coefs, table, width, height, opts.colorspace)
                 for k in range(2):
                     one = analysis(stack[k], table, opts)
-                    assert all(np.array_equal(a[k], b) for a, b in zip(coefs, one))
+                    assert np.array_equal(coefs[k], one)
                     assert np.array_equal(
                         back[k], synthesis(one, table, width, height, opts.colorspace)
                     )
                 for step in (identity_step, rounded):
-                    steps = [step(c, i) for i, c in enumerate(coefs)]
-                    expected = synthesis(steps, table, width, height, opts.colorspace)
+                    expected = synthesis(step(coefs), table, width, height, opts.colorspace)
                     assert np.array_equal(requantize(stack, table, opts, step), expected)
                     out, work = np.empty_like(stack), np.empty_like(stack)
                     got = requantize(stack, table, opts, step, out=out, work=work)
@@ -283,7 +282,7 @@ def test_requantize_stack_matches_each_image(rng):
 
     table = table_for_qf(30)
 
-    def rounded(coef, c):
+    def rounded(coef):
         return round_half_away_from_zero(coef, out=coef)
 
     for opts in (CodecOptions(), PASSTHROUGH):
@@ -292,16 +291,14 @@ def test_requantize_stack_matches_each_image(rng):
             grid = compress(x, 30, opts)
             stack = to_float(x).data + rng.normal(0.0, 3.0, (4, height, width, 3))
 
-            def clamp_in_place(coef, c):
-                levels = grid.channels[c]
-                coef -= levels
+            def clamp_in_place(coef):
+                coef -= grid.channels
                 np.clip(coef, -0.3, 0.3, out=coef)
-                coef += levels
+                coef += grid.channels
                 return coef
 
-            def clamp_new(coef, c):
-                levels = grid.channels[c]
-                return levels + np.clip(coef - levels, -0.3, 0.3)
+            def clamp_new(coef):
+                return grid.channels + np.clip(coef - grid.channels, -0.3, 0.3)
 
             for step in (identity_step, rounded, clamp_in_place, clamp_new):
                 got = requantize(stack, table, opts, step)
@@ -310,6 +307,79 @@ def test_requantize_stack_matches_each_image(rng):
             assert np.array_equal(
                 requantize(stack, table, opts, clamp_in_place), requantize(stack, table, opts, clamp_new)
             )
+
+
+def test_planar_requantize_matches_the_per_channel_oracle(rng):
+    # one pass over every channel at once gives, bit for bit, what the codec
+    # gave one channel at a time, for diffjpeg's rounding and for a cell
+    # clamp with its own half-width per channel, with and without out and
+    # work, over stacks of 1-4 images and one image alone
+    from jpegkit.codec import requantize
+    from jpegkit.image import round_half_away_from_zero, to_float
+    from jpegkit.quant import QuantTable
+    from tests.reference import requantize_per_channel
+
+    standard = table_for_qf(30)
+    luma = standard.luma.copy()
+    luma[0, 1] += 1
+    options = ((CodecOptions(), 3), (PASSTHROUGH, 3), (CodecOptions(round_chroma=True), 3), (CodecOptions(), 1))
+    for table in (standard, QuantTable(luma, standard.chroma)):
+        for opts, channels in options:
+            for height, width in ((64, 64), (17, 13), (9, 31), (21, 37)):
+                grid = compress_with_table(natural_image(rng, height, width, channels), table, opts)
+                base = to_float(decompress(grid)).data
+                halves = np.array([0.3, 0.2, 0.1])[:channels]
+                cells = halves[:, None, None, None, None]
+
+                def rounded(coef, c=None):
+                    return round_half_away_from_zero(coef, out=coef)
+
+                def clamp(coef):
+                    coef -= grid.channels
+                    np.clip(coef, -cells, cells, out=coef)
+                    coef += grid.channels
+                    return coef
+
+                def clamp_channel(coef, c):
+                    coef -= grid.channels[c]
+                    np.clip(coef, -halves[c], halves[c], out=coef)
+                    coef += grid.channels[c]
+                    return coef
+
+                for lead in ((), (1,), (2,), (3,), (4,)):
+                    x = base + rng.normal(0.0, 3.0, lead + base.shape)
+                    for step, oracle_step in ((rounded, rounded), (clamp, clamp_channel)):
+                        want = requantize_per_channel(x, table, opts, oracle_step)
+                        assert np.array_equal(requantize(x, table, opts, step), want)
+                        out, work = np.empty_like(x), np.empty_like(x)
+                        assert np.array_equal(requantize(x, table, opts, step, out=out, work=work), want)
+
+
+def test_steps_are_tiled_once_per_table_and_width(rng):
+    # the divide and the multiply of every call share one tiled step array
+    from jpegkit.codec import _tiled_steps, requantize
+    from jpegkit.image import to_float
+
+    x = to_float(natural_image(rng, 16, 24)).data
+    _tiled_steps.cache_clear()
+    for _ in range(3):
+        requantize(x, table_for_qf(37), CodecOptions(), identity_step)
+    assert _tiled_steps.cache_info().misses == 1
+
+
+def test_codec_peaks_at_512_stay_under_the_per_channel_codec():
+    # the per-channel codec peaked at 14.00 (compress), 18.75 (decompress)
+    # and 18.00 MiB (project) at 512² q90; the planar one frees the float
+    # samples before the transform's row products, and decompress rounds in
+    # place (12.0, 13.5 and 12.8 MiB when measured)
+    from jpegkit.projection import project
+
+    x = natural_image(np.random.default_rng(512), 512, 512)
+    grid = compress(x, 90)
+    xhat = natural_image(np.random.default_rng(513), 512, 512)
+    assert traced_peak(lambda: compress(x, 90)) <= 14.0 * 2**20
+    assert traced_peak(lambda: decompress(grid)) <= 18.75 * 2**20
+    assert traced_peak(lambda: project(xhat, grid)) <= 18.0 * 2**20
 
 
 def _raw_sample_cases(rng):
@@ -354,7 +424,7 @@ def test_entry_points_leave_the_callers_samples_unchanged(rng):
     from jpegkit.projection import project
     from tests.reference import forward_no_round
 
-    def rounded(coef, c):
+    def rounded(coef):
         return round_half_away_from_zero(coef, out=coef)
 
     table = table_for_qf(50)

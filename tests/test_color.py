@@ -12,7 +12,7 @@ def _one_pixel(r, g, b):
 
 
 def _stacked(ycc):
-    return np.stack([ycc.y, ycc.cb, ycc.cr], axis=-1)
+    return np.stack([ycc.y, ycc.cb, ycc.cr])
 
 
 def test_black_maps_to_zero_luma_neutral_chroma():

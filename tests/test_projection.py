@@ -62,7 +62,7 @@ def test_nonexpansive_in_coefficient_space(rng):
 
     xhat, g = _restoration_pair(rng, 5)
     out = project(xhat, g)
-    planes = np.moveaxis(planes_for_compress(out.data, CodecOptions()), -1, 0)
+    planes = planes_for_compress(out.data, CodecOptions())
     kinds = channel_kinds(3, "ycbcr")
     for plane, kind, levels in zip(planes, kinds, g.channels):
         q = g.table.for_channel_kind(kind)
