@@ -152,6 +152,19 @@ def planes_for_compress(data: np.ndarray, opts: CodecOptions, out: np.ndarray | 
     return planes
 
 
+def samples_from_planes(planes: np.ndarray, colorspace: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`planes_for_compress`: C-contiguous (..., C, h, w)
+    planes to (..., h, w, C) samples, in ``out`` if given, else in a new
+    array; YCbCr planes lose their chroma offset in place."""
+    if _color_converted(planes.shape[-3], colorspace):
+        return ycbcr_to_rgb_data(planes, out=out)
+    samples = np.moveaxis(planes, -3, -1)
+    if out is None:
+        return samples.copy()
+    np.copyto(out, samples)
+    return out
+
+
 def _block_rows(plane: np.ndarray) -> np.ndarray:
     """A C-contiguous (..., H', W') plane as its (..., n_by, 8, W') rows of
     blocks; a view."""
@@ -226,15 +239,11 @@ def _synthesize(coef, table, width, height, colorspace, out=None, work=None) -> 
     _scale(coef, table, colorspace, np.multiply)
     _transform(coef, _DCT_MT, dct.DCT_M)
     crop = coef[..., :height, :width]
-    if not _color_converted(coef.shape[-3], colorspace):
-        out = np.empty(crop.shape[:-3] + (height, width, coef.shape[-3])) if out is None else out
-        np.add(crop, LEVEL_SHIFT, out=np.moveaxis(out, -1, -3))
-        return out
     planes = crop  # the color product needs C-contiguous planes: ragged ones are copied
     if not crop.flags.c_contiguous:
         planes = np.empty(crop.shape) if work is None else work.reshape(crop.shape, copy=False)
     np.add(crop, LEVEL_SHIFT, out=planes)
-    return ycbcr_to_rgb_data(planes, out=out)
+    return samples_from_planes(planes, colorspace, out=out)
 
 
 def analysis(
@@ -255,13 +264,9 @@ def analysis(
     height, width, channels = samples.shape[-3:]
     planes = planes_for_compress(samples, opts, out=work)
     del samples  # samples made for this call go before the row products
-    if height % dct.BLOCK or width % dct.BLOCK:
-        coef = None
-    elif _color_converted(channels, opts.colorspace):
-        coef = planes
-    else:  # the planes are a view of the samples
-        coef = None if work is None else work.reshape(planes.shape, copy=False)
-    coef = _padded(planes, out=coef)
+    whole = not (height % dct.BLOCK or width % dct.BLOCK)
+    # color planes become the coefficients; other planes are a view of the samples
+    coef = _padded(planes, out=planes if whole and _color_converted(channels, opts.colorspace) else None)
     del planes
     _transform(coef, dct.DCT_M, _DCT_MT)
     _scale(coef, table, opts.colorspace, np.divide)
@@ -291,10 +296,11 @@ def requantize(
     quantization steps) to new ones and may work in place: diffjpeg's
     rounding or the projection's clamp. ``out`` receives the result.
     ``work``, a C-contiguous float64 array of the samples' size, is
-    scratch: it holds the coefficients at whole-block sizes, and the color
-    planes before the pad and after the crop at ragged ones. With both, a
-    call allocates no sample-sized array but the transform's row products
-    and the step's own temporaries.
+    scratch for the planes: YCbCr planes become the coefficients at
+    whole-block sizes, and at ragged ones it holds the planes before the
+    pad and after the crop. With both, a YCbCr call at whole-block sizes
+    allocates no sample-sized array but the transform's row products and
+    the step's own temporaries.
     """
     height, width = np.shape(img.data if isinstance(img, (PixelImage, FloatImage)) else img)[-3:-1]
     coef = _plane_layout(step(analysis(img, table, opts, work)), copy=False)

@@ -3,7 +3,7 @@
 At maximum quality the only surviving sources of error are the color
 transform and the integer quantization of its output. To isolate them the
 study runs the codec's color path (``planes_for_compress``, then
-``color.ycbcr_to_rgb_data``) at unit block size, where the transform stage is
+``samples_from_planes``) at unit block size, where the transform stage is
 exactly invertible on integers (the coefficients ARE the samples), for
 three paths, one :class:`~jpegkit.codec.CodecOptions` each:
 
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import LEVEL_SHIFT, CodecOptions, planes_for_compress
-from .color import ycbcr_to_rgb_data
+from .codec import LEVEL_SHIFT, CodecOptions, planes_for_compress, samples_from_planes
 from .errors import EmptySet, WrongChannelCount
 from .image import FloatImage, PixelImage, float_samples, round_half_away_from_zero, to_pixels
 from .metrics import mse_8bit
@@ -52,8 +51,7 @@ def lossless_roundtrip(img: PixelImage, path: str) -> PixelImage:
     if opts.colorspace == "ycbcr" and img.channels != 3:
         raise WrongChannelCount("color paths need a 3-channel image")
     planes = _unit_quantize(planes_for_compress(float_samples(img), opts))
-    samples = ycbcr_to_rgb_data(planes) if opts.colorspace == "ycbcr" else np.moveaxis(planes, -3, -1)
-    return to_pixels(FloatImage(samples))
+    return to_pixels(FloatImage(samples_from_planes(planes, opts.colorspace)))
 
 
 @dataclass(frozen=True)
