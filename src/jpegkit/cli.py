@@ -189,6 +189,7 @@ def _cmd_sweep(args) -> int:
         raise JpegkitError("sweep inputs must share one quantization table")
     y_set = [decompress(g) for g in grids]
     x_set = [read_pnm(p.read_bytes()) for _, p in pairs]
+    Path(args.output).parent.stat()  # a missing output directory is refused before the sweep, not after it
     result = sweep_lambda_c(y_set, x_set, lambdas, _restore_config(args, grids[0]))
     Path(args.output).write_text(result.to_csv())
     print(result.to_csv(), end="")

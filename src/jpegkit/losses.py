@@ -34,7 +34,7 @@ from .errors import (
     MissingReference,
     TooFewSamples,
 )
-from .image import FloatImage, PixelImage, block_rows, float_samples, to_float
+from .image import FloatImage, PixelImage, block_rows, float_samples
 from .quant import QuantTable, table_for_qf
 
 
@@ -134,12 +134,16 @@ def feature_term(states: np.ndarray, fx: np.ndarray):
     return np.square(gap).mean(axis=(-3, -2, -1)), gap, coef
 
 
-def _sample_mean(values: np.ndarray) -> float:
-    # summed in sample order, as the restorer sums its per-seed terms
+def ordered_sum(values: np.ndarray) -> float:
+    """The values added one at a time, in array order, from +0.0. The
+    restorer's objective and the sample means of :func:`loss_c` and
+    :func:`loss_p` keep their bits by it: ``math.fsum`` rounds once, at the
+    end, and the builtin ``sum`` compensates from Python 3.12, so neither
+    gives the same bits."""
     total = 0.0
-    for v in values.tolist():
+    for v in values.ravel().tolist():
         total += v
-    return total / len(values)
+    return total
 
 
 def loss_c(batch: SampleBatch, qf: int, table: QuantTable | None = None) -> float:
@@ -147,14 +151,13 @@ def loss_c(batch: SampleBatch, qf: int, table: QuantTable | None = None) -> floa
     overrides qf when given. The samples go through the codec one block at
     a time (see the module docstring), so a call holds one block's stack
     and residual, not the whole set's."""
-    y = to_float(batch.y)
+    y, k = batch.y, len(batch.samples)
     table = table if table is not None else table_for_qf(qf)
     op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
-    rows = block_rows(y.data.size)
-    mse = [
-        consistency_term(op, batch.stacked(a, a + rows), y.data)[0] for a in range(0, len(batch.samples), rows)
-    ]
-    return _sample_mean(np.concatenate(mse))
+    y_f = float_samples(y)
+    rows = block_rows(y_f.size)
+    mse = [consistency_term(op, batch.stacked(a, a + rows), y_f)[0] for a in range(0, k, rows)]
+    return ordered_sum(np.concatenate(mse)) / k
 
 
 def loss_fm(batch: SampleBatch) -> float:
@@ -166,7 +169,7 @@ def loss_fm(batch: SampleBatch) -> float:
     """
     if batch.x is None:
         raise MissingGroundTruth("first-moment loss needs x")
-    return first_moment_term(batch.stacked(), to_float(batch.x).data)[0]
+    return first_moment_term(batch.stacked(), float_samples(batch.x))[0]
 
 
 def loss_sm(batch: SampleBatch) -> float:
@@ -180,7 +183,7 @@ def loss_sm(batch: SampleBatch) -> float:
         raise TooFewSamples("second-moment loss needs at least 2 samples")
     dev = batch.stacked()
     dev -= dev.mean(axis=0)
-    return second_moment_term(dev, to_float(batch.x).data, batch.xbar.data)[0]
+    return second_moment_term(dev, float_samples(batch.x), batch.xbar.data)[0]
 
 
 # radial bands over the 8x8 coefficient positions: DC alone, then rings of
@@ -231,5 +234,5 @@ def loss_p(batch: SampleBatch) -> float:
     """Mean squared texture-band feature distance to the ground truth."""
     if batch.x is None:
         raise MissingGroundTruth("feature loss needs x")
-    fx = texture_band_features(to_float(batch.x))
-    return _sample_mean(feature_term(batch.stacked(), fx)[0])
+    fx = texture_band_features(batch.x)
+    return ordered_sum(feature_term(batch.stacked(), fx)[0]) / len(batch.samples)

@@ -45,11 +45,21 @@ class MetricReport:
     CSV_HEADER = "name,qf,consistency_rmse,psnr,perceptual_proxy,n"
 
     def to_csv_row(self) -> str:
-        """The row and its newline; a name with a comma, quote or line break is quoted."""
-        buf = io.StringIO()
+        """The row and its newline, as :func:`csv_text` writes it."""
         scores = (f"{v:.6f}" for v in (self.consistency_rmse, self.psnr, self.perceptual_proxy))
-        csv.writer(buf).writerow([self.name, self.qf, *scores, self.n_samples])
-        return buf.getvalue()[:-2] + "\n"  # the writer quotes a \r or \n in its "\r\n" terminator
+        return csv_text([[self.name, self.qf, *scores, self.n_samples]])
+
+
+def csv_text(rows) -> str:
+    r"""The rows as CSV, each ending in "\n": the writer of every CLI report.
+    The default dialect quotes a field holding a comma, a quote, "\r" or
+    "\n" (a "\n" terminator would not quote "\r"); its "\r\n" is cut to "\n"."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def mse_8bit(a: PixelImage, b: PixelImage) -> float:

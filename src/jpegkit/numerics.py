@@ -18,8 +18,6 @@ three paths, one :class:`~jpegkit.codec.CodecOptions` each:
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -28,7 +26,7 @@ import numpy as np
 from .codec import LEVEL_SHIFT, CodecOptions, planes_for_compress, samples_from_planes
 from .errors import EmptySet, WrongChannelCount
 from .image import FloatImage, PixelImage, float_samples, round_half_away_from_zero, to_pixels
-from .metrics import mse_8bit
+from .metrics import csv_text, mse_8bit
 
 _PATH_OPTIONS = {
     "ycbcr-rounded": CodecOptions(round_chroma=True),
@@ -76,9 +74,4 @@ def run_numerics_study(images) -> list:
 
 
 def study_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "rmse", "n_images"])
-    for r in rows:
-        writer.writerow([r.path, f"{r.rmse:.6f}", r.n_images])
-    return buf.getvalue()
+    return csv_text([["path", "rmse", "n_images"], *([r.path, f"{r.rmse:.6f}", r.n_images] for r in rows)])

@@ -42,8 +42,6 @@ each output when exact consistency is the goal.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -59,18 +57,19 @@ from .errors import (
     NotACompressedInput,
     TooFewSamples,
 )
-from .image import FloatImage, PixelImage, block_rows, to_float, to_pixels
+from .image import FloatImage, PixelImage, block_rows, float_samples, to_pixels
 from .losses import (
     LossWeights,
     check_references,
     consistency_term,
     feature_term,
     first_moment_term,
+    ordered_sum,
     second_moment_term,
     texture_band_features,
     texture_band_pullback,
 )
-from .metrics import consistency_rmse, perceptual_proxy, psnr
+from .metrics import consistency_rmse, csv_text, perceptual_proxy, psnr
 from .quant import QuantTable, table_for_qf
 
 MONOTONE_TOL = 1e-9
@@ -204,7 +203,7 @@ def restore_with_history(
     if consistency_rmse(y, y, cfg.qf, table=cfg.table) > 1.0:
         raise NotACompressedInput("input does not recompress to itself")
 
-    y_f = to_float(y).data
+    y_f = float_samples(y)
     op = DiffJpegOp(cfg.table, CodecOptions(), y.width, y.height, y.channels)
     n = y_f.size
     n_seeds = cfg.n_seeds
@@ -218,7 +217,7 @@ def restore_with_history(
     blocks = [slice(a, min(a + rows, n_seeds)) for a in range(0, n_seeds, rows)]
     work = np.empty((3, min(rows, n_seeds)) + y_f.shape)  # one block of scratch for the per-seed terms
 
-    x_f = None if x is None else to_float(x).data
+    x_f = None if x is None else float_samples(x)
     fx = texture_band_features(x_f) if w.lambda_p > 0 else None
 
     def per_seed_terms(s: slice):
@@ -247,9 +246,7 @@ def restore_with_history(
     for t in range(cfg.steps):
         for s in blocks:
             per_seed_terms(s)
-        total = 0.0  # every value is >= 0, so a weight-0 term's +0.0 leaves its bits
-        for v in values.ravel().tolist():
-            total += v
+        total = ordered_sum(values)  # every value is >= 0, so a weight-0 term's +0.0 leaves its bits
 
         if w.lambda_fm > 0:
             value, gap = first_moment_term(states, x_f)
@@ -297,41 +294,35 @@ class SweepResult:
     CSV_HEADER = "lambda_c,consistency_rmse,perceptual_proxy,psnr"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER.split(","))
+        rows = [self.CSV_HEADER.split(",")]
         for r in self.rows:
-            writer.writerow(
-                [r.lambda_c, f"{r.consistency_rmse:.6f}", f"{r.perceptual_proxy:.6f}", f"{r.psnr:.6f}"]
-            )
-        return buf.getvalue()
+            rows.append([r.lambda_c, *(f"{v:.6f}" for v in (r.consistency_rmse, r.perceptual_proxy, r.psnr))])
+        return csv_text(rows)
 
 
 def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
     """Restore every input at each consistency weight and measure the
-    consistency / proxy / fidelity of the results."""
+    consistency / proxy / fidelity of the results.
+
+    Refused before any work, as :func:`restore_with_history` is: unpaired
+    sets, fewer than two weights, a weight that :class:`LossWeights`
+    refuses, and an x not shaped as its y (DimMismatch)."""
     y_set, x_set = list(y_set), list(x_set)
     if len(y_set) != len(x_set):
         raise ValueError("y_set and x_set must be paired")
     lambdas = sorted(float(v) for v in lambdas)
     if len(lambdas) < 2:
         raise ValueError("need at least two weights to sweep")
+    run_cfgs = [replace(cfg, weights=replace(cfg.weights, lambda_c=lam)) for lam in lambdas]
+    for y, x in zip(y_set, x_set):
+        check_references(y.data.shape, x, None)
     rows = []
-    for lam in lambdas:
-        run_cfg = replace(cfg, weights=replace(cfg.weights, lambda_c=lam))
-        restored = []
-        cons, fid = [], []
+    for lam, run_cfg in zip(lambdas, run_cfgs):
+        restored, cons, fid = [], [], []
         for y, x in zip(y_set, x_set):
             outs = restore_with_history(y, run_cfg).images
             restored.extend(outs)
             cons.extend(consistency_rmse(o, y, cfg.qf, table=cfg.table) for o in outs)
             fid.extend(psnr(o, x) for o in outs)
-        rows.append(
-            SweepRow(
-                lam,
-                float(np.mean(cons)),
-                perceptual_proxy(restored, x_set),
-                float(np.mean(fid)),
-            )
-        )
+        rows.append(SweepRow(lam, float(np.mean(cons)), perceptual_proxy(restored, x_set), float(np.mean(fid))))
     return SweepResult(tuple(rows))

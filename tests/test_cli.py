@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from jpegkit import restorer
 from jpegkit.cli import main
 from jpegkit.codec import compress, compress_with_table, decompress
 from jpegkit.image import PixelImage
@@ -223,6 +224,20 @@ def test_sweep_input_errors_write_no_csv(tmp_path, rng, capsys):
     code, _, err = _usage_error(capsys, argv)
     assert code == 1 and len(err) == 1 and "share one quantization table" in err[0]
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_missing_output_directory_is_refused_before_the_sweep(tmp_path, rng, capsys, monkeypatch):
+    for i in range(2):
+        x = natural_image(rng, 16, 16)
+        (tmp_path / f"p{i}.ppm").write_bytes(write_pnm(x))
+        (tmp_path / f"p{i}.jpg").write_bytes(write_jfif(compress(x, 50)))
+    calls = []
+    monkeypatch.setattr(restorer, "restore_with_history", lambda *a, **k: calls.append(1))
+    argv = ["sweep", str(tmp_path), "--lambdas", "0,10,20", "--steps", "1", "-o", str(tmp_path / "nodir" / "s.csv")]
+    code, out, err = _usage_error(capsys, argv)
+    assert code == 1 and out == "" and calls == []
+    assert len(err) == 1 and err[0].startswith("FileNotFoundError:")
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_numerics_study_command(tmp_path, rng, capsys):

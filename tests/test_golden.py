@@ -9,15 +9,29 @@ every file the command writes (name and bytes), so any change to what a
 command prints or writes fails here, naming the case; the failure message
 shows the per-part digests of the run.
 
-The restore, sweep, project and metrics outputs are floats computed
-through BLAS products, so, like the float digests of
-`tests/test_parity.py`, these pins are those of OpenBLAS's SkylakeX kernel.
-Which cases hold on every kernel is not sorted out yet (ROADMAP item 15).
+Like the float digests of `tests/test_parity.py`, these pins are those of
+OpenBLAS's SkylakeX kernel, and three cases, `KERNEL_BOUND`, print other
+bytes under another kernel (ROADMAP item 1):
+- `theorem-check` and `theorem-check-fixture` under Haswell, Sandybridge
+  and Prescott: they print the toy oracle's fm deviation, which comes out
+  of BLAS products (`block @ signals`, `means @ basis.T`);
+- `roundtrip-64-round-chroma` under Sandybridge and Prescott: its rounded
+  chroma planes are integers, and one chroma DC level over its step lands
+  on an exact k + 1/2, which the kernels' DCT sums round apart (-15 on
+  SkylakeX, -14 on Prescott).
+The other 27 hold on all four kernels, although the restore, sweep,
+project and metrics outputs are floats computed through BLAS products; a
+test reruns them under OpenBLAS's Prescott kernel, which needs only SSE3,
+so that one that came to depend on the kernel fails on any x86-64 host.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +80,9 @@ CASES = {
     "theorem-check": ["theorem-check", "--models", "40", "--seed", "7"],
     "theorem-check-fixture": ["theorem-check", "--models", "2", "--seed", "3", "--fixture", "IN/model.txt"],
 }
+
+# the cases whose bytes depend on the BLAS kernel (see the module docstring)
+KERNEL_BOUND = ("roundtrip-64-round-chroma", "theorem-check", "theorem-check-fixture")
 
 # each case's record digest (see record_digest)
 PINS = {
@@ -173,3 +190,20 @@ def record_digest(record: dict) -> str:
 def test_cli_output_bytes(case, inputs, tmp_path):
     record = run_case(CASES[case], inputs, tmp_path)
     assert record_digest(record) == PINS[case], record
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="Prescott is an x86-64 OpenBLAS kernel"
+)
+def test_kernel_free_pins_hold_under_the_prescott_kernel():
+    assert set(KERNEL_BOUND) <= set(CASES)
+    ids = [f"{__file__}::test_cli_output_bytes[{case}]" for case in CASES if case not in KERNEL_BOUND]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0 and f"{len(ids)} passed" in run.stdout, run.stdout[-3000:]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from jpegkit.losses import (
     loss_fm,
     loss_p,
     loss_sm,
+    ordered_sum,
     second_moment_term,
     texture_band_features,
     texture_band_pullback,
@@ -301,3 +304,14 @@ def test_loss_c_runs_one_block_of_samples_at_a_time():
     # 1.1 MiB, where the whole 4-sample set took 4.9 MiB
     batch = _noisy_batch(128, 4)
     assert traced_peak(lambda: loss_c(batch, 10)) <= 2 * 2**20
+
+
+def test_ordered_sum_adds_in_array_order():
+    # the restorer's objective and the sample means keep their bits by this
+    # order; math.fsum, and the builtin sum from Python 3.12, give other bits
+    values = np.array([1e16, 1.0, -1e16])
+    assert ordered_sum(values) == 0.0
+    assert math.fsum(values.tolist()) == 1.0
+    assert ordered_sum(np.array([1e16, -1e16, 1.0])) == 1.0
+    assert ordered_sum(np.array([[1e16, 1.0], [-1e16, 1.0]])) == 1.0  # row by row
+    assert math.copysign(1.0, ordered_sum(np.array([-0.0]))) == 1.0  # from +0.0

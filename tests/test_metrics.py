@@ -12,6 +12,7 @@ from jpegkit.losses import SampleBatch
 from jpegkit.metrics import (
     MetricReport,
     consistency_rmse,
+    csv_text,
     dct_statistic_features,
     frechet_distance,
     perceptual_proxy,
@@ -192,3 +193,13 @@ def test_metric_report_csv():
     for name in ("a,b.ppm", 'say "hi".ppm', "two\nlines.ppm", "cr\rname.ppm"):
         row = MetricReport(name, 5, 0.25, 30.0, 12.5, 3).to_csv_row()
         assert list(csv.reader(io.StringIO(row))) == [[name, "5", "0.250000", "30.000000", "12.500000", "3"]]
+
+
+def test_csv_text_quotes_separators_and_line_breaks():
+    # every CLI report goes through this one writer: a field that holds the
+    # delimiter, a quote, "\n" or "\r" is quoted, and every row ends in "\n"
+    fields = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain"]
+    text = csv_text([fields, [1, 2.5], ["last"]])
+    assert text == '"a,b","say ""hi""","two\nlines","cr\rhere",plain\n1,2.5\nlast\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [fields, ["1", "2.5"], ["last"]]
+    assert csv_text([]) == ""

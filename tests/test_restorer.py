@@ -25,6 +25,7 @@ from jpegkit.losses import (
 from jpegkit.metrics import consistency_rmse, std_map
 from jpegkit.projection import project
 from jpegkit.quant import table_for_qf
+from jpegkit import restorer
 from jpegkit.restorer import (
     RestoreConfig,
     RestoreRun,
@@ -387,6 +388,35 @@ def test_sweep_csv_header(pair):
     assert res.to_csv().splitlines()[0] == "lambda_c,consistency_rmse,perceptual_proxy,psnr"
     assert "\r" not in res.to_csv()  # one line ending, as the other CLI reports
     assert res.rows[0].lambda_c == 0.0  # ascending
+
+
+def _count_restores(monkeypatch) -> list:
+    # each restore_with_history call the sweep makes appends one entry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return restore_with_history(*args, **kwargs)
+
+    monkeypatch.setattr(restorer, "restore_with_history", counted)
+    return calls
+
+
+def test_sweep_refuses_before_any_restore(monkeypatch):
+    rng = np.random.default_rng(16)
+    x = natural_image(rng, 16, 16)
+    y = decompress(compress(x, 50))
+    cfg = RestoreConfig(qf=50, weights=LossWeights(lambda_prior=20.0), steps=2)
+    calls = _count_restores(monkeypatch)
+    for lambdas in ([1.0, float("inf")], [0.5, 1.0, float("nan")]):
+        with pytest.raises(ValueError, match="lambda_c"):
+            sweep_lambda_c([y], [x], lambdas, cfg)
+    with pytest.raises(DimMismatch):
+        sweep_lambda_c([y], [natural_image(rng, 16, 24)], [0.0, 1.0], cfg)
+    with pytest.raises(DimMismatch):  # the second pair's reference, not the first's
+        sweep_lambda_c([y, y], [x, natural_image(rng, 16, 16, channels=1)], [0.0, 1.0], cfg)
+    assert calls == []
+    assert len(sweep_lambda_c([y], [x], [0.0, 1.0], cfg).rows) == 2 and len(calls) == 2
 
 
 def test_config_validation():
