@@ -8,7 +8,9 @@ commands reproduce bitwise.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -133,6 +135,17 @@ def _check_descent_flags(args):
     _nonnegative("--lambda-prior", args.lambda_prior)
 
 
+def _check_output(path: str, directory: bool = False):
+    """Raise before the restores, creating nothing, the OSError that writing
+    the output file, or making the output ``directory``, would raise after them."""
+    out = Path(path)
+    if not directory:
+        out.parent.stat()
+    if out.exists() and out.is_dir() != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
+        raise OSError(code, os.strerror(code), str(out))  # the errno picks the subclass
+
+
 def _restore_config(args, grid) -> RestoreConfig:
     weights = LossWeights(lambda_c=getattr(args, "lambda_c", 0.0), lambda_prior=args.lambda_prior)
     return RestoreConfig(
@@ -152,6 +165,7 @@ def _cmd_restore(args) -> int:
     grid, _ = _load_jfif(args.input)
     y = decompress(grid)
     cfg = _restore_config(args, grid)
+    _check_output(args.output, directory=True)
     outs = restore_with_history(y, cfg).images
     if args.project:
         outs = [to_pixels(project(img, grid)) for img in outs]
@@ -189,7 +203,7 @@ def _cmd_sweep(args) -> int:
         raise JpegkitError("sweep inputs must share one quantization table")
     y_set = [decompress(g) for g in grids]
     x_set = [read_pnm(p.read_bytes()) for _, p in pairs]
-    Path(args.output).parent.stat()  # a missing output directory is refused before the sweep, not after it
+    _check_output(args.output)
     result = sweep_lambda_c(y_set, x_set, lambdas, _restore_config(args, grids[0]))
     Path(args.output).write_text(result.to_csv())
     print(result.to_csv(), end="")

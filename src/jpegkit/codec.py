@@ -6,8 +6,8 @@ quantization table, giving every channel's coefficients in units of its
 step; :func:`synthesis` is its exact inverse. `compress` is rounding after
 analysis, `decompress_float` is synthesis, and a round trip is
 ``decompress(compress(img, qf, opts))``. :func:`requantize` is synthesis
-after a step after analysis; :mod:`~jpegkit.diffjpeg` uses it with
-rounding as the step and :mod:`~jpegkit.projection` with a cell clamp.
+after a step after analysis, with no grid: :func:`round_levels` as the
+step recompresses, and :mod:`~jpegkit.projection`'s cell clamp projects.
 
 All three take an image or an (..., H, W, C) stack of float samples and
 work on one planar (..., C, H', W') float array, every channel at once:
@@ -222,17 +222,6 @@ def plane_dct(plane: np.ndarray) -> np.ndarray:
     return dct.block_view(coef)
 
 
-def _plane_layout(coef, copy: bool) -> np.ndarray:
-    """(..., n_by, n_bx, 8, 8) blocks as a C-contiguous float64
-    (..., H', W') plane: always a new array with ``copy``, else a view of
-    the blocks when they are already in plane layout, as :func:`analysis`
-    and in-place steps leave them."""
-    coef = np.asarray(coef)
-    nby, nbx = coef.shape[-4:-2]
-    plane = np.array(coef.swapaxes(-3, -2), dtype=np.float64, order="C", copy=copy or None)
-    return plane.reshape(coef.shape[:-4] + (nby * dct.BLOCK, nbx * dct.BLOCK))
-
-
 def _synthesize(coef, table, width, height, colorspace, out=None, work=None) -> np.ndarray:
     """:func:`synthesis` in place on C-contiguous (..., C, H', W') planes,
     into ``out`` if given; ``work`` as in :func:`requantize`."""
@@ -278,14 +267,20 @@ def synthesis(coefs, table: QuantTable, width: int, height: int, colorspace: str
     coefficients, which it leaves as they are: scale by the steps, invert
     the DCT, crop, and undo the level shift and the color transform into
     (..., H, W, C) samples."""
-    return _synthesize(_plane_layout(coefs, copy=True), table, width, height, colorspace)
+    rows = np.array(np.swapaxes(coefs, -3, -2), dtype=np.float64, order="C")  # the one copy, in plane order
+    return _synthesize(dct.merge_blocks(rows.swapaxes(-3, -2)), table, width, height, colorspace)
+
+
+def round_levels(coef: np.ndarray) -> np.ndarray:
+    """The quantization step of :func:`compress`, in place: ``coef`` rounded to levels."""
+    return round_half_away_from_zero(coef, out=coef)
 
 
 def requantize(
     img: PixelImage | FloatImage | np.ndarray,
     table: QuantTable,
-    opts: CodecOptions,
-    step,
+    opts: CodecOptions = CodecOptions(),
+    step=round_levels,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -293,8 +288,9 @@ def requantize(
     at once.
 
     ``step(coef)`` maps the (..., C, n_by, n_bx, 8, 8) coefficients (in
-    quantization steps) to new ones and may work in place: diffjpeg's
-    rounding or the projection's clamp. ``out`` receives the result.
+    quantization steps) to new ones, read as float64, and may work in place:
+    :func:`round_levels`, the default, which recompresses without a grid, or
+    the projection's clamp. ``out`` receives the result.
     ``work``, a C-contiguous float64 array of the samples' size, is
     scratch for the planes: YCbCr planes become the coefficients at
     whole-block sizes, and at ragged ones it holds the planes before the
@@ -303,7 +299,7 @@ def requantize(
     the step's own temporaries.
     """
     height, width = np.shape(img.data if isinstance(img, (PixelImage, FloatImage)) else img)[-3:-1]
-    coef = _plane_layout(step(analysis(img, table, opts, work)), copy=False)
+    coef = np.ascontiguousarray(dct.merge_blocks(step(analysis(img, table, opts, work))), dtype=np.float64)
     return _synthesize(coef, table, width, height, opts.colorspace, out=out, work=work)
 
 
@@ -316,8 +312,7 @@ def compress(img: PixelImage | FloatImage, qf: int, opts: CodecOptions = CodecOp
 def compress_with_table(
     img: PixelImage | FloatImage, table: QuantTable, opts: CodecOptions = CodecOptions()
 ) -> CoefficientGrid:
-    coef = analysis(img, table, opts)
-    return CoefficientGrid(round_half_away_from_zero(coef, out=coef), table, img.width, img.height, opts.colorspace)
+    return CoefficientGrid(round_levels(analysis(img, table, opts)), table, img.width, img.height, opts.colorspace)
 
 
 def decompress_float(grid: CoefficientGrid) -> FloatImage:

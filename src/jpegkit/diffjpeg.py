@@ -1,8 +1,8 @@
 """Differentiable compression operator with a straight-through rounding
 gradient.
 
-:func:`forward` is :func:`~jpegkit.codec.requantize` with rounding as the
-step (synthesis after rounding after analysis), with no terminal 8-bit
+:func:`forward` is :func:`~jpegkit.codec.requantize` with
+:func:`~jpegkit.codec.round_levels` as the step, with no terminal 8-bit
 step, and returns the value together with the operator, which is all the
 state the adjoint needs: the pipeline is linear. It takes one
 :class:`FloatImage` or an (..., H, W, C) stack of samples; a stack runs as
@@ -27,7 +27,7 @@ import numpy as np
 
 from .codec import CodecOptions, requantize
 from .errors import DimMismatch
-from .image import FloatImage, round_half_away_from_zero
+from .image import FloatImage
 from .quant import QuantTable
 
 
@@ -51,10 +51,6 @@ def _check_dims(op: DiffJpegOp, x):
         )
 
 
-def _round_in_place(coef):
-    return round_half_away_from_zero(coef, out=coef)
-
-
 def forward(op: DiffJpegOp, x, out=None, work=None):
     """Float-valued compress-decompress of x, plus ``op``, the adjoint handle.
 
@@ -68,7 +64,7 @@ def forward(op: DiffJpegOp, x, out=None, work=None):
     again and again allocates neither.
     """
     _check_dims(op, x)
-    result = requantize(x, op.table, op.options, _round_in_place, out=out, work=work)
+    result = requantize(x, op.table, op.options, out=out, work=work)
     return (FloatImage(result) if isinstance(x, FloatImage) else result), op
 
 

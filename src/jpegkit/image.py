@@ -112,7 +112,7 @@ def to_float(img: PixelImage) -> FloatImage:
     return FloatImage(img.data)
 
 
-def to_pixels(img: FloatImage) -> PixelImage:
-    """Round half-away-from-zero, clamp to [0, 255], narrow to uint8."""
-    r = round_half_away_from_zero(img.data)
+def to_pixels(img) -> PixelImage:
+    """Round half-away-from-zero, clamp to [0, 255], narrow to uint8; any :func:`float_samples` input."""
+    r = round_half_away_from_zero(float_samples(img))
     return PixelImage(np.clip(r, 0.0, 255.0, out=r).astype(np.uint8))

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecOptions, plane_dct
+from .codec import plane_dct, requantize
 from .color import RGB_TO_YCBCR, luma
 from .dct import fold_pad, idct2, merge_blocks
-from .diffjpeg import DiffJpegOp, forward
 from .errors import (
     DimMismatch,
     MissingGroundTruth,
@@ -86,14 +85,14 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def consistency_term(op: DiffJpegOp, states: np.ndarray, y: np.ndarray, out=None, work=None):
+def consistency_term(table: QuantTable, states: np.ndarray, y: np.ndarray, out=None, work=None):
     """Per-sample mean squared recompression residual against y, and the
-    residual forward(states) - y, written into ``out``. ``work``, shaped
-    like states, is scratch: forward's coefficients, then the squared
-    residual. Both are allocated when None. Gradient: (2 / y.size) *
-    residual, as the straight-through adjoint is the identity."""
+    residual (states requantized under ``table``) - y, written into ``out``.
+    ``work``, shaped like states, is scratch: the coefficients, then the
+    squared residual. Both are allocated when None. Gradient:
+    (2 / y.size) * residual, as the straight-through adjoint is the identity."""
     work = np.empty_like(states) if work is None else work
-    r, _ = forward(op, states, out=out, work=work)
+    r = requantize(states, table, out=out, work=work)  # the default options, built once
     with np.errstate(over="ignore", invalid="ignore"):
         r -= y
         mse = np.square(r, out=work).mean(axis=(-3, -2, -1))
@@ -151,12 +150,11 @@ def loss_c(batch: SampleBatch, qf: int, table: QuantTable | None = None) -> floa
     overrides qf when given. The samples go through the codec one block at
     a time (see the module docstring), so a call holds one block's stack
     and residual, not the whole set's."""
-    y, k = batch.y, len(batch.samples)
+    k = len(batch.samples)
     table = table if table is not None else table_for_qf(qf)
-    op = DiffJpegOp(table, CodecOptions(), y.width, y.height, y.channels)
-    y_f = float_samples(y)
+    y_f = float_samples(batch.y)
     rows = block_rows(y_f.size)
-    mse = [consistency_term(op, batch.stacked(a, a + rows), y_f)[0] for a in range(0, k, rows)]
+    mse = [consistency_term(table, batch.stacked(a, a + rows), y_f)[0] for a in range(0, k, rows)]
     return ordered_sum(np.concatenate(mse)) / k
 
 

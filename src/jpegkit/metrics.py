@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecOptions, compress_with_table, decompress, plane_dct
+from .codec import CodecOptions, plane_dct, requantize
 from .color import luma
 from .errors import DimMismatch, EmptySet, TooFewSamples
-from .image import FloatImage, PixelImage, float_samples
+from .image import FloatImage, PixelImage, float_samples, to_pixels
 from .losses import SampleBatch
 from .quant import QuantTable, table_for_qf
 
@@ -80,7 +80,7 @@ def consistency_rmse(
     if xhat.data.shape != y.data.shape:
         raise DimMismatch("xhat and y dims differ")
     t = table if table is not None else table_for_qf(qf)
-    z = decompress(compress_with_table(xhat, t, opts))
+    z = to_pixels(requantize(xhat, t, opts))
     return math.sqrt(mse_8bit(z, y))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .codec import LEVEL_SHIFT, CodecOptions, planes_for_compress, samples_from_planes
 from .errors import EmptySet, WrongChannelCount
-from .image import FloatImage, PixelImage, float_samples, round_half_away_from_zero, to_pixels
+from .image import PixelImage, float_samples, round_half_away_from_zero, to_pixels
 from .metrics import csv_text, mse_8bit
 
 _PATH_OPTIONS = {
@@ -49,7 +49,7 @@ def lossless_roundtrip(img: PixelImage, path: str) -> PixelImage:
     if opts.colorspace == "ycbcr" and img.channels != 3:
         raise WrongChannelCount("color paths need a 3-channel image")
     planes = _unit_quantize(planes_for_compress(float_samples(img), opts))
-    return to_pixels(FloatImage(samples_from_planes(planes, opts.colorspace)))
+    return to_pixels(samples_from_planes(planes, opts.colorspace))
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .codec import CodecOptions
-from .diffjpeg import DiffJpegOp
 from .errors import (
     MissingGroundTruth,
     MissingReference,
@@ -155,6 +153,11 @@ def tv_huber(x: np.ndarray, eps: float, out: np.ndarray | None = None, work: np.
     return loss, grad
 
 
+def _check_compressed_input(y: PixelImage, cfg: RestoreConfig):
+    if consistency_rmse(y, y, cfg.qf, table=cfg.table) > 1.0:
+        raise NotACompressedInput("input does not recompress to itself")
+
+
 def _seed_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
 
@@ -200,11 +203,9 @@ def restore_with_history(
         raise MissingReference("second-moment term needs the reference estimate")
     if w.lambda_sm > 0 and cfg.n_seeds < 2:
         raise TooFewSamples("second-moment term needs at least 2 seeds")
-    if consistency_rmse(y, y, cfg.qf, table=cfg.table) > 1.0:
-        raise NotACompressedInput("input does not recompress to itself")
+    _check_compressed_input(y, cfg)
 
     y_f = float_samples(y)
-    op = DiffJpegOp(cfg.table, CodecOptions(), y.width, y.height, y.channels)
     n = y_f.size
     n_seeds = cfg.n_seeds
 
@@ -234,7 +235,7 @@ def restore_with_history(
         else:
             g.fill(0.0)
         if w.lambda_c > 0:
-            mse, r = consistency_term(op, block, y_f, out=wk[0], work=wk[1])
+            mse, r = consistency_term(cfg.table, block, y_f, out=wk[0], work=wk[1])
             g += np.multiply(w.lambda_c * (2.0 / n), r, out=wk[1])
             values[s, 0] = w.lambda_c * mse
         if w.lambda_p > 0:
@@ -274,7 +275,7 @@ def restore_with_history(
     diverged = bool(np.any(np.diff(history) > MONOTONE_TOL))
     if diverged:
         warnings.warn("objective increased during descent (step size too large?)")
-    return RestoreRun([to_pixels(FloatImage(s)) for s in states], history, diverged)
+    return RestoreRun([to_pixels(s) for s in states], history, diverged)
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,7 @@ def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
 
     Refused before any work, as :func:`restore_with_history` is: unpaired
     sets, fewer than two weights, a weight that :class:`LossWeights`
-    refuses, and an x not shaped as its y (DimMismatch)."""
+    refuses, an x not shaped as its y (DimMismatch), and a non-compressed y."""
     y_set, x_set = list(y_set), list(x_set)
     if len(y_set) != len(x_set):
         raise ValueError("y_set and x_set must be paired")
@@ -316,6 +317,7 @@ def sweep_lambda_c(y_set, x_set, lambdas, cfg: RestoreConfig) -> SweepResult:
     run_cfgs = [replace(cfg, weights=replace(cfg.weights, lambda_c=lam)) for lam in lambdas]
     for y, x in zip(y_set, x_set):
         check_references(y.data.shape, x, None)
+        _check_compressed_input(y, cfg)
     rows = []
     for lam, run_cfg in zip(lambdas, run_cfgs):
         restored, cons, fid = [], [], []

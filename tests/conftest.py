@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,24 @@ from jpegkit.image import PixelImage, round_half_away_from_zero
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_pytest_under_kernel(kernel: str, *args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """``python -m pytest -q -p no:cacheprovider *args`` in a subprocess
+    run from the repository root with OPENBLAS_CORETYPE set to ``kernel``,
+    its output captured as text: the one way the tests and
+    ``tests/kernel_matrix.py`` rerun pinned digests under another OpenBLAS
+    kernel."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        cwd=ROOT,
+        env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def decoded_ycbcr_planes(grid):

@@ -13,26 +13,22 @@ fails exactly the ids its parent fails: run this on both and compare.
 Pytest does not collect this file; it is a script.
 """
 
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # conftest imports jpegkit
+
+from conftest import run_pytest_under_kernel  # noqa: E402
+
 FILES = ("tests/test_parity.py", "tests/test_bench.py", "tests/test_golden.py")
 KERNELS = ("Haswell", "Sandybridge", "Prescott")
 
 
 def failing_ids(kernel: str) -> list:
     """The ids of the tests in FILES that fail under ``kernel``."""
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *FILES],
-        cwd=ROOT,
-        env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
-        capture_output=True,
-        text=True,
-    )
+    run = run_pytest_under_kernel(kernel, "-rf", *FILES)
     if run.returncode not in (0, 1):  # 1 is "some tests failed"; anything else ran nothing to compare
         sys.exit(f"{kernel}: pytest exited {run.returncode}\n{run.stdout[-3000:]}{run.stderr[-3000:]}")
     return re.findall(r"^FAILED (\S+)", run.stdout, flags=re.MULTILINE)

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from jpegkit import restorer
+from jpegkit import cli, restorer
 from jpegkit.cli import main
 from jpegkit.codec import compress, compress_with_table, decompress
 from jpegkit.image import PixelImage
@@ -238,6 +238,30 @@ def test_sweep_missing_output_directory_is_refused_before_the_sweep(tmp_path, rn
     assert code == 1 and out == "" and calls == []
     assert len(err) == 1 and err[0].startswith("FileNotFoundError:")
     assert not (tmp_path / "nodir").exists()
+
+
+def test_unusable_outputs_are_refused_before_any_restore(tmp_path, rng, capsys, monkeypatch):
+    # an output the command could only fail to write after the work is
+    # refused with the error that write would raise, and nothing is made
+    for i in range(2):
+        x = natural_image(rng, 16, 16)
+        (tmp_path / f"p{i}.ppm").write_bytes(write_pnm(x))
+        (tmp_path / f"p{i}.jpg").write_bytes(write_jfif(compress(x, 50)))
+    calls = []
+    monkeypatch.setattr(restorer, "restore_with_history", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(cli, "restore_with_history", lambda *a, **k: calls.append(1))
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_bytes(b"kept")
+    before = sorted(tmp_path.rglob("*"))
+    cases = (
+        (["sweep", str(tmp_path), "--lambdas", "0,10", "--steps", "2"], "adir", "IsADirectoryError: [Errno 21] Is a directory"),
+        (["restore", str(tmp_path / "p0.jpg"), "--steps", "3"], "afile", "FileExistsError: [Errno 17] File exists"),
+    )
+    for argv, output, error in cases:
+        code, out, err = _usage_error(capsys, argv + ["-o", str(tmp_path / output)])
+        assert code == 1 and out == "" and calls == []
+        assert err == [f"{error}: {str(tmp_path / output)!r}"]
+    assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "afile").read_bytes() == b"kept"
 
 
 def test_numerics_study_command(tmp_path, rng, capsys):

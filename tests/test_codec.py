@@ -228,12 +228,24 @@ def test_float_input_accepted(rng):
 
 def test_core_stacks_match_per_image_and_requantize_fuses(rng):
     # analysis/synthesis on a (K, H, W, C) stack give each image what it
-    # gets alone, and requantize is synthesis(step(analysis(x))) bit for bit
+    # gets alone, and requantize is synthesis(step(analysis(x))) bit for bit,
+    # in float64 whatever the dtype and layout of the step's result
     from jpegkit.codec import analysis, requantize, synthesis
+    from jpegkit.dct import block_view, merge_blocks
     from jpegkit.image import round_half_away_from_zero, to_float
 
     def rounded(coef):
         return round_half_away_from_zero(coef)
+
+    def int32_levels(coef):
+        return round_half_away_from_zero(coef).astype(np.int32)
+
+    def float32_coefs(coef):
+        return coef.astype(np.float32)
+
+    def strided_planes(coef):
+        # plane layout, but every other channel plane of a larger array
+        return block_view(np.repeat(merge_blocks(coef), 2, axis=-3)[..., ::2, :, :])
 
     table = table_for_qf(40)
     for opts in (CodecOptions(), PASSTHROUGH, CodecOptions(round_chroma=True)):
@@ -250,9 +262,10 @@ def test_core_stacks_match_per_image_and_requantize_fuses(rng):
                     assert np.array_equal(
                         back[k], synthesis(one, table, width, height, opts.colorspace)
                     )
-                for step in (identity_step, rounded):
+                for step in (identity_step, rounded, int32_levels, float32_coefs, strided_planes):
                     expected = synthesis(step(coefs), table, width, height, opts.colorspace)
-                    assert np.array_equal(requantize(stack, table, opts, step), expected)
+                    got = requantize(stack, table, opts, step)
+                    assert got.dtype == np.float64 and np.array_equal(got, expected)
                     out, work = np.empty_like(stack), np.empty_like(stack)
                     got = requantize(stack, table, opts, step, out=out, work=work)
                     assert np.array_equal(got, expected)

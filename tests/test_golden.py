@@ -28,10 +28,7 @@ so that one that came to depend on the kernel fails on any x86-64 host.
 import contextlib
 import hashlib
 import io
-import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +40,7 @@ from jpegkit.jfif import write_jfif
 from jpegkit.pnm import write_pnm
 from jpegkit.quant import QuantTable, table_for_qf
 from jpegkit.toy import random_model, save_model
-from tests.conftest import natural_image
+from tests.conftest import natural_image, run_pytest_under_kernel
 
 DESCENT = ["--steps", "4", "--step-size", "2.0", "--seeds", "2", "--seed", "1"]
 
@@ -198,12 +195,5 @@ def test_cli_output_bytes(case, inputs, tmp_path):
 def test_kernel_free_pins_hold_under_the_prescott_kernel():
     assert set(KERNEL_BOUND) <= set(CASES)
     ids = [f"{__file__}::test_cli_output_bytes[{case}]" for case in CASES if case not in KERNEL_BOUND]
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids],
-        cwd=Path(__file__).resolve().parent.parent,
-        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    run = run_pytest_under_kernel("Prescott", *ids, timeout=300)
     assert run.returncode == 0 and f"{len(ids)} passed" in run.stdout, run.stdout[-3000:]

@@ -37,6 +37,16 @@ def test_to_pixels_rounding_and_clamp():
     assert out.data.reshape(-1).tolist() == [128, 0, 255, 128]
 
 
+def test_to_pixels_takes_an_array_as_it_takes_a_float_image(rng):
+    data = rng.uniform(-20.0, 275.0, (5, 7, 3))
+    data[0, 0] = (127.5, -0.5, 254.5)
+    assert to_pixels(data).data.tobytes() == to_pixels(FloatImage(data)).data.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        data[2, 3, 1] = bad
+        with pytest.raises(ValueError):
+            to_pixels(data)
+
+
 def test_to_float_exact_copy():
     img = PixelImage(np.array([[[128]]], dtype=np.uint8))
     assert to_float(img).data[0, 0, 0] == 128.0

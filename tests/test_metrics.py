@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from jpegkit.codec import compress, decompress
+from jpegkit.codec import (
+    CodecOptions,
+    analysis,
+    compress,
+    compress_with_table,
+    decompress,
+    decompress_float,
+    requantize,
+    round_levels,
+)
 from jpegkit.errors import DimMismatch, EmptySet, TooFewSamples
-from jpegkit.image import FloatImage, PixelImage
+from jpegkit.image import FloatImage, PixelImage, to_pixels
 from jpegkit.losses import SampleBatch
 from jpegkit.metrics import (
     MetricReport,
@@ -15,10 +24,12 @@ from jpegkit.metrics import (
     csv_text,
     dct_statistic_features,
     frechet_distance,
+    mse_8bit,
     perceptual_proxy,
     psnr,
     std_map,
 )
+from jpegkit.quant import QuantTable, table_for_qf
 from tests.conftest import natural_image, uniform_image
 
 
@@ -41,6 +52,50 @@ def test_consistency_noise_direction(rng):
     y = decompress(compress(x, 5))
     noise = uniform_image(rng)
     assert consistency_rmse(noise, y, 5) > 1.0
+
+
+def _recompression_cases(rng):
+    """(image, table, options) over sizes from 1x1 to 64x64, ragged ones
+    included, 1 and 3 channels, both colorspaces, round_chroma, three
+    standard tables and a custom one; each size and path as a natural
+    pixel image and as a near-flat float image, whose levels round to -0.0."""
+    standard = table_for_qf(50)
+    custom = QuantTable(np.arange(1, 65).reshape(8, 8)[::-1], standard.chroma)
+    tables = (table_for_qf(5), standard, table_for_qf(100), custom)
+    for height, width in ((1, 1), (3, 5), (8, 8), (17, 13), (9, 31), (64, 64)):
+        for channels in (1, 3):
+            paths = [CodecOptions(), CodecOptions(colorspace="rgb-passthrough")]
+            if channels == 3:
+                paths.append(CodecOptions(round_chroma=True))
+            for opts in paths:
+                pixels = natural_image(rng, height, width, channels)
+                flat = FloatImage(128.0 - rng.uniform(0.0, 0.2, (height, width, channels)))
+                for table in tables:
+                    yield pixels, table, opts
+                    yield flat, table, opts
+
+
+def test_grid_free_recompression_matches_the_grid_round_trip(rng):
+    # consistency_rmse recompresses with requantize, whose default step is
+    # the codec's rounding; that equals decompress(compress_with_table(...))
+    # bit for bit, -0.0 levels included, so every consistency reading keeps
+    # its value
+    signed_zeros = 0
+    for img, table, opts in _recompression_cases(rng):
+        grid = compress_with_table(img, table, opts)
+        grid_round_trip = decompress(grid)
+        recompressed = requantize(img, table, opts)  # round_levels is the default step
+        assert np.array_equal(recompressed, decompress_float(grid).data)
+        if opts == CodecOptions():
+            assert np.array_equal(requantize(img, table), recompressed)
+        assert to_pixels(recompressed).data.tobytes() == grid_round_trip.data.tobytes()
+        levels = round_levels(analysis(img, table, opts))
+        signed_zeros += int(np.count_nonzero((levels == 0) & np.signbit(levels)))
+        if isinstance(img, PixelImage):
+            y = decompress(compress_with_table(natural_image(rng, img.height, img.width, img.channels), table, opts))
+            want = math.sqrt(mse_8bit(grid_round_trip, y))
+            assert consistency_rmse(img, y, 50, opts, table=table) == want
+    assert signed_zeros > 0
 
 
 def test_consistency_dim_mismatch(rng):

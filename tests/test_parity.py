@@ -48,12 +48,8 @@ host.
 """
 
 import hashlib
-import os
 import platform
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +68,14 @@ from jpegkit.toy import (
     posterior_sampler_checks,
     random_model,
 )
-from tests.conftest import coarse_step_model, fine_step_model, natural_image, restart_stream, uniform_image
+from tests.conftest import (
+    coarse_step_model,
+    fine_step_model,
+    natural_image,
+    restart_stream,
+    run_pytest_under_kernel,
+    uniform_image,
+)
 from tests.reference import op_for_image
 
 RESTORE_DIGESTS = {
@@ -306,13 +309,6 @@ KERNEL_FREE_DIGESTS = (
     platform.machine().lower() not in ("x86_64", "amd64"), reason="Prescott is an x86-64 OpenBLAS kernel"
 )
 def test_kernel_free_digests_hold_under_the_prescott_kernel():
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", KERNEL_FREE_DIGESTS, __file__],
-        cwd=Path(__file__).resolve().parent.parent,
-        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott"),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    run = run_pytest_under_kernel("Prescott", "-k", KERNEL_FREE_DIGESTS, __file__, timeout=300)
     expected = len(ORACLE_DIGESTS) + len(WRITE_JFIF_DIGESTS) + 2
     assert run.returncode == 0 and f"{expected} passed" in run.stdout, run.stdout[-3000:]

@@ -34,7 +34,7 @@ from jpegkit.restorer import (
     sweep_lambda_c,
     tv_huber,
 )
-from tests.conftest import images_equal, natural_image, traced_peak
+from tests.conftest import images_equal, natural_image, traced_peak, uniform_image
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +415,8 @@ def test_sweep_refuses_before_any_restore(monkeypatch):
         sweep_lambda_c([y], [natural_image(rng, 16, 24)], [0.0, 1.0], cfg)
     with pytest.raises(DimMismatch):  # the second pair's reference, not the first's
         sweep_lambda_c([y, y], [x, natural_image(rng, 16, 16, channels=1)], [0.0, 1.0], cfg)
+    with pytest.raises(NotACompressedInput):  # the second input, not the first
+        sweep_lambda_c([y, uniform_image(rng, 16, 16)], [x, x], [0.0, 1.0], cfg)
     assert calls == []
     assert len(sweep_lambda_c([y], [x], [0.0, 1.0], cfg).rows) == 2 and len(calls) == 2
 
